@@ -25,7 +25,6 @@ from .core import (
     tensor,
 )
 from .bases import (
-    BasisAngles,
     BellLabel,
     GeneralBellSpec,
     GhzLabel,
@@ -55,7 +54,6 @@ from .nonlocality import ParadoxReport, PauliString, ghz_paradox, pauli_expectat
 from .classify import EntClass, ReducedDiagnostics, classify, diagnostics, three_tangle
 from .teleport import (
     BranchRecord,
-    ChannelSpec,
     FidelitySurface,
     TeleportReport,
     avg_fidelity_surface,

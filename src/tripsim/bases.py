@@ -11,10 +11,6 @@ Families exposed here:
 * ``w_basis`` — the eight-member single-excitation family over (theta, phi);
 * ``bob_x_basis`` — the single-qubit rotated pair with the *opposite*
   convention ``b0 = sin(theta)``, ``b1 = cos(theta)``.
-
-The two b-conventions deliberately coexist behind distinct named accessors
-(:meth:`BasisAngles.ghz_weights` vs :meth:`BasisAngles.bob_weights`) so they
-cannot be mixed up silently.
 """
 
 from __future__ import annotations
@@ -32,26 +28,6 @@ def _check_angle(name: str, value: float) -> float:
     if not 0.0 <= value <= math.pi / 2 + 1e-12:
         raise ValueError(f"{name} must lie in [0, pi/2], got {value}")
     return value
-
-
-@dataclass(frozen=True)
-class BasisAngles:
-    """Entanglement angles; phi is ignored by the GHZ family."""
-
-    theta: float
-    phi: float = 0.0
-
-    def __post_init__(self):
-        _check_angle("theta", self.theta)
-        _check_angle("phi", self.phi)
-
-    def ghz_weights(self) -> tuple[float, float]:
-        """(b0, b1) = (cos theta, sin theta), the three-qubit-family convention."""
-        return math.cos(self.theta), math.sin(self.theta)
-
-    def bob_weights(self) -> tuple[float, float]:
-        """(b0, b1) = (sin theta, cos theta), the single-qubit x-basis convention."""
-        return math.sin(self.theta), math.cos(self.theta)
 
 
 @dataclass(frozen=True)

@@ -195,11 +195,7 @@ def _cmd_fidelity_surface(params: dict, rng) -> dict:
     if n < 2:
         raise ValueError(f"--grid must be >= 2, got {n}")
     grid = np.linspace(0.0, math.pi / 2, n)
-    surface = teleport.avg_fidelity_surface(
-        grid,
-        u_nodes=int(params.get("u_nodes", 64)),
-        phase_nodes=int(params.get("phase_nodes", 32)),
-    )
+    surface = teleport.avg_fidelity_surface(grid)
     return {
         "schema": SCHEMA_TAG,
         "command": "fidelity-surface",
@@ -279,8 +275,6 @@ def _cmd_noise_sweep(params: dict, rng) -> dict:
         params.get("channel", "bitflip"),
         target if len(target) > 1 else target[0],
         grid,
-        int(params.get("input_samples", 64)),
-        rng,
         params=passthrough or None,
     )
     return {
@@ -453,8 +447,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fidelity-surface", parents=[common], help="input-averaged fidelity grid")
     p.add_argument("--grid", type=int, default=21)
-    p.add_argument("--u-nodes", dest="u_nodes", type=int, default=64)
-    p.add_argument("--phase-nodes", dest="phase_nodes", type=int, default=32)
 
     p = sub.add_parser("twirl", parents=[common], help="Monte-Carlo twirl against the analytic family")
     p.add_argument("--family", choices=("werner", "isotropic"), default="werner")
@@ -470,7 +462,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--channel", choices=sorted(noise.CHANNELS), default="bitflip")
     p.add_argument("--target", required=True, help="resource qubit index (comma list allowed)")
     p.add_argument("--grid", default="0:1:0.05", help="start:stop:step")
-    p.add_argument("--input-samples", dest="input_samples", type=int, default=64)
     p.add_argument("--bob-theta", dest="bob_theta", type=float)
     p.add_argument("--theta-channel", dest="theta_channel", type=float)
     p.add_argument("--theta-meas", dest="theta_meas", type=float)

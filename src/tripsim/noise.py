@@ -1,8 +1,11 @@
 """Kraus-channel noise on protocol resources, with fidelity-vs-noise sweeps.
 
 Noise is applied to the resource state after preparation and before any
-measurement; the protocol then runs in full operator algebra via
-:func:`tripsim.teleport.average_fidelity_density`.
+measurement. A sweep expands the channel on each target qubit into pure
+Kraus terms N_j|R>, whose projectors sum to the noisy resource, and runs
+every term through the protocol's Kraus stack via
+:func:`tripsim.teleport.average_fidelity`, which averages over inputs
+exactly.
 """
 
 from __future__ import annotations
@@ -12,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DensityOp, InvariantViolation, PAULI_X, PAULI_Y, PAULI_Z
-from .teleport import ProtocolBundle, average_fidelity_density, protocol_bundle
+from .core import DensityOp, InvariantViolation, PAULI_X, PAULI_Y, PAULI_Z, StateVector
+from .teleport import ProtocolBundle, average_fidelity, protocol_bundle
 
 _COMPLETENESS_ATOL = 1e-12
 
@@ -121,14 +124,21 @@ def _resource_targets(bundle: ProtocolBundle, target) -> tuple[int, ...]:
                 f"target {t} is not a resource qubit of {bundle.name} "
                 f"(valid range {lo}..{hi - 1})"
             )
+    if len(set(targets)) != len(targets):
+        raise ValueError(f"noise targets must be distinct, got {list(targets)}")
     return tuple(t - lo for t in targets)
 
 
-def sample_input_pairs(count: int, rng: np.random.Generator) -> np.ndarray:
-    """Amplitude pairs drawn uniformly in |c0|^2 and relative phase."""
-    u = rng.random(count)
-    phases = 2.0 * math.pi * rng.random(count)
-    return np.stack([np.sqrt(u), np.sqrt(1.0 - u) * np.exp(1j * phases)], axis=1)
+def _noisy_resource_terms(resource: StateVector, kraus, targets) -> np.ndarray:
+    """Rows N_j|R>, one per product of Kraus operators on the targets; the
+    sum of their projectors is the noisy resource density matrix."""
+    n = resource.num_qubits
+    ops = np.stack(kraus)
+    terms = resource.amplitudes.reshape((1,) + (2,) * n)
+    for q in targets:
+        applied = np.tensordot(ops, terms, axes=([2], [q + 1]))
+        terms = np.moveaxis(applied, 1, q + 2).reshape((-1,) + (2,) * n)
+    return terms.reshape(len(terms), -1)
 
 
 def noisy_teleport_sweep(
@@ -136,33 +146,15 @@ def noisy_teleport_sweep(
     channel_kind: str,
     target,
     p_grid,
-    input_samples: int,
-    rng: np.random.Generator,
     params: dict | None = None,
 ) -> list[tuple[float, float]]:
-    """Average protocol fidelity after noising the designated resource qubit(s).
-
-    The same sampled inputs are reused across the whole grid so the curve
-    is smooth in the channel parameter and deterministic given the seed.
-    """
-    if input_samples < 1:
-        raise ValueError(f"input_samples must be >= 1, got {input_samples}")
+    """Exact input-averaged protocol fidelity after noising the designated
+    resource qubit(s), one row (p, fidelity) per channel parameter."""
     bundle = protocol_bundle(protocol, **(params or {}))
     local_targets = _resource_targets(bundle, target)
-    n_res = bundle.resource.num_qubits
-    res = bundle.resource.amplitudes
-    resource_rho = np.outer(res, res.conj())
-    inputs = sample_input_pairs(input_samples, rng)
     rows: list[tuple[float, float]] = []
     for p in np.asarray(p_grid, dtype=float):
         ch = make_channel(channel_kind, float(p))
-        noisy = resource_rho
-        for q in local_targets:
-            noisy = _apply_kraus_1q(noisy, n_res, ch.kraus, q)
-        fid = float(
-            np.mean(
-                [average_fidelity_density(bundle, noisy, c0, c1) for c0, c1 in inputs]
-            )
-        )
-        rows.append((float(p), fid))
+        terms = _noisy_resource_terms(bundle.resource, ch.kraus, local_targets)
+        rows.append((float(p), average_fidelity(bundle, terms)))
     return rows

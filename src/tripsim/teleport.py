@@ -3,11 +3,13 @@
 Every protocol is expressed as one joint projective measurement with a
 product basis (Bell pairs, the three-qubit basis, a rotated single-qubit
 basis, computational kets), a per-outcome correction lookup, and a target
-state to score against. Branches are enumerated in lexicographic label
-order. Two fidelity accountings are kept side by side: the sum of
-``tr(rho_in rho~_f)`` over unnormalized corrected branch operators, and
-the probability-weighted sum of normalized branch fidelities; they must
-coincide.
+state to score against. A bundle compiles to one stack of logical Kraus
+operators (:func:`_kraus_stack`) that serves the per-input reports, the
+correction search, the exact input averages and the noise sweeps.
+Branches are enumerated in lexicographic label order. Two fidelity
+accountings are kept side by side: the sum of ``tr(rho_in rho~_f)`` over
+unnormalized corrected branch operators, and the probability-weighted sum
+of normalized branch fidelities; they must coincide.
 
 Register convention: input qubits first, resource qubits after, so e.g.
 the measurement-based single-qubit protocol lives on qubits (0 | 1 2 3)
@@ -26,13 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .bases import WChannelSpec, bell2, bob_x_basis, ghz_basis
-from .core import (
-    PAULIS,
-    InputQubit,
-    StateVector,
-    partial_inner,
-    tensor,
-)
+from .core import PAULIS, InputQubit, InvariantViolation, StateVector, tensor
 
 _MAX = math.pi / 4
 _DEGENERATE_CUT = 1e-14
@@ -48,45 +44,6 @@ _PROBE_PAIRS = (
     (0.6, 0.8j),
     (math.sqrt(0.45), math.sqrt(0.55) * cmath.exp(-2.1j)),
 )
-
-
-@dataclass(frozen=True)
-class ChannelSpec:
-    """Resource-state specification: kind plus its angle/amplitude tuple."""
-
-    kind: str
-    params: tuple
-
-    _BUILDERS = {
-        "epr": 1,
-        "ghz": 1,
-        "w": 3,
-        "three-epr": 3,
-        "ghz-plus-epr": 2,
-    }
-
-    def __post_init__(self):
-        if self.kind not in self._BUILDERS:
-            raise ValueError(f"unknown channel kind {self.kind!r}")
-        if len(self.params) != self._BUILDERS[self.kind]:
-            raise ValueError(
-                f"{self.kind} takes {self._BUILDERS[self.kind]} parameters, got {self.params}"
-            )
-        object.__setattr__(self, "params", tuple(self.params))
-        self.resource_state()  # angle ranges / amplitude normalization
-
-    def resource_state(self) -> StateVector:
-        if self.kind == "epr":
-            return bell2(self.params[0], (0, 0))
-        if self.kind == "ghz":
-            return ghz_basis(self.params[0], (0, 0, 0))
-        if self.kind == "w":
-            return WChannelSpec(*self.params).state()
-        if self.kind == "three-epr":
-            return reduce(tensor, (bell2(t, (0, 0)) for t in self.params))
-        return tensor(
-            ghz_basis(self.params[0], (0, 0, 0)), bell2(self.params[1], (0, 0))
-        )
 
 
 @dataclass(frozen=True)
@@ -214,6 +171,60 @@ def coerce_pair(pair) -> tuple[complex, complex]:
     return complex(pair.c0), complex(pair.c1)
 
 
+# --- the Kraus-stack engine --------------------------------------------
+
+def _columns(make_state: Callable) -> np.ndarray:
+    """The linear map (c0, c1) -> make_state(c0, c1) as a (dim, 2) matrix."""
+    return np.stack([make_state(1, 0).amplitudes, make_state(0, 1).amplitudes], axis=1)
+
+
+def _kraus_stack(bundle: ProtocolBundle, resource_terms: np.ndarray) -> np.ndarray:
+    """Logical Kraus operators K[j, l] = C_l (<b_l| ⊗ 1)(E ⊗ |R_j>).
+
+    E encodes the input amplitudes into the input register and R_j runs
+    over the rows of ``resource_terms``, pure (possibly unnormalized)
+    resource states. The shape is (terms, outcomes, 2^(n - k), 2), so the
+    corrected residual of outcome l for input c is ``K[j, l] @ c``.
+    Outcomes without a correction keep the identity; :func:`_require_corrections`
+    rejects any of them that is live.
+    """
+    n, k = bundle.n_total, len(bundle.meas_targets)
+    n_terms, n_outcomes = len(resource_terms), len(bundle.outcomes)
+    joint = np.einsum("ic,jr->jirc", _columns(bundle.input_state), resource_terms)
+    joint = joint.reshape((n_terms,) + (2,) * n + (2,))
+    bras = np.stack([bvec.amplitudes for _, bvec in bundle.outcomes]).conj()
+    raw = np.tensordot(
+        bras.reshape((n_outcomes,) + (2,) * k),
+        joint,
+        axes=(tuple(range(1, k + 1)), tuple(t + 1 for t in bundle.meas_targets)),
+    )
+    raw = raw.reshape(n_outcomes, n_terms, -1, 2).swapaxes(0, 1)
+    identity = np.eye(raw.shape[2], dtype=complex)
+    corrections = np.stack(
+        [
+            bundle.corrections[label].matrix if label in bundle.corrections else identity
+            for label, _ in bundle.outcomes
+        ]
+    )
+    return corrections @ raw
+
+
+def _residuals(stack: np.ndarray, inputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Residuals K c of shape (terms, inputs, outcomes, dim) and the outcome
+    probabilities p[input, outcome], summed over the resource terms."""
+    residuals = np.einsum("jldc,nc->jnld", stack, inputs)
+    probs = (residuals.real**2 + residuals.imag**2).sum(axis=(0, 3))
+    return residuals, probs
+
+
+def _require_corrections(bundle: ProtocolBundle, probs: np.ndarray) -> None:
+    for i, (label, _) in enumerate(bundle.outcomes):
+        if label not in bundle.corrections and probs[:, i].max() >= _DEGENERATE_CUT:
+            raise InvariantViolation(
+                "correction-coverage", f"{bundle.name} has no correction for live outcome {label}"
+            )
+
+
 # --- correction search -------------------------------------------------
 
 def _search_pauli_correction(samples, width: int) -> _Correction:
@@ -247,14 +258,14 @@ def _searched_corrections(make_bundle: Callable[[], ProtocolBundle]) -> dict:
     """Build the per-outcome lookup by probing a correction-free bundle."""
     bundle = make_bundle()
     width = bundle.n_total - len(bundle.meas_targets)
+    probes = np.array(_PROBE_PAIRS, dtype=complex)
+    residuals, probs = _residuals(_kraus_stack(bundle, bundle.resource.amplitudes[None]), probes)
+    targets = probes @ _columns(bundle.target_state).T
     per_label: dict[tuple, list] = {}
-    for c0, c1 in _PROBE_PAIRS:
-        psi = tensor(bundle.input_state(c0, c1), bundle.resource)
-        target = bundle.target_state(c0, c1).amplitudes
-        for label, bvec in bundle.outcomes:
-            residual = partial_inner(psi, bvec, bundle.meas_targets)
-            if residual.norm_squared > _DEGENERATE_CUT:
-                per_label.setdefault(label, []).append((residual.amplitudes, target))
+    for n, target in enumerate(targets):
+        for i, (label, _) in enumerate(bundle.outcomes):
+            if probs[n, i] > _DEGENERATE_CUT:
+                per_label.setdefault(label, []).append((residuals[0, n, i], target))
     return {
         label: _search_pauli_correction(samples, width)
         for label, samples in per_label.items()
@@ -456,15 +467,16 @@ def _allow(params: dict, keys: set):
 # --- enumeration -------------------------------------------------------
 
 def _enumerate(bundle: ProtocolBundle, c0: complex, c1: complex) -> TeleportReport:
-    psi = tensor(bundle.input_state(c0, c1), bundle.resource)
     target = bundle.target_state(c0, c1).amplitudes
+    stack = _kraus_stack(bundle, bundle.resource.amplitudes[None])
+    residuals, probs = _residuals(stack, np.array([[c0, c1]], dtype=complex))
+    _require_corrections(bundle, probs)
     records = []
     sum_weighted = 0.0
     sum_traced = 0.0
     success_p = 0.0
-    for label, bvec in bundle.outcomes:
-        residual = partial_inner(psi, bvec, bundle.meas_targets)
-        p = residual.norm_squared
+    for (label, _), corrected, p in zip(bundle.outcomes, residuals[0, 0], probs[0]):
+        p = float(p)
         corr = bundle.corrections.get(label)
         if p < _DEGENERATE_CUT:
             records.append(
@@ -478,11 +490,7 @@ def _enumerate(bundle: ProtocolBundle, c0: complex, c1: complex) -> TeleportRepo
                 )
             )
             continue
-        if corr is None:
-            raise RuntimeError(f"no correction for live outcome {label}")
-        corrected = corr.matrix @ residual.amplitudes
-        branch_op = np.outer(corrected, corrected.conj())
-        sum_traced += float(np.vdot(target, branch_op @ target).real)
+        sum_traced += abs(np.vdot(target, corrected)) ** 2
         post = StateVector(corrected / math.sqrt(p))
         fid = min(max(abs(np.vdot(target, post.amplitudes)) ** 2, 0.0), 1.0)
         sum_weighted += p * fid
@@ -494,7 +502,7 @@ def _enumerate(bundle: ProtocolBundle, c0: complex, c1: complex) -> TeleportRepo
         params=bundle.params,
         branches=tuple(records),
         avg_fidelity=sum_weighted,
-        avg_fidelity_traced=sum_traced,
+        avg_fidelity_traced=float(sum_traced),
         success_probability=success_p,
     )
 
@@ -550,51 +558,51 @@ def teleport_w_channel(input_qubit: InputQubit, w) -> TeleportReport:
 
 # --- input averaging ---------------------------------------------------
 
-def input_quadrature(u_nodes: int = 64, phase_nodes: int = 32):
-    """Gauss-Legendre nodes in |c0|^2 crossed with uniform phase nodes.
+# The six octahedron states +-z, +-x, +-y. The branch-summed fidelity is a
+# degree-(2, 2) polynomial in (c, c*), so its mean over these six inputs
+# equals the Haar average exactly (Nielsen, Phys. Lett. A 303, 249 (2002);
+# Horodecki, Horodecki and Horodecki, PRA 60, 1888 (1999)).
+_OCTAHEDRON = (
+    (1.0, 0.0),
+    (0.0, 1.0),
+    (math.sqrt(0.5), math.sqrt(0.5)),
+    (math.sqrt(0.5), -math.sqrt(0.5)),
+    (math.sqrt(0.5), 1j * math.sqrt(0.5)),
+    (math.sqrt(0.5), -1j * math.sqrt(0.5)),
+)
 
-    Returns (inputs, weights) with inputs of shape (N, 2); the weights sum
-    to 1 and integrate the uniform measure d|c0|^2 dphi/(2 pi) exactly for
-    polynomial integrands of the degrees that occur here.
+# Resource terms evaluated per stack, so many-term noise expansions stay
+# within a few megabytes.
+_TERM_CHUNK = 64
+
+
+def average_fidelity(bundle: ProtocolBundle, resource_terms=None) -> float:
+    """Exact input-averaged branch-summed fidelity of a protocol bundle.
+
+    ``resource_terms`` lists pure resource terms N_j|R> (rows) whose
+    projectors sum to a mixed resource; by default the bundle's own pure
+    resource. Raises ``InvariantViolation("correction-coverage")`` if an
+    outcome without a correction is live for any of the averaged inputs.
     """
-    x, w = np.polynomial.legendre.leggauss(u_nodes)
-    u = (x + 1.0) / 2.0
-    wu = w / 2.0
-    phases = 2.0 * math.pi * np.arange(phase_nodes) / phase_nodes
-    c0 = np.sqrt(u)[:, None] * np.ones_like(phases)[None, :]
-    c1 = np.sqrt(1.0 - u)[:, None] * np.exp(1j * phases)[None, :]
-    inputs = np.stack([c0.ravel(), c1.ravel()], axis=1).astype(complex)
-    weights = (wu[:, None] * np.full((1, phase_nodes), 1.0 / phase_nodes)).ravel()
-    return inputs, weights
+    if resource_terms is None:
+        resource_terms = bundle.resource.amplitudes[None]
+    inputs = np.array(_OCTAHEDRON, dtype=complex)
+    targets = inputs @ _columns(bundle.target_state).T
+    total = 0.0
+    probs = np.zeros((len(inputs), len(bundle.outcomes)))
+    for start in range(0, len(resource_terms), _TERM_CHUNK):
+        stack = _kraus_stack(bundle, resource_terms[start : start + _TERM_CHUNK])
+        residuals, chunk_probs = _residuals(stack, inputs)
+        overlaps = np.einsum("nd,jnld->jnl", targets.conj(), residuals)
+        total += float((overlaps.real**2 + overlaps.imag**2).sum())
+        probs += chunk_probs
+    _require_corrections(bundle, probs)
+    return total / len(inputs)
 
 
-def _ghz_meas_batch_fidelity(
-    theta_channel: float, theta_meas: float, inputs: np.ndarray
-) -> np.ndarray:
-    """Per-input branch-summed fidelity tr(rho_in rho~_f), vectorized over
-    the input batch; identical projection algebra to the scalar path."""
-    channel = ghz_basis(theta_channel, (0, 0, 0)).amplitudes
-    psi = np.einsum("ni,j->nij", inputs, channel).reshape(-1, 2, 2, 2, 2)
-    total = np.zeros(psi.shape[0])
-    for mu in (0, 1):
-        for lam in (0, 1):
-            basis = ghz_basis(theta_meas, (mu, lam, lam)).amplitudes.reshape(2, 2, 2)
-            residual = np.einsum("abc,nabcd->nd", basis.conj(), psi)
-            corrected = residual @ _compose("Z" * mu + "X" * lam or "I").T
-            overlap = np.einsum("nd,nd->n", inputs.conj(), corrected)
-            total += np.abs(overlap) ** 2
-    return total
-
-
-def average_fidelity_ghz_meas(
-    theta_channel: float,
-    theta_meas: float,
-    u_nodes: int = 64,
-    phase_nodes: int = 32,
-) -> float:
-    """Input-averaged fidelity of the measurement protocol by quadrature."""
-    inputs, weights = input_quadrature(u_nodes, phase_nodes)
-    return float(weights @ _ghz_meas_batch_fidelity(theta_channel, theta_meas, inputs))
+def average_fidelity_ghz_meas(theta_channel: float, theta_meas: float) -> float:
+    """Exact input-averaged fidelity of the measurement protocol."""
+    return average_fidelity(_ghz_meas_bundle(theta_channel, theta_meas))
 
 
 def closed_form_avg_fidelity(theta_channel: float, theta_meas: float) -> float:
@@ -602,53 +610,14 @@ def closed_form_avg_fidelity(theta_channel: float, theta_meas: float) -> float:
     return 2.0 / 3.0 + math.sin(2.0 * theta_channel) * math.sin(2.0 * theta_meas) / 3.0
 
 
-def avg_fidelity_surface(
-    theta_grid,
-    phi_grid=None,
-    u_nodes: int = 64,
-    phase_nodes: int = 32,
-) -> FidelitySurface:
+def avg_fidelity_surface(theta_grid, phi_grid=None) -> FidelitySurface:
     """Input-averaged fidelity over a grid of (channel, measurement) angles."""
     theta_grid = np.asarray(theta_grid, dtype=float)
     phi_grid = theta_grid if phi_grid is None else np.asarray(phi_grid, dtype=float)
     for grid in (theta_grid, phi_grid):
         if grid.min() < 0.0 or grid.max() > math.pi / 2 + 1e-12:
             raise ValueError("grid angles must lie in [0, pi/2]")
-    inputs, weights = input_quadrature(u_nodes, phase_nodes)
-    values = np.empty((theta_grid.size, phi_grid.size))
-    for i, th in enumerate(theta_grid):
-        for j, ph in enumerate(phi_grid):
-            values[i, j] = weights @ _ghz_meas_batch_fidelity(th, ph, inputs)
+    values = np.array(
+        [[average_fidelity_ghz_meas(th, ph) for ph in phi_grid] for th in theta_grid]
+    )
     return FidelitySurface(theta_grid, phi_grid, np.clip(values, 0.0, 1.0))
-
-
-# --- density-formalism evaluation (mixed resources) ----------------------
-
-def average_fidelity_density(
-    bundle: ProtocolBundle, resource_rho: np.ndarray, c0: complex, c1: complex
-) -> float:
-    """Branch-summed fidelity with the resource given as a density matrix.
-
-    Mirrors the pure-state enumeration but carries the protocol through
-    operator algebra, so a noisy (mixed) resource is handled exactly.
-    """
-    in_amps = bundle.input_state(c0, c1).amplitudes
-    rho = np.kron(np.outer(in_amps, in_amps.conj()), resource_rho)
-    n = bundle.n_total
-    k = len(bundle.meas_targets)
-    t = rho.reshape([2] * (2 * n))
-    target = bundle.target_state(c0, c1).amplitudes
-    total = 0.0
-    for label, bvec in bundle.outcomes:
-        corr = bundle.corrections.get(label)
-        if corr is None:
-            continue
-        b = bvec.amplitudes.reshape([2] * k)
-        rows_removed = np.tensordot(b.conj(), t, axes=(tuple(range(k)), bundle.meas_targets))
-        col_positions = tuple((n - k) + q for q in bundle.meas_targets)
-        reduced = np.tensordot(rows_removed, b, axes=(col_positions, tuple(range(k))))
-        dim = 1 << (n - k)
-        branch_op = reduced.reshape(dim, dim)
-        corrected = corr.matrix @ branch_op @ corr.matrix.conj().T
-        total += float(np.vdot(target, corrected @ target).real)
-    return total

@@ -1,5 +1,6 @@
-"""Shared test utilities: random states and an independent operator-lifting
-oracle built by basis-index enumeration (deliberately not the library path)."""
+"""Shared test utilities: random states, an independent operator-lifting
+oracle built by basis-index enumeration, and a density-matrix protocol
+oracle (both deliberately not the library path)."""
 
 import numpy as np
 
@@ -67,3 +68,48 @@ def lift_operator(op: np.ndarray, targets, n: int) -> np.ndarray:
                 row = (row << 1) | b
             out[row, col] += amp
     return out
+
+
+# The six octahedron inputs +-z, +-x, +-y; their mean of any degree-(2, 2)
+# polynomial in (c, c*) is its Haar average.
+OCTAHEDRON = (
+    (1.0, 0.0),
+    (0.0, 1.0),
+    (np.sqrt(0.5), np.sqrt(0.5)),
+    (np.sqrt(0.5), -np.sqrt(0.5)),
+    (np.sqrt(0.5), 1j * np.sqrt(0.5)),
+    (np.sqrt(0.5), -1j * np.sqrt(0.5)),
+)
+
+
+def six_state_mean(oracle, bundle, resource_rho) -> float:
+    """Exact input average of an oracle(bundle, rho, c0, c1) fidelity."""
+    return float(np.mean([oracle(bundle, resource_rho, c0, c1) for c0, c1 in OCTAHEDRON]))
+
+
+def average_fidelity_density(bundle, resource_rho: np.ndarray, c0, c1) -> float:
+    """Branch-summed fidelity with the resource given as a density matrix.
+
+    Mirrors the pure-state enumeration but carries the protocol through
+    operator algebra, so a noisy (mixed) resource is handled exactly.
+    """
+    in_amps = bundle.input_state(c0, c1).amplitudes
+    rho = np.kron(np.outer(in_amps, in_amps.conj()), resource_rho)
+    n = bundle.n_total
+    k = len(bundle.meas_targets)
+    t = rho.reshape([2] * (2 * n))
+    target = bundle.target_state(c0, c1).amplitudes
+    total = 0.0
+    for label, bvec in bundle.outcomes:
+        corr = bundle.corrections.get(label)
+        if corr is None:
+            continue
+        b = bvec.amplitudes.reshape([2] * k)
+        rows_removed = np.tensordot(b.conj(), t, axes=(tuple(range(k)), bundle.meas_targets))
+        col_positions = tuple((n - k) + q for q in bundle.meas_targets)
+        reduced = np.tensordot(rows_removed, b, axes=(col_positions, tuple(range(k))))
+        dim = 1 << (n - k)
+        branch_op = reduced.reshape(dim, dim)
+        corrected = corr.matrix @ branch_op @ corr.matrix.conj().T
+        total += float(np.vdot(target, corrected @ target).real)
+    return total

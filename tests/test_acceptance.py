@@ -6,7 +6,14 @@ import math
 
 import numpy as np
 
-from helpers import chi_row, eta_row, random_input, random_state
+from helpers import (
+    average_fidelity_density,
+    chi_row,
+    eta_row,
+    random_input,
+    random_state,
+    six_state_mean,
+)
 from tripsim.bases import bell2, bob_x_basis, ghz_basis, w_basis
 from tripsim.classify import BISEPARABLE, FULLY_SEPARABLE, GENUINE_GHZ, GENUINE_W, classify
 from tripsim.core import (
@@ -29,12 +36,12 @@ from tripsim.noise import (
     depolarizing,
     noisy_teleport_sweep,
     phase_flip,
-    sample_input_pairs,
 )
 from tripsim.teleport import (
     GHZ_EPR_CORRECTIONS,
     avg_fidelity_surface,
     closed_form_avg_fidelity,
+    protocol_bundle,
     teleport_epr_via_ghz,
     teleport_ghz_epr,
     teleport_ghz_measurement,
@@ -225,19 +232,12 @@ def test_criterion_8_protocol_completeness():
 
 
 def test_criterion_9_noise_sanity():
-    rng_inputs = np.random.default_rng(9)
-    inputs = sample_input_pairs(10, rng_inputs)
-    pure = float(
-        np.mean(
-            [
-                teleport_ghz_measurement(InputQubit(c0, c1), MAX, MAX).avg_fidelity
-                for c0, c1 in inputs
-            ]
-        )
-    )
+    bundle = protocol_bundle("ghz-meas")
+    resource = bundle.resource.amplitudes
+    pure = six_state_mean(average_fidelity_density, bundle, np.outer(resource, resource.conj()))
     ok = True
     for kind in ("bitflip", "phaseflip", "depolarizing", "amplitude-damping"):
-        rows = noisy_teleport_sweep("ghz-meas", kind, 3, [0.0], 10, np.random.default_rng(9))
+        rows = noisy_teleport_sweep("ghz-meas", kind, 3, [0.0])
         ok &= abs(rows[0][1] - pure) < 1e-9
     rng = np.random.default_rng(99)
     makers = (bit_flip, phase_flip, depolarizing, amplitude_damping)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from helpers import random_state
 from tripsim.bases import (
-    BasisAngles,
     BellLabel,
     GeneralBellSpec,
     GhzLabel,
@@ -189,11 +188,6 @@ class TestBobBasis:
         np.testing.assert_allclose(
             c * x0.amplitudes - s * x1.amplitudes, [0, 1], atol=1e-12
         )
-
-    def test_weight_conventions_differ(self):
-        angles = BasisAngles(0.3)
-        assert angles.ghz_weights() == (math.cos(0.3), math.sin(0.3))
-        assert angles.bob_weights() == (math.sin(0.3), math.cos(0.3))
 
 
 @settings(max_examples=50, deadline=None)

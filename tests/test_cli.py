@@ -38,7 +38,7 @@ class TestCommands:
 
     def test_surface_csv_shape_and_corner(self, capsys):
         code, out = _run(
-            ["fidelity-surface", "--grid", "21", "--format", "csv", "--u-nodes", "16", "--phase-nodes", "8"],
+            ["fidelity-surface", "--grid", "21", "--format", "csv"],
             capsys,
         )
         assert code == 0
@@ -76,7 +76,7 @@ class TestCommands:
         code, out = _run(
             [
                 "noise-sweep", "--protocol", "ghz-meas", "--channel", "bitflip",
-                "--target", "3", "--grid", "0:0.2:0.1", "--input-samples", "6",
+                "--target", "3", "--grid", "0:0.2:0.1",
                 "--format", "csv",
             ],
             capsys,
@@ -113,11 +113,19 @@ class TestDeterminismAndConfig:
                 [
                     "noise-sweep", "--protocol", "w-channel", "--channel",
                     "amplitude-damping", "--target", "2", "--grid", "0:0.3:0.1",
-                    "--input-samples", "5", "--seed", "9", "--format", "csv",
+                    "--seed", "9", "--format", "csv",
                     "--out", str(p),
                 ]
             )
             assert code == 0
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_noise_sweep_does_not_depend_on_seed(self, tmp_path):
+        paths = [tmp_path / "a.json", tmp_path / "b.json"]
+        for seed, p in zip(("3", "4"), paths):
+            argv = ["noise-sweep", "--protocol", "ghz-meas", "--channel", "depolarizing",
+                    "--target", "2", "--grid", "0:1:0.5", "--seed", seed, "--out", str(p)]
+            assert main(argv) == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_env_seed_overrides_flag(self, tmp_path, monkeypatch, capsys):
@@ -133,6 +141,10 @@ class TestDeterminismAndConfig:
 
     def test_bad_protocol_exits_2(self, capsys):
         assert main(["teleport", "--protocol", "swap"]) == 2
+
+    def test_duplicate_noise_target_exits_2(self, capsys):
+        assert main(["noise-sweep", "--protocol", "ghz-epr", "--target", "2,2"]) == 2
+        assert "distinct" in capsys.readouterr().err
 
     def test_invariant_violation_exits_1(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -150,7 +162,7 @@ class TestDeterminismAndConfig:
 
     def test_seventeen_digit_floats_in_csv(self, capsys):
         code, out = _run(
-            ["fidelity-surface", "--grid", "3", "--format", "csv", "--u-nodes", "8", "--phase-nodes", "4"],
+            ["fidelity-surface", "--grid", "3", "--format", "csv"],
             capsys,
         )
         assert code == 0

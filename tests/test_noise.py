@@ -3,10 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from helpers import lift_operator, random_state
+from helpers import (
+    OCTAHEDRON,
+    average_fidelity_density,
+    lift_operator,
+    random_state,
+    six_state_mean,
+)
 from tripsim.bases import ghz_basis
 from tripsim.core import DensityOp, InvariantViolation, PAULI_X
 from tripsim.noise import (
+    CHANNELS,
     KrausChannel,
     amplitude_damping,
     apply_channel,
@@ -15,15 +22,8 @@ from tripsim.noise import (
     make_channel,
     noisy_teleport_sweep,
     phase_flip,
-    sample_input_pairs,
 )
-from tripsim.teleport import (
-    average_fidelity_density,
-    protocol_bundle,
-    teleport_ghz_measurement,
-    teleport_w_channel,
-)
-from tripsim.core import InputQubit
+from tripsim.teleport import PROTOCOL_NAMES, protocol_bundle
 
 MAX = math.pi / 4
 ALL_CHANNELS = (bit_flip, phase_flip, depolarizing, amplitude_damping)
@@ -124,75 +124,84 @@ def _full_space_oracle(bundle, resource_rho, c0, c1):
     return total
 
 
+def _noisy_resource_rho(bundle, kind, p, targets) -> np.ndarray:
+    """Resource density after the channel on each full-register target."""
+    rho = DensityOp.from_pure(bundle.resource)
+    for q in targets:
+        rho = apply_channel(rho, make_channel(kind, p), q - bundle.n_input)
+    return rho.matrix
+
+
 class TestSweep:
     def test_parameter_zero_matches_pure_protocol(self):
-        rng = np.random.default_rng(4)
-        inputs = sample_input_pairs(12, rng)
+        bundle = protocol_bundle("ghz-meas")
+        resource = bundle.resource.amplitudes
+        pure = six_state_mean(average_fidelity_density, bundle, np.outer(resource, resource.conj()))
         for kind in ("bitflip", "phaseflip", "depolarizing", "amplitude-damping"):
-            rows = noisy_teleport_sweep(
-                "ghz-meas", kind, 3, [0.0], 12, np.random.default_rng(4)
-            )
-            pure = float(
-                np.mean(
-                    [
-                        teleport_ghz_measurement(InputQubit(c0, c1), MAX, MAX).avg_fidelity
-                        for c0, c1 in inputs
-                    ]
-                )
-            )
+            rows = noisy_teleport_sweep("ghz-meas", kind, 3, [0.0])
             assert abs(rows[0][1] - pure) < 1e-9
 
     def test_bit_flip_on_receiver_matches_full_space_oracle(self):
         bundle = protocol_bundle("ghz-meas")
-        res = bundle.resource.amplitudes
-        rng = np.random.default_rng(5)
-        inputs = sample_input_pairs(5, rng)
         for p in (0.0, 0.3, 0.8):
-            ch = make_channel("bitflip", p)
-            noisy = np.outer(res, res.conj())
-            from tripsim.noise import _apply_kraus_1q
+            noisy = _noisy_resource_rho(bundle, "bitflip", p, (3,))
+            for c0, c1 in OCTAHEDRON:
+                density = average_fidelity_density(bundle, noisy, c0, c1)
+                assert abs(density - _full_space_oracle(bundle, noisy, c0, c1)) < 1e-10
+            slow = six_state_mean(_full_space_oracle, bundle, noisy)
+            rows = noisy_teleport_sweep("ghz-meas", "bitflip", 3, [p])
+            assert abs(rows[0][1] - slow) < 1e-10
 
-            noisy = _apply_kraus_1q(noisy, 3, ch.kraus, 2)
-            for c0, c1 in inputs:
-                fast = average_fidelity_density(bundle, noisy, c0, c1)
-                slow = _full_space_oracle(bundle, noisy, c0, c1)
-                assert abs(fast - slow) < 1e-10
+    @pytest.mark.parametrize("kind", sorted(CHANNELS))
+    @pytest.mark.parametrize("protocol", PROTOCOL_NAMES)
+    def test_sweep_matches_density_oracle(self, protocol, kind):
+        # Noise on the first and the last resource qubit, so the product
+        # of per-qubit Kraus terms is exercised as well.
+        bundle = protocol_bundle(protocol)
+        targets = [bundle.n_input, bundle.n_total - 1]
+        grid = (0.37, 1.0)
+        rows = noisy_teleport_sweep(protocol, kind, targets, grid)
+        for (_, fid), p in zip(rows, grid):
+            noisy = _noisy_resource_rho(bundle, kind, p, targets)
+            assert abs(fid - six_state_mean(average_fidelity_density, bundle, noisy)) < 1e-12
+
+    def test_many_term_expansion_matches_density_oracle(self):
+        # Four depolarized qubits give 4^4 = 256 pure resource terms, more
+        # than one evaluation chunk holds.
+        bundle = protocol_bundle("ghz-via-3epr")
+        targets = [3, 5, 7, 8]
+        rows = noisy_teleport_sweep("ghz-via-3epr", "depolarizing", targets, [0.37])
+        noisy = _noisy_resource_rho(bundle, "depolarizing", 0.37, targets)
+        assert abs(rows[0][1] - six_state_mean(average_fidelity_density, bundle, noisy)) < 1e-12
 
     def test_fully_depolarized_channel_delivers_coin_flip(self):
-        rows = noisy_teleport_sweep(
-            "ghz-meas", "depolarizing", [1, 2, 3], [1.0], 8, np.random.default_rng(6)
-        )
+        rows = noisy_teleport_sweep("ghz-meas", "depolarizing", [1, 2, 3], [1.0])
         assert abs(rows[0][1] - 0.5) < 1e-12
 
     def test_sweep_is_smooth_in_the_parameter(self):
-        rng = np.random.default_rng(7)
-        rows = noisy_teleport_sweep(
-            "ghz-meas", "bitflip", 3, [0.3, 0.3 + 1e-6], 16, rng
-        )
+        rows = noisy_teleport_sweep("ghz-meas", "bitflip", 3, [0.3, 0.3 + 1e-6])
         assert abs(rows[0][1] - rows[1][1]) < 1e-4
 
+    @pytest.mark.parametrize("target", range(3, 9))
+    def test_ghz_via_3epr_pauli_noise_laws(self, target):
+        # A Pauli error on one pair reaches one output qubit: X and Y make
+        # the output orthogonal to a0|000> + a1|111>, Z leaves overlap
+        # |a0|^2 - |a1|^2 whose square averages to 1/3.
+        grid = (0.0, 0.37, 1.0)
+        depolarized = noisy_teleport_sweep("ghz-via-3epr", "depolarizing", target, grid)
+        flipped = noisy_teleport_sweep("ghz-via-3epr", "bitflip", target, grid)
+        for (p, dep), (_, flip) in zip(depolarized, flipped):
+            assert abs(dep - (1 - 2 * p / 3)) < 1e-12
+            assert abs(flip - (1 - p)) < 1e-12
+
     def test_w_channel_sweep_p_zero(self):
-        rng = np.random.default_rng(8)
-        inputs = sample_input_pairs(10, rng)
-        rows = noisy_teleport_sweep(
-            "w-channel", "phaseflip", 2, [0.0], 10, np.random.default_rng(8)
-        )
-        pure = float(
-            np.mean(
-                [
-                    teleport_w_channel(InputQubit(c0, c1), (1 / math.sqrt(3),) * 3).avg_fidelity
-                    for c0, c1 in inputs
-                ]
-            )
-        )
+        bundle = protocol_bundle("w-channel")
+        rows = noisy_teleport_sweep("w-channel", "phaseflip", 2, [0.0])
+        resource = bundle.resource.amplitudes
+        pure = six_state_mean(average_fidelity_density, bundle, np.outer(resource, resource.conj()))
         assert abs(rows[0][1] - pure) < 1e-9
 
     def test_invalid_target_rejected(self):
-        with pytest.raises(ValueError):
-            noisy_teleport_sweep(
-                "ghz-meas", "bitflip", 0, [0.0], 4, np.random.default_rng(0)
-            )
-        with pytest.raises(ValueError):
-            noisy_teleport_sweep(
-                "ghz-meas", "bitflip", 4, [0.0], 4, np.random.default_rng(0)
-            )
+        for target in (0, 4, [3, 3]):
+            with pytest.raises(ValueError):
+                noisy_teleport_sweep("ghz-meas", "bitflip", target, [0.0])

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -6,15 +7,14 @@ import pytest
 
 from helpers import chi_row, eta_row, random_input
 from tripsim.bases import bell2, bob_x_basis, ghz_basis
-from tripsim.core import InputQubit, StateVector, partial_inner, project, tensor
+from tripsim.core import InputQubit, InvariantViolation, StateVector, partial_inner, project, tensor
 from tripsim.teleport import (
     GHZ_EPR_CORRECTIONS,
-    ChannelSpec,
+    average_fidelity,
     average_fidelity_ghz_meas,
     avg_fidelity_surface,
     closed_form_avg_fidelity,
     coerce_pair,
-    input_quadrature,
     protocol_bundle,
     teleport_epr_via_ghz,
     teleport_ghz_epr,
@@ -22,6 +22,7 @@ from tripsim.teleport import (
     teleport_ghz_via_3epr,
     teleport_w_channel,
     _compose,
+    _enumerate,
 )
 
 MAX = math.pi / 4
@@ -222,12 +223,12 @@ class TestGhzMeasurement:
 
 class TestFidelitySurface:
     def test_matches_closed_form_on_grid(self):
-        grid = np.linspace(0.0, math.pi / 2, 21)
+        grid = np.linspace(0.0, math.pi / 2, 41)
         surface = avg_fidelity_surface(grid)
         closed = np.array(
             [[closed_form_avg_fidelity(t, p) for p in grid] for t in grid]
         )
-        assert np.abs(surface.values - closed).max() < 1e-6
+        assert np.abs(surface.values - closed).max() < 1e-12
 
     def test_corners(self):
         assert abs(average_fidelity_ghz_meas(MAX, MAX) - 1.0) < 1e-12
@@ -243,17 +244,6 @@ class TestFidelitySurface:
         surface = avg_fidelity_surface(grid)
         assert np.abs(surface.values - surface.values.T).max() < 1e-12
         assert surface.values.min() >= 0.0 and surface.values.max() <= 1.0
-
-    def test_batch_agrees_with_scalar_protocol(self):
-        inputs, _ = input_quadrature(4, 4)
-        tc, tm = 0.5, 1.1
-        from tripsim.teleport import _ghz_meas_batch_fidelity
-
-        batch = _ghz_meas_batch_fidelity(tc, tm, inputs)
-        for k in (0, 7, 11):
-            c0, c1 = inputs[k]
-            report = teleport_ghz_measurement(InputQubit(c0, c1), tc, tm)
-            assert abs(batch[k] - report.avg_fidelity_traced) < 1e-12
 
     def test_rejects_out_of_range_grid(self):
         with pytest.raises(ValueError):
@@ -414,23 +404,6 @@ class TestWChannel:
         assert abs(report.total_probability - 1.0) < 1e-12
 
 
-class TestChannelSpec:
-    def test_kinds_and_sizes(self):
-        assert ChannelSpec("epr", (0.3,)).resource_state().num_qubits == 2
-        assert ChannelSpec("ghz", (0.3,)).resource_state().num_qubits == 3
-        assert ChannelSpec("w", (0.6, 0.8, 0.0)).resource_state().num_qubits == 3
-        assert ChannelSpec("three-epr", (0.1, 0.2, 0.3)).resource_state().num_qubits == 6
-        assert ChannelSpec("ghz-plus-epr", (0.3, 0.4)).resource_state().num_qubits == 5
-
-    def test_bad_kind(self):
-        with pytest.raises(ValueError):
-            ChannelSpec("cluster", (0.1,))
-
-    def test_bad_arity(self):
-        with pytest.raises(ValueError):
-            ChannelSpec("ghz", (0.1, 0.2))
-
-
 def test_coerce_pair_accepts_both_forms():
     c0, c1 = coerce_pair(InputQubit(0.6, 0.8))
     assert (c0, c1) == (0.6 + 0j, 0.8 + 0j)
@@ -443,3 +416,14 @@ def test_unknown_protocol_and_params_rejected():
         protocol_bundle("swap")
     with pytest.raises(ValueError):
         protocol_bundle("ghz-meas", bogus=1.0)
+
+
+def test_live_outcome_without_correction_is_an_invariant_violation():
+    bundle = protocol_bundle("ghz-meas")
+    corrections = dict(bundle.corrections)
+    del corrections[(0, 0, 0)]
+    broken = dataclasses.replace(bundle, corrections=corrections)
+    with pytest.raises(InvariantViolation, match="correction-coverage"):
+        _enumerate(broken, 0.6, 0.8)
+    with pytest.raises(InvariantViolation, match="correction-coverage"):
+        average_fidelity(broken)
