@@ -95,7 +95,7 @@ class WChannelSpec:
 
     def __post_init__(self):
         norm2 = abs(self.a) ** 2 + abs(self.b) ** 2 + abs(self.c) ** 2
-        if abs(norm2 - 1.0) > NORM_ATOL:
+        if not abs(norm2 - 1.0) <= NORM_ATOL:
             raise InvariantViolation(
                 "w-channel-normalization", f"|a|^2+|b|^2+|c|^2 = {norm2!r} differs from 1"
             )

@@ -119,6 +119,8 @@ def _cvec(values) -> list[list[float]]:
 
 def _normalized_tuple(values, what: str) -> tuple[complex, ...]:
     vec = np.array([complex(v) for v in values])
+    if not np.isfinite(vec).all():
+        raise ValueError(f"{what} amplitudes must be finite")
     norm = float(np.linalg.norm(vec))
     if norm == 0.0:
         raise ValueError(f"{what} amplitudes must not all vanish")
@@ -227,7 +229,11 @@ def _load_state(path: str) -> StateVector:
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     amps = payload["amplitudes"] if isinstance(payload, dict) else payload
-    return StateVector([complex(re, im) for re, im in amps])
+    try:
+        values = [complex(re, im) for re, im in amps]
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: amplitudes must be a list of [re, im] pairs") from exc
+    return StateVector(values)
 
 
 def _cmd_classify(params: dict, rng) -> dict:
@@ -398,7 +404,7 @@ def run(config: ExperimentConfig) -> int:
     if config.fmt == "csv":
         text = _to_csv(config.command, payload)
     else:
-        text = json.dumps(payload, indent=2) + "\n"
+        text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
     if config.out:
         with open(config.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 REGISTER_CAP = 12
+# Norm checks read ``not abs(x - 1) <= NORM_ATOL`` so that NaN fails them.
 NORM_ATOL = 1e-9
 HERM_ATOL = 1e-9
 PSD_ATOL = 1e-9
@@ -82,7 +83,7 @@ class StateVector:
         amps = np.array(amplitudes, dtype=complex).reshape(-1)
         self.num_qubits = _num_qubits_for(amps.size)
         norm2 = float(np.vdot(amps, amps).real)
-        if abs(norm2 - 1.0) > NORM_ATOL:
+        if not abs(norm2 - 1.0) <= NORM_ATOL:
             raise InvariantViolation(
                 "state-normalization", f"squared norm {norm2!r} differs from 1"
             )
@@ -141,7 +142,7 @@ class InputQubit:
 
     def __post_init__(self):
         norm2 = abs(self.c0) ** 2 + abs(self.c1) ** 2
-        if abs(norm2 - 1.0) > NORM_ATOL:
+        if not abs(norm2 - 1.0) <= NORM_ATOL:
             raise InvariantViolation(
                 "input-normalization", f"|c0|^2+|c1|^2 = {norm2!r} differs from 1"
             )
@@ -166,7 +167,7 @@ class DensityOp:
         if not np.allclose(m, m.conj().T, atol=HERM_ATOL, rtol=0.0):
             raise InvariantViolation("density-hermitian", "matrix is not Hermitian to 1e-9")
         tr = complex(np.trace(m))
-        if abs(tr - 1.0) > NORM_ATOL:
+        if not abs(tr - 1.0) <= NORM_ATOL:
             raise InvariantViolation("density-trace", f"trace {tr!r} differs from 1")
         if float(np.linalg.eigvalsh(m).min()) < -PSD_ATOL:
             raise InvariantViolation(

@@ -227,49 +227,39 @@ def _require_corrections(bundle: ProtocolBundle, probs: np.ndarray) -> None:
 
 # --- correction search -------------------------------------------------
 
-def _search_pauli_correction(samples, width: int) -> _Correction:
-    """Exhaustive search over Pauli strings of the given width.
+def _searched_corrections(bundle: ProtocolBundle) -> dict:
+    """Build the per-outcome lookup by probing a correction-free bundle.
 
-    Picks the candidate maximizing the worst-case fidelity across the
-    probe samples; ties resolve to the fewest non-identity factors, then
-    lexicographic order, so the lookup is deterministic.
+    Exhaustive search over the Pauli strings of the receiver width, scored
+    in one batch: a candidate's score for an outcome is its worst-case
+    fidelity across the probes for which that outcome is live. The first
+    candidate in (fewest non-identity factors, lexicographic) order whose
+    score is within 1e-12 of the best wins, so the lookup is deterministic.
+    Outcomes that no probe reaches get no entry.
     """
+    width = bundle.n_total - len(bundle.meas_targets)
     candidates = sorted(
         itertools.product("IXYZ", repeat=width),
         key=lambda ls: (sum(ch != "I" for ch in ls), ls),
     )
-    best: _Correction | None = None
-    best_score = -1.0
-    for letters in candidates:
-        mat = _kron_letters(letters)
-        score = min(
-            abs(np.vdot(target, mat @ residual)) ** 2 / np.vdot(residual, residual).real
-            for residual, target in samples
-        )
-        if score > best_score + 1e-12:
-            best_score = score
-            desc = letters[0] if width == 1 else "⊗".join(letters)
-            best = _Correction(desc, mat)
-    assert best is not None
-    return best
-
-
-def _searched_corrections(make_bundle: Callable[[], ProtocolBundle]) -> dict:
-    """Build the per-outcome lookup by probing a correction-free bundle."""
-    bundle = make_bundle()
-    width = bundle.n_total - len(bundle.meas_targets)
+    matrices = np.stack([_kron_letters(letters) for letters in candidates])
     probes = np.array(_PROBE_PAIRS, dtype=complex)
     residuals, probs = _residuals(_kraus_stack(bundle, bundle.resource.amplitudes[None]), probes)
     targets = probes @ _columns(bundle.target_state).T
-    per_label: dict[tuple, list] = {}
-    for n, target in enumerate(targets):
-        for i, (label, _) in enumerate(bundle.outcomes):
-            if probs[n, i] > _DEGENERATE_CUT:
-                per_label.setdefault(label, []).append((residuals[0, n, i], target))
-    return {
-        label: _search_pauli_correction(samples, width)
-        for label, samples in per_label.items()
-    }
+    overlaps = np.einsum(
+        "ni,cij,nlj->cnl", targets.conj(), matrices, residuals[0], optimize=True
+    )
+    live = probs > _DEGENERATE_CUT
+    scores = (overlaps.real**2 + overlaps.imag**2) / np.where(live, probs, 1.0)
+    worst = np.where(live, scores, np.inf).min(axis=1)
+    chosen = (worst >= worst.max(axis=0) - 1e-12).argmax(axis=0)
+    table = {}
+    for i, (label, _) in enumerate(bundle.outcomes):
+        if live[:, i].any():
+            letters = candidates[chosen[i]]
+            desc = letters[0] if width == 1 else "⊗".join(letters)
+            table[label] = _Correction(desc, matrices[chosen[i]])
+    return table
 
 
 # --- bundle builders ---------------------------------------------------
@@ -359,7 +349,7 @@ def _epr_via_ghz_bundle(theta_channel: float, corrections=None) -> ProtocolBundl
 
 @lru_cache(maxsize=1)
 def _epr_via_ghz_corrections():
-    return _searched_corrections(lambda: _epr_via_ghz_bundle(_MAX))
+    return _searched_corrections(_epr_via_ghz_bundle(_MAX))
 
 
 def _three_epr_bundle(thetas: tuple[float, float, float], corrections=None) -> ProtocolBundle:
@@ -387,7 +377,7 @@ def _three_epr_bundle(thetas: tuple[float, float, float], corrections=None) -> P
 
 @lru_cache(maxsize=1)
 def _three_epr_corrections():
-    return _searched_corrections(lambda: _three_epr_bundle((_MAX, _MAX, _MAX)))
+    return _searched_corrections(_three_epr_bundle((_MAX, _MAX, _MAX)))
 
 
 def _w_channel_bundle(a: complex, b: complex, c: complex, corrections=None) -> ProtocolBundle:
@@ -416,9 +406,7 @@ def _w_channel_corrections():
     where the last channel qubit reads 1 deliver nothing and get no
     correction attempt."""
     symmetric = 1 / math.sqrt(3)
-    searched = _searched_corrections(
-        lambda: _w_channel_bundle(symmetric, symmetric, symmetric)
-    )
+    searched = _searched_corrections(_w_channel_bundle(symmetric, symmetric, symmetric))
     table = {}
     for m in (0, 1):
         for n in (0, 1):
@@ -576,6 +564,28 @@ _OCTAHEDRON = (
 _TERM_CHUNK = 64
 
 
+def _term_fidelities(bundle: ProtocolBundle, resource_terms: np.ndarray) -> np.ndarray:
+    """Exact input-averaged branch-summed fidelity of each resource term.
+
+    Row j of ``resource_terms`` is a pure (possibly unnormalized) resource
+    term N_j|R>; entry j of the result is its six-state mean fidelity.
+    Raises ``InvariantViolation("correction-coverage")`` if an outcome
+    without a correction is live for any term and averaged input.
+    """
+    inputs = np.array(_OCTAHEDRON, dtype=complex)
+    targets = inputs @ _columns(bundle.target_state).T
+    per_term = []
+    probs = np.zeros((len(inputs), len(bundle.outcomes)))
+    for start in range(0, len(resource_terms), _TERM_CHUNK):
+        stack = _kraus_stack(bundle, resource_terms[start : start + _TERM_CHUNK])
+        residuals, chunk_probs = _residuals(stack, inputs)
+        overlaps = np.einsum("nd,jnld->jnl", targets.conj(), residuals)
+        per_term.append((overlaps.real**2 + overlaps.imag**2).sum(axis=(1, 2)))
+        probs += chunk_probs
+    _require_corrections(bundle, probs)
+    return np.concatenate(per_term) / len(inputs)
+
+
 def average_fidelity(bundle: ProtocolBundle, resource_terms=None) -> float:
     """Exact input-averaged branch-summed fidelity of a protocol bundle.
 
@@ -586,18 +596,7 @@ def average_fidelity(bundle: ProtocolBundle, resource_terms=None) -> float:
     """
     if resource_terms is None:
         resource_terms = bundle.resource.amplitudes[None]
-    inputs = np.array(_OCTAHEDRON, dtype=complex)
-    targets = inputs @ _columns(bundle.target_state).T
-    total = 0.0
-    probs = np.zeros((len(inputs), len(bundle.outcomes)))
-    for start in range(0, len(resource_terms), _TERM_CHUNK):
-        stack = _kraus_stack(bundle, resource_terms[start : start + _TERM_CHUNK])
-        residuals, chunk_probs = _residuals(stack, inputs)
-        overlaps = np.einsum("nd,jnld->jnl", targets.conj(), residuals)
-        total += float((overlaps.real**2 + overlaps.imag**2).sum())
-        probs += chunk_probs
-    _require_corrections(bundle, probs)
-    return total / len(inputs)
+    return float(_term_fidelities(bundle, resource_terms).sum())
 
 
 def average_fidelity_ghz_meas(theta_channel: float, theta_meas: float) -> float:
@@ -611,13 +610,18 @@ def closed_form_avg_fidelity(theta_channel: float, theta_meas: float) -> float:
 
 
 def avg_fidelity_surface(theta_grid, phi_grid=None) -> FidelitySurface:
-    """Input-averaged fidelity over a grid of (channel, measurement) angles."""
+    """Input-averaged fidelity over a grid of (channel, measurement) angles.
+
+    One Kraus stack per measurement angle carries every channel angle as a
+    resource term; ``values[i, j]`` belongs to (theta_grid[i], phi_grid[j]).
+    """
     theta_grid = np.asarray(theta_grid, dtype=float)
     phi_grid = theta_grid if phi_grid is None else np.asarray(phi_grid, dtype=float)
     for grid in (theta_grid, phi_grid):
         if grid.min() < 0.0 or grid.max() > math.pi / 2 + 1e-12:
             raise ValueError("grid angles must lie in [0, pi/2]")
-    values = np.array(
-        [[average_fidelity_ghz_meas(th, ph) for ph in phi_grid] for th in theta_grid]
+    channels = np.stack([ghz_basis(th, (0, 0, 0)).amplitudes for th in theta_grid])
+    values = np.stack(
+        [_term_fidelities(_ghz_meas_bundle(_MAX, ph), channels) for ph in phi_grid], axis=1
     )
     return FidelitySurface(theta_grid, phi_grid, np.clip(values, 0.0, 1.0))

@@ -125,16 +125,31 @@ def _two_qudit_dim(rho: DensityOp) -> int:
     return d
 
 
-def _twirl(rho: DensityOp, samples: int, rng, conjugate_second: bool) -> np.ndarray:
+def _haar_averages(
+    rho: DensityOp, samples: int, rng, conjugate_second: bool, checkpoints: int
+) -> list[tuple[int, np.ndarray]]:
+    """Running averages of (U⊗V) rho (U⊗V)† over ``samples`` Haar draws U,
+    with V = U* or U, taken at ``checkpoints`` evenly spaced draw counts;
+    the last is the full average."""
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     d = _two_qudit_dim(rho)
+    stops = sorted({max(1, samples * k // checkpoints) for k in range(1, checkpoints + 1)})
     acc = np.zeros((d * d, d * d), dtype=complex)
-    for _ in range(samples):
-        u = haar_unitary(d, rng).matrix
-        big = np.kron(u, u.conj() if conjugate_second else u)
-        acc += big @ rho.matrix @ big.conj().T
-    return acc / samples
+    averages = []
+    done = 0
+    for stop in stops:
+        for _ in range(stop - done):
+            u = haar_unitary(d, rng).matrix
+            big = np.kron(u, u.conj() if conjugate_second else u)
+            acc += big @ rho.matrix @ big.conj().T
+        done = stop
+        averages.append((stop, acc / stop))
+    return averages
+
+
+def _twirl(rho: DensityOp, samples: int, rng, conjugate_second: bool) -> np.ndarray:
+    return _haar_averages(rho, samples, rng, conjugate_second, checkpoints=1)[-1][1]
 
 
 def twirl_uu(rho: DensityOp, samples: int, rng: np.random.Generator) -> DensityOp:
@@ -172,17 +187,10 @@ def twirl_report(
         conjugate_second = True
     else:
         raise ValueError(f"unknown family {family!r}")
-    checkpoints = sorted({max(1, samples * k // 10) for k in range(1, 11)})
-    acc = np.zeros((d * d, d * d), dtype=complex)
-    history: list[tuple[int, float]] = []
-    done = 0
-    for stop in checkpoints:
-        for _ in range(stop - done):
-            u = haar_unitary(d, rng).matrix
-            big = np.kron(u, u.conj() if conjugate_second else u)
-            acc += big @ target.matrix @ big.conj().T
-        done = stop
-        history.append((stop, trace_distance(DensityOp(acc / stop), target)))
+    history = [
+        (stop, trace_distance(DensityOp(average), target))
+        for stop, average in _haar_averages(target, samples, rng, conjugate_second, 10)
+    ]
     return {
         "family": family,
         "d": d,

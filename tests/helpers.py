@@ -1,10 +1,21 @@
 """Shared test utilities: random states, an independent operator-lifting
-oracle built by basis-index enumeration, and a density-matrix protocol
-oracle (both deliberately not the library path)."""
+oracle built by basis-index enumeration, a density-matrix protocol oracle
+and a looped correction search (all deliberately not the library path)."""
+
+import itertools
 
 import numpy as np
 
 from tripsim.core import InputQubit, StateVector
+from tripsim.teleport import (
+    _DEGENERATE_CUT,
+    _PROBE_PAIRS,
+    _Correction,
+    _columns,
+    _kraus_stack,
+    _kron_letters,
+    _residuals,
+)
 
 
 def random_state(rng: np.random.Generator, num_qubits: int) -> StateVector:
@@ -113,3 +124,49 @@ def average_fidelity_density(bundle, resource_rho: np.ndarray, c0, c1) -> float:
         corrected = corr.matrix @ branch_op @ corr.matrix.conj().T
         total += float(np.vdot(target, corrected @ target).real)
     return total
+
+
+def search_pauli_correction(samples, width: int) -> _Correction:
+    """Exhaustive search over Pauli strings of the given width, one
+    candidate at a time.
+
+    Picks the candidate maximizing the worst-case fidelity across the
+    probe samples; ties resolve to the fewest non-identity factors, then
+    lexicographic order, so the lookup is deterministic.
+    """
+    candidates = sorted(
+        itertools.product("IXYZ", repeat=width),
+        key=lambda ls: (sum(ch != "I" for ch in ls), ls),
+    )
+    best: _Correction | None = None
+    best_score = -1.0
+    for letters in candidates:
+        mat = _kron_letters(letters)
+        score = min(
+            abs(np.vdot(target, mat @ residual)) ** 2 / np.vdot(residual, residual).real
+            for residual, target in samples
+        )
+        if score > best_score + 1e-12:
+            best_score = score
+            desc = letters[0] if width == 1 else "⊗".join(letters)
+            best = _Correction(desc, mat)
+    assert best is not None
+    return best
+
+
+def looped_corrections(bundle) -> dict:
+    """Per-outcome lookup of a correction-free bundle, searched outcome by
+    outcome over the probe inputs for which the outcome is live."""
+    width = bundle.n_total - len(bundle.meas_targets)
+    probes = np.array(_PROBE_PAIRS, dtype=complex)
+    residuals, probs = _residuals(_kraus_stack(bundle, bundle.resource.amplitudes[None]), probes)
+    targets = probes @ _columns(bundle.target_state).T
+    per_label: dict[tuple, list] = {}
+    for n, target in enumerate(targets):
+        for i, (label, _) in enumerate(bundle.outcomes):
+            if probs[n, i] > _DEGENERATE_CUT:
+                per_label.setdefault(label, []).append((residuals[0, n, i], target))
+    return {
+        label: search_pauli_correction(samples, width)
+        for label, samples in per_label.items()
+    }

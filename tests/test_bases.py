@@ -244,6 +244,8 @@ def test_basis_json_dump():
 def test_w_channel_spec_normalization():
     with pytest.raises(InvariantViolation):
         WChannelSpec(1.0, 1.0, 1.0)
+    with pytest.raises(InvariantViolation):
+        WChannelSpec(math.nan, 0.0, 0.0)
     state = WChannelSpec(1 / math.sqrt(3), 1 / math.sqrt(3), 1 / math.sqrt(3)).state()
     assert abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-12
 

@@ -146,6 +146,25 @@ class TestDeterminismAndConfig:
         assert main(["noise-sweep", "--protocol", "ghz-epr", "--target", "2,2"]) == 2
         assert "distinct" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, files",
+        [
+            (["teleport", "--protocol", "ghz-meas", "--c0=nan", "--c1=0.6"], {}),
+            (["classify", "--state", "flat.json"], {"flat.json": {"amplitudes": [0.5] * 16}}),
+            (["twirl", "--samples", "0"], {}),
+        ],
+        ids=["nan-amplitude", "flat-state-file", "zero-samples"],
+    )
+    def test_bad_input_exits_2_without_traceback(self, argv, files, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        for name, payload in files.items():
+            (tmp_path / name).write_text(json.dumps(payload))
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert "Traceback" not in captured.err
+
     def test_invariant_violation_exits_1(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"amplitudes": [[1, 0]] * 8}))

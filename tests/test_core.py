@@ -34,6 +34,8 @@ class TestStateVector:
     def test_rejects_bad_norm(self):
         with pytest.raises(InvariantViolation, match="state-normalization"):
             StateVector([1.0, 1.0])
+        with pytest.raises(InvariantViolation, match="state-normalization"):
+            StateVector([math.nan, 0.0])
 
     def test_rejects_bad_length(self):
         with pytest.raises(InvariantViolation, match="state-dimension"):
@@ -50,6 +52,8 @@ class TestStateVector:
     def test_input_qubit_normalization(self):
         with pytest.raises(InvariantViolation):
             InputQubit(1.0, 1.0)
+        with pytest.raises(InvariantViolation):
+            InputQubit(math.nan, 0.0)
         iq = InputQubit(0.6, 0.8j)
         np.testing.assert_allclose(iq.density().trace(), 1.0)
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import chi_row, eta_row, random_input
+from helpers import chi_row, eta_row, looped_corrections, random_input
 from tripsim.bases import bell2, bob_x_basis, ghz_basis
 from tripsim.core import InputQubit, InvariantViolation, StateVector, partial_inner, project, tensor
 from tripsim.teleport import (
@@ -23,6 +23,10 @@ from tripsim.teleport import (
     teleport_w_channel,
     _compose,
     _enumerate,
+    _epr_via_ghz_bundle,
+    _searched_corrections,
+    _three_epr_bundle,
+    _w_channel_bundle,
 )
 
 MAX = math.pi / 4
@@ -245,6 +249,16 @@ class TestFidelitySurface:
         assert np.abs(surface.values - surface.values.T).max() < 1e-12
         assert surface.values.min() >= 0.0 and surface.values.max() <= 1.0
 
+    def test_non_square_grid_is_theta_by_phi(self):
+        thetas = np.linspace(0.0, math.pi / 2, 5)
+        phis = np.array([0.1, 0.5, 1.3])
+        surface = avg_fidelity_surface(thetas, phis)
+        assert surface.values.shape == (5, 3)
+        per_point = np.array(
+            [[average_fidelity_ghz_meas(t, p) for p in phis] for t in thetas]
+        )
+        assert np.abs(surface.values - per_point).max() < 1e-12
+
     def test_rejects_out_of_range_grid(self):
         with pytest.raises(ValueError):
             avg_fidelity_surface(np.array([0.0, 2.0]))
@@ -427,3 +441,21 @@ def test_live_outcome_without_correction_is_an_invariant_violation():
         _enumerate(broken, 0.6, 0.8)
     with pytest.raises(InvariantViolation, match="correction-coverage"):
         average_fidelity(broken)
+
+
+@pytest.mark.parametrize(
+    "bundle",
+    [
+        _epr_via_ghz_bundle(MAX),
+        _three_epr_bundle((MAX, MAX, MAX)),
+        _w_channel_bundle(*(3 * (1 / math.sqrt(3),))),
+    ],
+    ids=["epr-via-ghz", "ghz-via-3epr", "w-channel"],
+)
+def test_batched_search_matches_looped_oracle(bundle):
+    batched = _searched_corrections(bundle)
+    looped = looped_corrections(bundle)
+    assert batched.keys() == looped.keys()
+    for label, corr in looped.items():
+        assert batched[label].desc == corr.desc
+        assert np.array_equal(batched[label].matrix, corr.matrix)
