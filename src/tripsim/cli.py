@@ -15,10 +15,10 @@ import io
 import json
 import math
 import os
+import reprlib
 import sys
 from dataclasses import dataclass, field
 
-import jsonschema
 import numpy as np
 
 from . import bases, noise, nonlocality, teleport
@@ -104,6 +104,79 @@ _SCHEMAS = {
 }
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "number": lambda v: _is_number(v) and math.isfinite(v),
+    "boolean": lambda v: isinstance(v, bool),
+    "null": lambda v: v is None,
+}
+_KEYWORDS = {
+    "type", "required", "properties", "items", "prefixItems", "const", "minimum", "maximum",
+    "oneOf",
+}
+
+
+class _Mismatch(InvariantViolation):
+    # A value failing a rule. ``oneOf`` catches only this, so an unknown
+    # keyword inside one of its branches still raises.
+    def __init__(self, where: str, why: str):
+        super().__init__("payload-schema", f"{where}: {why}")
+
+
+def _check(value, schema: dict, where: str = "$") -> None:
+    """Check a payload against one of the schemas above.
+
+    Interprets exactly the keywords those schemas use; a schema with any
+    other keyword or type name raises, so no rule is skipped silently. A
+    ``number`` is a finite int or float, never a bool. Payloads are built
+    by the library from range-checked inputs, so a mismatch is an
+    ``InvariantViolation("payload-schema")``.
+    """
+    unknown = sorted(schema.keys() - _KEYWORDS)
+    if "type" in schema and schema["type"] not in _TYPES:
+        unknown.append(f"type {schema['type']!r}")
+    if unknown:
+        raise InvariantViolation("payload-schema", f"{where}: unknown schema keywords {unknown}")
+    if "type" in schema and not _TYPES[schema["type"]](value):
+        raise _Mismatch(where, f"{reprlib.repr(value)} is not of type {schema['type']}")
+    if "const" in schema and value != schema["const"]:
+        raise _Mismatch(where, f"{reprlib.repr(value)} is not {schema['const']!r}")
+    if _is_number(value):
+        if "minimum" in schema and not value >= schema["minimum"]:
+            raise _Mismatch(where, f"{value!r} is below {schema['minimum']!r}")
+        if "maximum" in schema and not value <= schema["maximum"]:
+            raise _Mismatch(where, f"{value!r} is above {schema['maximum']!r}")
+    if isinstance(value, dict):
+        missing = [key for key in schema.get("required", ()) if key not in value]
+        if missing:
+            raise _Mismatch(where, f"missing required keys {missing}")
+        for key, sub in schema.get("properties", {}).items():
+            if key in value:
+                _check(value[key], sub, f"{where}.{key}")
+    if isinstance(value, list):
+        prefix = schema.get("prefixItems", [])
+        for i, item in enumerate(value):
+            sub = prefix[i] if i < len(prefix) else schema.get("items")
+            if sub is not None:
+                _check(item, sub, f"{where}[{i}]")
+    if "oneOf" in schema:
+        hits = 0
+        for sub in schema["oneOf"]:
+            try:
+                _check(value, sub, where)
+                hits += 1
+            except _Mismatch:
+                pass
+        if hits != 1:
+            branches = len(schema["oneOf"])
+            raise _Mismatch(where, f"{reprlib.repr(value)} matches {hits} of {branches} oneOf branches")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     command: str
@@ -129,7 +202,7 @@ def _normalized_tuple(values, what: str) -> tuple[complex, ...]:
 
 # --- command payloads ----------------------------------------------------
 
-def _cmd_paradox(params: dict, rng) -> dict:
+def _cmd_paradox(params: dict, seed: int) -> dict:
     theta = float(params.get("theta", math.pi / 4))
     report = nonlocality.ghz_paradox(bases.ghz_basis(theta, (0, 0, 0)))
     return {"schema": SCHEMA_TAG, "command": "paradox", "theta": theta, **report.to_dict()}
@@ -144,7 +217,7 @@ _TELEPORT_KEYS = {
 }
 
 
-def _cmd_teleport(params: dict, rng) -> dict:
+def _cmd_teleport(params: dict, seed: int) -> dict:
     protocol = params.get("protocol")
     if protocol not in teleport.PROTOCOL_NAMES:
         raise ValueError(f"--protocol must be one of {teleport.PROTOCOL_NAMES}")
@@ -192,7 +265,7 @@ def _cmd_teleport(params: dict, rng) -> dict:
     return {"schema": SCHEMA_TAG, **report.to_dict()}
 
 
-def _cmd_fidelity_surface(params: dict, rng) -> dict:
+def _cmd_fidelity_surface(params: dict, seed: int) -> dict:
     n = int(params.get("grid", 21))
     if n < 2:
         raise ValueError(f"--grid must be >= 2, got {n}")
@@ -207,13 +280,13 @@ def _cmd_fidelity_surface(params: dict, rng) -> dict:
     }
 
 
-def _cmd_twirl(params: dict, rng) -> dict:
+def _cmd_twirl(params: dict, seed: int) -> dict:
     report = twirl_report(
         family=params.get("family", "werner"),
         d=int(params.get("d", 2)),
         invariant=float(params.get("invariant", 0.5)),
         samples=int(params.get("samples", 2000)),
-        rng=rng,
+        rng=np.random.default_rng(seed),
     )
     return {
         "schema": SCHEMA_TAG,
@@ -236,7 +309,7 @@ def _load_state(path: str) -> StateVector:
     return StateVector(values)
 
 
-def _cmd_classify(params: dict, rng) -> dict:
+def _cmd_classify(params: dict, seed: int) -> dict:
     path = params.get("state")
     if not path:
         raise ValueError("classify requires --state FILE")
@@ -263,7 +336,7 @@ def _parse_grid(text: str) -> np.ndarray:
     return np.arange(start, stop + step / 2, step)
 
 
-def _cmd_noise_sweep(params: dict, rng) -> dict:
+def _cmd_noise_sweep(params: dict, seed: int) -> dict:
     protocol = params.get("protocol")
     if protocol not in teleport.PROTOCOL_NAMES:
         raise ValueError(f"--protocol must be one of {teleport.PROTOCOL_NAMES}")
@@ -293,7 +366,7 @@ def _cmd_noise_sweep(params: dict, rng) -> dict:
     }
 
 
-def _cmd_tables(params: dict, rng) -> dict:
+def _cmd_tables(params: dict, seed: int) -> dict:
     """Re-derive the branch tables of the Bell-plus-rotated-basis protocol
     for a supplied input and receiver angle, as numeric fixtures."""
     c0, c1 = _normalized_tuple(
@@ -398,9 +471,8 @@ def run(config: ExperimentConfig) -> int:
         raise ValueError(f"unknown command {config.command!r}")
     if config.fmt not in ("json", "csv"):
         raise ValueError(f"format must be json or csv, got {config.fmt!r}")
-    rng = np.random.default_rng(config.seed)
-    payload = _COMMANDS[config.command](config.params, rng)
-    jsonschema.validate(payload, _SCHEMAS[config.command])
+    payload = _COMMANDS[config.command](config.params, config.seed)
+    _check(payload, _SCHEMAS[config.command])
     if config.fmt == "csv":
         text = _to_csv(config.command, payload)
     else:
@@ -505,7 +577,7 @@ def main(argv=None) -> int:
     except InvariantViolation as exc:
         print(f"invariant violated [{exc.invariant}]: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError, KeyError, jsonschema.ValidationError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache, reduce
 from typing import Callable
 
@@ -235,7 +235,9 @@ def _searched_corrections(bundle: ProtocolBundle) -> dict:
     fidelity across the probes for which that outcome is live. The first
     candidate in (fewest non-identity factors, lexicographic) order whose
     score is within 1e-12 of the best wins, so the lookup is deterministic.
-    Outcomes that no probe reaches get no entry.
+    Outcomes that no probe reaches get no entry. Raises
+    ``InvariantViolation("correction-certificate")`` if the best score of
+    a live outcome is below 1 - 1e-9, i.e. no Pauli string corrects it.
     """
     width = bundle.n_total - len(bundle.meas_targets)
     candidates = sorted(
@@ -252,10 +254,17 @@ def _searched_corrections(bundle: ProtocolBundle) -> dict:
     live = probs > _DEGENERATE_CUT
     scores = (overlaps.real**2 + overlaps.imag**2) / np.where(live, probs, 1.0)
     worst = np.where(live, scores, np.inf).min(axis=1)
-    chosen = (worst >= worst.max(axis=0) - 1e-12).argmax(axis=0)
+    best = worst.max(axis=0)
+    chosen = (worst >= best - 1e-12).argmax(axis=0)
     table = {}
     for i, (label, _) in enumerate(bundle.outcomes):
         if live[:, i].any():
+            if not best[i] >= 1 - 1e-9:
+                raise InvariantViolation(
+                    "correction-certificate",
+                    f"{bundle.name}: no Pauli correction is perfect for live outcome {label}"
+                    f" (best worst-probe fidelity {best[i]:.6g})",
+                )
             letters = candidates[chosen[i]]
             desc = letters[0] if width == 1 else "⊗".join(letters)
             table[label] = _Correction(desc, matrices[chosen[i]])
@@ -402,17 +411,22 @@ def _w_channel_bundle(a: complex, b: complex, c: complex, corrections=None) -> P
 
 @lru_cache(maxsize=1)
 def _w_channel_corrections():
-    """Success-branch lookup searched at the symmetric channel; outcomes
-    where the last channel qubit reads 1 deliver nothing and get no
-    correction attempt."""
-    symmetric = 1 / math.sqrt(3)
-    searched = _searched_corrections(_w_channel_bundle(symmetric, symmetric, symmetric))
-    table = {}
+    """Success-branch lookup searched at the symmetric channel over the
+    outcomes where the last channel qubit reads 0; the others deliver
+    nothing and get no correction attempt."""
+    table = _searched_corrections(_w_channel_success_bundle())
     for m in (0, 1):
         for n in (0, 1):
-            table[(m, n, 0)] = searched[(m, n, 0)]
             table[(m, n, 1)] = _Correction("none", np.eye(2, dtype=complex), success=False)
     return table
+
+
+def _w_channel_success_bundle() -> ProtocolBundle:
+    """The symmetric w-channel bundle cut to its success outcomes (q = 0)."""
+    symmetric = 1 / math.sqrt(3)
+    full = _w_channel_bundle(symmetric, symmetric, symmetric)
+    success = tuple((label, bra) for label, bra in full.outcomes if label[2] == 0)
+    return replace(full, outcomes=success)
 
 
 def protocol_bundle(name: str, **params) -> ProtocolBundle:

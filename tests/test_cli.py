@@ -1,10 +1,23 @@
+import contextlib
+import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from tripsim import cli
 from tripsim.cli import ExperimentConfig, main, run
+from tripsim.core import InvariantViolation
+from tripsim.noise import CHANNELS
+from tripsim.teleport import PROTOCOL_NAMES
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _run(argv, capsys):
@@ -187,3 +200,247 @@ class TestDeterminismAndConfig:
         assert code == 0
         phi_of_second_row = out.strip().split("\n")[2].split(",")[1]
         assert phi_of_second_row == f"{math.pi / 4:.17g}"
+
+
+def _ghz_state_file(path) -> str:
+    amp = 1 / math.sqrt(2)
+    path.write_text(json.dumps({"amplitudes": [[amp, 0]] + [[0, 0]] * 6 + [[amp, 0]]}))
+    return str(path)
+
+
+class TestPayloadCheck:
+    ARGV = {
+        "paradox": ["paradox"],
+        "teleport": ["teleport", "--protocol", "w-channel"],
+        "fidelity-surface": ["fidelity-surface", "--grid", "3"],
+        "twirl": ["twirl", "--samples", "20"],
+        "classify": ["classify", "--state"],
+        "noise-sweep": [
+            "noise-sweep", "--protocol", "ghz-meas", "--target", "3", "--grid", "0:1:0.5",
+        ],
+        "tables": ["tables"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(ARGV))
+    def test_real_payload_passes(self, command, tmp_path, capsys):
+        assert sorted(self.ARGV) == sorted(cli._SCHEMAS) == sorted(cli._COMMANDS)
+        argv = list(self.ARGV[command])
+        if command == "classify":
+            argv.append(_ghz_state_file(tmp_path / "s.json"))
+        assert main(argv) == 0
+        cli._check(json.loads(capsys.readouterr().out), cli._SCHEMAS[command])
+
+    @pytest.mark.parametrize(
+        "command, mutate",
+        [
+            ("paradox", lambda p: p.pop("contradiction")),
+            ("teleport", lambda p: p.update(schema="tripsim/0")),
+            ("teleport", lambda p: p["branches"][0].update(p=1.5)),
+            ("teleport", lambda p: p.update(avg_fidelity=math.nan)),
+            ("fidelity-surface", lambda p: p["values"][1].__setitem__(2, math.nan)),
+            ("paradox", lambda p: p.update(xyy=True)),
+            ("noise-sweep", lambda p: p["rows"].__setitem__(1, [0.5, 2.0])),
+            ("teleport", lambda p: p["branches"][0].update(fidelity=1.25)),
+            ("teleport", lambda p: p["branches"][0].update(fidelity="0.5")),
+        ],
+        ids=[
+            "missing-key", "schema-tag", "p-1.5", "nan-avg-fidelity", "nan-surface-value",
+            "bool-number", "noise-row", "branch-fidelity-1.25", "branch-fidelity-string",
+        ],
+    )
+    def test_mutated_payload_exits_1(self, command, mutate, monkeypatch, capsys):
+        real = cli._COMMANDS[command]
+
+        def mutated(params, seed):
+            payload = real(params, seed)
+            mutate(payload)
+            return payload
+
+        monkeypatch.setitem(cli._COMMANDS, command, mutated)
+        assert main(self.ARGV[command]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("invariant violated [payload-schema]: payload-schema: $")
+
+    @pytest.mark.parametrize("value", [True, math.nan, math.inf, -math.inf, "1", None])
+    def test_number_is_a_finite_int_or_float(self, value):
+        cli._check(3, {"type": "number"})
+        cli._check(-0.5, {"type": "number"})
+        with pytest.raises(InvariantViolation, match=r"payload-schema: \$: .* is not of type number"):
+            cli._check(value, {"type": "number"})
+
+    @pytest.mark.parametrize(
+        "schema",
+        [
+            {"type": "number", "exclusiveMaximum": 1.0},
+            {"type": "string"},
+            {"oneOf": [{"type": "null"}, {"type": "number", "format": "float"}]},
+            {"type": "array", "items": {"uniqueItems": True}},
+        ],
+        ids=["keyword", "type-name", "inside-oneOf", "nested"],
+    )
+    def test_unknown_keyword_raises(self, schema):
+        with pytest.raises(InvariantViolation, match="unknown schema keywords"):
+            cli._check([None] if schema.get("type") == "array" else None, schema)
+
+
+def _fresh(*args: str, **env: str) -> subprocess.CompletedProcess:
+    """Run ``python -c ARGS...`` in a new interpreter that imports tripsim from src."""
+    base = {k: v for k, v in os.environ.items() if k != "TRIPSIM_SEED"}
+    return subprocess.run(
+        [sys.executable, "-c", *args],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**base, "PYTHONPATH": str(SRC), **env},
+    )
+
+
+class TestStartup:
+    def test_paradox_loads_neither_jsonschema_nor_numpy_random(self):
+        proc = _fresh(
+            "import sys; from tripsim.cli import main; main(['paradox']); "
+            "loaded = [m for m in ('jsonschema', 'numpy.random') if m in sys.modules]; "
+            "print(loaded, file=sys.stderr)"
+        )
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["contradiction"] is True
+        assert proc.stderr.strip() == "[]"
+
+    def test_seeded_twirl_is_byte_identical_across_processes(self):
+        def twirl(seed: str, **env: str) -> str:
+            proc = _fresh(
+                "import sys; from tripsim.cli import main; sys.exit(main(sys.argv[1:]))",
+                "--seed", seed, "twirl", "--samples", "40", "--d", "3", "--family", "isotropic",
+                "--invariant", "0.4",
+                **env,
+            )
+            assert proc.returncode == 0 and proc.stderr == ""
+            return proc.stdout
+
+        first = twirl("5")
+        assert twirl("5") == first
+        assert twirl("1", TRIPSIM_SEED="5") == first
+        assert twirl("6") != first
+
+
+# --- property: every request ends in a documented way -------------------
+
+_AMP_FLAGS = {
+    "ghz-epr": ("c0", "c1"),
+    "ghz-meas": ("c0", "c1"),
+    "w-channel": ("c0", "c1", "a", "b", "c"),
+    "epr-via-ghz": ("a0", "a1"),
+    "ghz-via-3epr": ("a0", "a1"),
+}
+_ANGLE_FLAGS = {
+    "ghz-epr": ("bob-theta",),
+    "ghz-meas": ("theta-channel", "theta-meas"),
+    "w-channel": (),
+    "epr-via-ghz": ("theta-channel",),
+    "ghz-via-3epr": ("theta1", "theta2", "theta3"),
+}
+_RESOURCE_QUBITS = {
+    "ghz-epr": (1, 3),
+    "ghz-meas": (1, 3),
+    "w-channel": (1, 3),
+    "epr-via-ghz": (2, 4),
+    "ghz-via-3epr": (3, 8),
+}
+_real = st.one_of(
+    st.floats(0.0, math.pi / 2),
+    st.floats(-1.0, 3.0),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+)
+_amp = st.one_of(
+    st.complex_numbers(max_magnitude=2.0, allow_nan=False),
+    st.sampled_from([0j, complex(math.nan, 0.0)]),
+)
+
+
+def _flags(draw, names, values) -> list[str]:
+    # "--name=value" keeps argparse from reading a negative value as a flag.
+    chosen = draw(st.lists(st.sampled_from(names), unique=True)) if names else []
+    return [f"--{name}={draw(values)!r}" for name in chosen]
+
+
+@st.composite
+def _requests(draw, state_dir: Path) -> list[str]:
+    """One argv over every subcommand; bounded so each request is cheap,
+    with out-of-range, non-finite and stray values mixed in."""
+    command = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    if command == "paradox":
+        return ["paradox", *_flags(draw, ["theta"], _real)]
+    if command == "fidelity-surface":
+        return ["fidelity-surface", f"--grid={draw(st.integers(-1, 11))}"]
+    if command == "twirl":
+        return [
+            "twirl",
+            f"--family={draw(st.sampled_from(['werner', 'isotropic']))}",
+            f"--d={draw(st.sampled_from([2, 3, 1]))}",
+            f"--invariant={draw(st.one_of(st.floats(-0.2, 1.2), st.just(math.nan)))!r}",
+            f"--samples={draw(st.integers(-1, 50))}",
+        ]
+    if command == "classify":
+        pair = st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=2)
+        amplitudes = draw(
+            st.one_of(
+                st.lists(pair, min_size=8, max_size=8),
+                st.lists(pair, max_size=9),
+                st.lists(st.floats(-1.0, 1.0), max_size=16),
+                st.floats(-1.0, 1.0),
+            )
+        )
+        path = state_dir / "state.json"
+        path.write_text(json.dumps({"amplitudes": amplitudes}))
+        return ["classify", f"--state={path}"]
+    if command == "tables":
+        return ["tables", *_flags(draw, ["c0", "c1"], _amp), *_flags(draw, ["theta"], _real)]
+    protocol = draw(st.sampled_from(PROTOCOL_NAMES))
+    angles = _flags(draw, _ANGLE_FLAGS[protocol], _real)
+    if command == "teleport":
+        stray = _flags(draw, ["theta1", "bob-theta"], _real)[:1]
+        amps = _flags(draw, _AMP_FLAGS[protocol], _amp)
+        return ["teleport", f"--protocol={protocol}", *amps, *angles, *stray]
+    first, last = _RESOURCE_QUBITS[protocol]
+    target = draw(st.lists(st.integers(first - 1, last + 1), min_size=1, max_size=2))
+    start, stop = draw(st.floats(-0.05, 1.0)), draw(st.floats(0.0, 1.05))
+    step = draw(st.floats(0.05, 1.0))
+    return [
+        "noise-sweep",
+        f"--protocol={protocol}",
+        f"--channel={draw(st.sampled_from(sorted(CHANNELS)))}",
+        f"--target={','.join(map(str, target))}",
+        f"--grid={start!r}:{stop!r}:{step!r}",
+        *angles,
+    ]
+
+
+@pytest.fixture(scope="module")
+def state_dir(tmp_path_factory) -> Path:
+    return tmp_path_factory.mktemp("property")
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(data=st.data())
+def test_every_request_ends_in_a_documented_way(data, state_dir):
+    argv = data.draw(_requests(state_dir), label="argv")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        json.loads(out.getvalue(), parse_constant=_reject_constant)
+    else:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith(("error:", "invariant violated [", "usage:"))

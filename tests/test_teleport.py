@@ -27,6 +27,7 @@ from tripsim.teleport import (
     _searched_corrections,
     _three_epr_bundle,
     _w_channel_bundle,
+    _w_channel_success_bundle,
 )
 
 MAX = math.pi / 4
@@ -448,7 +449,7 @@ def test_live_outcome_without_correction_is_an_invariant_violation():
     [
         _epr_via_ghz_bundle(MAX),
         _three_epr_bundle((MAX, MAX, MAX)),
-        _w_channel_bundle(*(3 * (1 / math.sqrt(3),))),
+        _w_channel_success_bundle(),
     ],
     ids=["epr-via-ghz", "ghz-via-3epr", "w-channel"],
 )
@@ -459,3 +460,10 @@ def test_batched_search_matches_looped_oracle(bundle):
     for label, corr in looped.items():
         assert batched[label].desc == corr.desc
         assert np.array_equal(batched[label].matrix, corr.matrix)
+
+
+def test_search_certifies_every_live_outcome():
+    # The lossy w-channel outcomes (m, n, 1) are live but deliver nothing,
+    # so no Pauli string corrects them: searching them must fail loudly.
+    with pytest.raises(InvariantViolation, match=r"correction-certificate.*\(0, 0, 1\)"):
+        _searched_corrections(_w_channel_bundle(*(3 * (1 / math.sqrt(3),))))
