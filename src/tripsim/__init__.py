@@ -17,6 +17,7 @@ from .core import (
     UnnormalizedState,
     apply_local,
     fidelity_pure,
+    haar_unitaries,
     haar_unitary,
     partial_inner,
     partial_trace,

@@ -28,6 +28,14 @@ from .twirl import twirl_report
 
 SCHEMA_TAG = "tripsim/1"
 
+# Largest sizes a request may ask for, checked before anything is
+# allocated; a larger request exits 2. Each is well above every size the
+# README, the tests and the benchmark use.
+MAX_SURFACE_GRID = 201  # fidelity-surface --grid: 201 x 201 angle pairs
+MAX_SWEEP_POINTS = 1001  # noise-sweep --grid points, e.g. 0:1:0.001
+MAX_TWIRL_SAMPLES = 20_000  # twirl --samples, ten times the default
+MAX_TWIRL_D = 8  # twirl --d: 64 x 64 two-qudit operators
+
 _UNIT = {"type": "number", "minimum": 0.0, "maximum": 1.0}
 _SIGNED_UNIT = {"type": "number", "minimum": -1.0, "maximum": 1.0}
 
@@ -46,7 +54,10 @@ _SCHEMAS = {
     },
     "teleport": {
         "type": "object",
-        "required": ["schema", "protocol", "params", "branches", "avg_fidelity", "success_probability"],
+        "required": [
+            "schema", "command", "protocol", "params", "branches", "avg_fidelity",
+            "success_probability",
+        ],
         "properties": {
             "schema": {"const": SCHEMA_TAG},
             "avg_fidelity": _UNIT,
@@ -262,13 +273,13 @@ def _cmd_teleport(params: dict, seed: int) -> dict:
                 float(params.get(k, math.pi / 4)) for k in ("theta1", "theta2", "theta3")
             )
             report = teleport.teleport_ghz_via_3epr((a0, a1), thetas)
-    return {"schema": SCHEMA_TAG, **report.to_dict()}
+    return {"schema": SCHEMA_TAG, "command": "teleport", **report.to_dict()}
 
 
 def _cmd_fidelity_surface(params: dict, seed: int) -> dict:
     n = int(params.get("grid", 21))
-    if n < 2:
-        raise ValueError(f"--grid must be >= 2, got {n}")
+    if not 2 <= n <= MAX_SURFACE_GRID:
+        raise ValueError(f"--grid must lie in [2, {MAX_SURFACE_GRID}], got {n}")
     grid = np.linspace(0.0, math.pi / 2, n)
     surface = teleport.avg_fidelity_surface(grid)
     return {
@@ -281,11 +292,16 @@ def _cmd_fidelity_surface(params: dict, seed: int) -> dict:
 
 
 def _cmd_twirl(params: dict, seed: int) -> dict:
+    d, samples = int(params.get("d", 2)), int(params.get("samples", 2000))
+    if d > MAX_TWIRL_D:
+        raise ValueError(f"--d must be at most {MAX_TWIRL_D}, got {d}")
+    if samples > MAX_TWIRL_SAMPLES:
+        raise ValueError(f"--samples must be at most {MAX_TWIRL_SAMPLES}, got {samples}")
     report = twirl_report(
         family=params.get("family", "werner"),
-        d=int(params.get("d", 2)),
+        d=d,
         invariant=float(params.get("invariant", 0.5)),
-        samples=int(params.get("samples", 2000)),
+        samples=samples,
         rng=np.random.default_rng(seed),
     )
     return {
@@ -331,8 +347,16 @@ def _parse_grid(text: str) -> np.ndarray:
         start, stop, step = (float(x) for x in text.split(":"))
     except ValueError as exc:
         raise ValueError(f"--grid must be start:stop:step, got {text!r}") from exc
+    if not all(math.isfinite(x) for x in (start, stop, step)):
+        raise ValueError(f"--grid values must be finite, got {text!r}")
     if step <= 0:
         raise ValueError("grid step must be positive")
+    # The point count np.arange would allocate, without allocating it.
+    points = (stop + step / 2 - start) / step
+    if points > MAX_SWEEP_POINTS:
+        raise ValueError(
+            f"--grid {text} has {points:.3g} points, more than the {MAX_SWEEP_POINTS} allowed"
+        )
     return np.arange(start, stop + step / 2, step)
 
 

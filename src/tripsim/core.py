@@ -365,12 +365,31 @@ def schmidt_decompose(s: StateVector, left) -> SchmidtData:
     )
 
 
-def haar_unitary(d: int, rng: np.random.Generator) -> LocalOperator:
-    """Haar-distributed d×d unitary (QR of a complex Gaussian, phases fixed)."""
+def haar_unitaries(d: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` Haar-distributed d×d unitaries as a (count, d, d) array.
+
+    QR of a complex Gaussian with the phases of R's diagonal fixed. Each
+    draw takes its real then its imaginary d×d block from one
+    ``standard_normal`` call, so a block of draws consumes the same stream,
+    in the same order, as ``count`` single draws. Raises
+    ``InvariantViolation("operator-unitarity")`` unless U†U = 1 to 1e-9 for
+    every draw.
+    """
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
-    z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / math.sqrt(2)
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
+    gauss = rng.standard_normal((count, 2, d, d))
+    z = (gauss[:, 0] + 1j * gauss[:, 1]) / math.sqrt(2)
     q, r = np.linalg.qr(z)
-    diag = np.diagonal(r)
-    q = q * (diag / np.abs(diag))
-    return LocalOperator(q, targets=None, unitary=True)
+    diag = np.diagonal(r, axis1=1, axis2=2)
+    q = q * (diag / np.abs(diag))[:, None, :]
+    gram = q.conj().swapaxes(1, 2) @ q
+    if not np.allclose(gram, np.eye(d), atol=HERM_ATOL, rtol=0.0):
+        raise InvariantViolation("operator-unitarity", "Haar draw with U†U != 1 to 1e-9")
+    return q
+
+
+def haar_unitary(d: int, rng: np.random.Generator) -> LocalOperator:
+    """One Haar-distributed d×d unitary; see :func:`haar_unitaries`."""
+    return LocalOperator(haar_unitaries(d, 1, rng)[0], targets=None, unitary=True)

@@ -287,24 +287,56 @@ GHZ_EPR_CORRECTIONS = {
 }
 
 
-def _bell_outcomes(theta: float):
-    return [((m, n), bell2(theta, (m, n))) for m in (0, 1) for n in (0, 1)]
+# Outcome bases that do not depend on a call's parameters are built once
+# per process and shared; their amplitudes are read-only.
+
+@lru_cache(maxsize=1)
+def _bell_outcomes():
+    """The four maximal Bell outcomes, labeled (m, n)."""
+    return tuple(((m, n), bell2(_MAX, (m, n))) for m in (0, 1) for n in (0, 1))
 
 
 def _ghz_outcomes(theta: float):
-    return [
+    return tuple(
         ((mu, lam, om), ghz_basis(theta, (mu, lam, om)))
         for mu in (0, 1)
         for lam in (0, 1)
         for om in (0, 1)
-    ]
+    )
+
+
+@lru_cache(maxsize=1)
+def _maximal_ghz_outcomes():
+    return _ghz_outcomes(_MAX)
+
+
+@lru_cache(maxsize=1)
+def _three_bell_outcomes():
+    """The 64 outcomes of three maximal Bell measurements, labeled
+    (m1, n1, m2, n2, m3, n3)."""
+    bells = dict(_bell_outcomes())
+    return tuple(
+        (label, reduce(tensor, (bells[label[2 * i : 2 * i + 2]] for i in range(3))))
+        for label in itertools.product((0, 1), repeat=6)
+    )
+
+
+@lru_cache(maxsize=1)
+def _w_channel_outcomes():
+    """A maximal Bell outcome times a computational readout, labeled (m, n, q)."""
+    computational = (StateVector([1, 0]), StateVector([0, 1]))
+    return tuple(
+        ((m, n, q), tensor(bell, computational[q]))
+        for (m, n), bell in _bell_outcomes()
+        for q in (0, 1)
+    )
 
 
 def _ghz_epr_bundle(bob_theta: float) -> ProtocolBundle:
     x_pair = bob_x_basis(bob_theta)
     outcomes = tuple(
         ((m, n, j), tensor(bell, x_pair[j]))
-        for (m, n), bell in _bell_outcomes(_MAX)
+        for (m, n), bell in _bell_outcomes()
         for j in (0, 1)
     )
     corrections = {
@@ -335,7 +367,7 @@ def _ghz_meas_bundle(theta_channel: float, theta_meas: float) -> ProtocolBundle:
         n_input=1,
         resource=ghz_basis(theta_channel, (0, 0, 0)),
         meas_targets=(0, 1, 2),
-        outcomes=tuple(_ghz_outcomes(theta_meas)),
+        outcomes=_ghz_outcomes(theta_meas),
         corrections=corrections,
         input_state=_single_state,
         target_state=_single_state,
@@ -349,7 +381,7 @@ def _epr_via_ghz_bundle(theta_channel: float, corrections=None) -> ProtocolBundl
         n_input=2,
         resource=ghz_basis(theta_channel, (0, 0, 0)),
         meas_targets=(0, 1, 2),
-        outcomes=tuple(_ghz_outcomes(_MAX)),
+        outcomes=_maximal_ghz_outcomes(),
         corrections=corrections if corrections is not None else {},
         input_state=_pair_state,
         target_state=_pair_state,
@@ -363,21 +395,13 @@ def _epr_via_ghz_corrections():
 
 def _three_epr_bundle(thetas: tuple[float, float, float], corrections=None) -> ProtocolBundle:
     resource = reduce(tensor, (bell2(t, (0, 0)) for t in thetas))
-    bells = dict(_bell_outcomes(_MAX))
-    outcomes = tuple(
-        (
-            label,
-            reduce(tensor, (bells[label[2 * i : 2 * i + 2]] for i in range(3))),
-        )
-        for label in itertools.product((0, 1), repeat=6)
-    )
     return ProtocolBundle(
         name="ghz-via-3epr",
         params={"thetas": thetas},
         n_input=3,
         resource=resource,
         meas_targets=(0, 3, 1, 5, 2, 7),
-        outcomes=outcomes,
+        outcomes=_three_bell_outcomes(),
         corrections=corrections if corrections is not None else {},
         input_state=_ghz_input_state,
         target_state=_ghz_input_state,
@@ -390,19 +414,13 @@ def _three_epr_corrections():
 
 
 def _w_channel_bundle(a: complex, b: complex, c: complex, corrections=None) -> ProtocolBundle:
-    computational = (StateVector([1, 0]), StateVector([0, 1]))
-    outcomes = tuple(
-        ((m, n, q), tensor(bell, computational[q]))
-        for (m, n), bell in _bell_outcomes(_MAX)
-        for q in (0, 1)
-    )
     return ProtocolBundle(
         name="w-channel",
         params={"a": a, "b": b, "c": c},
         n_input=1,
         resource=WChannelSpec(a, b, c).state(),
         meas_targets=(0, 1, 3),
-        outcomes=outcomes,
+        outcomes=_w_channel_outcomes(),
         corrections=corrections if corrections is not None else {},
         input_state=_single_state,
         target_state=_single_state,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bases import BellLabel, GeneralBellSpec, general_bell, ghz_basis
-from .core import DensityOp, haar_unitary
+from .core import DensityOp, haar_unitaries
 
 
 @dataclass(frozen=True)
@@ -125,26 +125,51 @@ def _two_qudit_dim(rho: DensityOp) -> int:
     return d
 
 
+# Entries of complex scratch per block of draws: the stacked U⊗V array of a
+# block never holds more than this many.
+_BLOCK_ENTRIES = 4096
+
+
+def _conjugated(rho: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """(U⊗V) rho (U⊗V)† for each of the n stacked pairs, as an (n, D, D) array."""
+    n, d = u.shape[:2]
+    # Same products as np.kron(u, v), entry for entry.
+    big = (u[:, :, None, :, None] * v[:, None, :, None, :]).reshape(n, d * d, d * d)
+    left = big @ rho
+    # In place, so the call holds three arrays of the block's size.
+    return left @ np.conjugate(big, out=big).swapaxes(1, 2)
+
+
 def _haar_averages(
     rho: DensityOp, samples: int, rng, conjugate_second: bool, checkpoints: int
 ) -> list[tuple[int, np.ndarray]]:
     """Running averages of (U⊗V) rho (U⊗V)† over ``samples`` Haar draws U,
     with V = U* or U, taken at ``checkpoints`` evenly spaced draw counts;
-    the last is the full average."""
+    the last is the full average.
+
+    Draws come in blocks of at most ``_BLOCK_ENTRIES // d**4`` from one
+    generator stream; the running sum is carried term by term with
+    ``cumsum``, so every average equals the one-draw-at-a-time sum exactly.
+    """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     d = _two_qudit_dim(rho)
     stops = sorted({max(1, samples * k // checkpoints) for k in range(1, checkpoints + 1)})
-    acc = np.zeros((d * d, d * d), dtype=complex)
+    block = max(1, _BLOCK_ENTRIES // d**4)
+    total = np.zeros((d * d, d * d), dtype=complex)
     averages = []
-    done = 0
-    for stop in stops:
-        for _ in range(stop - done):
-            u = haar_unitary(d, rng).matrix
-            big = np.kron(u, u.conj() if conjugate_second else u)
-            acc += big @ rho.matrix @ big.conj().T
-        done = stop
-        averages.append((stop, acc / stop))
+    for start in range(0, samples, block):
+        n = min(block, samples - start)
+        u = haar_unitaries(d, n, rng)
+        running = _conjugated(rho.matrix, u, u.conj() if conjugate_second else u)
+        running[0] += total
+        np.cumsum(running, axis=0, out=running)
+        averages += [
+            (stop, running[stop - start - 1] / stop)
+            for stop in stops
+            if start < stop <= start + n
+        ]
+        total = running[-1].copy()
     return averages
 
 

@@ -1,8 +1,10 @@
 """Shared test utilities: random states, an independent operator-lifting
-oracle built by basis-index enumeration, a density-matrix protocol oracle
-and a looped correction search (all deliberately not the library path)."""
+oracle built by basis-index enumeration, a density-matrix protocol oracle,
+a looped correction search and a one-draw-at-a-time twirl (all
+deliberately not the library path)."""
 
 import itertools
+import math
 
 import numpy as np
 
@@ -170,3 +172,31 @@ def looped_corrections(bundle) -> dict:
         label: search_pauli_correction(samples, width)
         for label, samples in per_label.items()
     }
+
+
+def looped_haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
+    """One Haar-distributed d×d unitary: QR of a complex Gaussian whose real
+    then imaginary block come from two ``standard_normal`` calls, with the
+    phases of R's diagonal fixed."""
+    z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / math.sqrt(2)
+    q, r = np.linalg.qr(z)
+    diag = np.diagonal(r)
+    return q * (diag / np.abs(diag))
+
+
+def looped_haar_averages(rho, samples, rng, conjugate_second, checkpoints):
+    """Running twirl averages of (U⊗V) rho (U⊗V)†, V = U* or U, one draw and
+    one ``np.kron`` at a time, at ``checkpoints`` evenly spaced draw counts."""
+    d = int(round(math.sqrt(rho.dim)))
+    stops = sorted({max(1, samples * k // checkpoints) for k in range(1, checkpoints + 1)})
+    acc = np.zeros((d * d, d * d), dtype=complex)
+    averages = []
+    done = 0
+    for stop in stops:
+        for _ in range(stop - done):
+            u = looped_haar_unitary(d, rng)
+            big = np.kron(u, u.conj() if conjugate_second else u)
+            acc += big @ rho.matrix @ big.conj().T
+        done = stop
+        averages.append((stop, acc / stop))
+    return averages

@@ -165,8 +165,18 @@ class TestDeterminismAndConfig:
             (["teleport", "--protocol", "ghz-meas", "--c0=nan", "--c1=0.6"], {}),
             (["classify", "--state", "flat.json"], {"flat.json": {"amplitudes": [0.5] * 16}}),
             (["twirl", "--samples", "0"], {}),
+            (["noise-sweep", "--protocol", "ghz-meas", "--target", "3", "--grid", "0:1:1e-4"], {}),
+            (["noise-sweep", "--protocol", "ghz-meas", "--target", "3", "--grid", "0:1:5e-324"], {}),
+            (["noise-sweep", "--protocol", "ghz-meas", "--target", "3", "--grid", "0:inf:0.1"], {}),
+            (["fidelity-surface", "--grid", str(cli.MAX_SURFACE_GRID + 1)], {}),
+            (["twirl", "--samples", str(cli.MAX_TWIRL_SAMPLES + 1)], {}),
+            (["twirl", "--d", str(cli.MAX_TWIRL_D + 1), "--samples", "1"], {}),
         ],
-        ids=["nan-amplitude", "flat-state-file", "zero-samples"],
+        ids=[
+            "nan-amplitude", "flat-state-file", "zero-samples", "noise-grid-too-fine",
+            "noise-grid-subnormal-step", "noise-grid-infinite", "surface-grid-too-large",
+            "too-many-twirl-samples", "twirl-d-too-large",
+        ],
     )
     def test_bad_input_exits_2_without_traceback(self, argv, files, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -228,7 +238,9 @@ class TestPayloadCheck:
         if command == "classify":
             argv.append(_ghz_state_file(tmp_path / "s.json"))
         assert main(argv) == 0
-        cli._check(json.loads(capsys.readouterr().out), cli._SCHEMAS[command])
+        payload = json.loads(capsys.readouterr().out)
+        cli._check(payload, cli._SCHEMAS[command])
+        assert payload["command"] == command
 
     @pytest.mark.parametrize(
         "command, mutate",
@@ -242,10 +254,12 @@ class TestPayloadCheck:
             ("noise-sweep", lambda p: p["rows"].__setitem__(1, [0.5, 2.0])),
             ("teleport", lambda p: p["branches"][0].update(fidelity=1.25)),
             ("teleport", lambda p: p["branches"][0].update(fidelity="0.5")),
+            ("teleport", lambda p: p.pop("command")),
         ],
         ids=[
             "missing-key", "schema-tag", "p-1.5", "nan-avg-fidelity", "nan-surface-value",
             "bool-number", "noise-row", "branch-fidelity-1.25", "branch-fidelity-string",
+            "teleport-missing-command",
         ],
     )
     def test_mutated_payload_exits_1(self, command, mutate, monkeypatch, capsys):

@@ -1,15 +1,21 @@
 import dataclasses
 import itertools
+import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from helpers import chi_row, eta_row, looped_corrections, random_input
+from tripsim import teleport
 from tripsim.bases import bell2, bob_x_basis, ghz_basis
 from tripsim.core import InputQubit, InvariantViolation, StateVector, partial_inner, project, tensor
 from tripsim.teleport import (
     GHZ_EPR_CORRECTIONS,
+    PROTOCOL_NAMES,
     average_fidelity,
     average_fidelity_ghz_meas,
     avg_fidelity_surface,
@@ -467,3 +473,76 @@ def test_search_certifies_every_live_outcome():
     # so no Pauli string corrects them: searching them must fail loudly.
     with pytest.raises(InvariantViolation, match=r"correction-certificate.*\(0, 0, 1\)"):
         _searched_corrections(_w_channel_bundle(*(3 * (1 / math.sqrt(3),))))
+
+
+# Outcome bases that do not depend on a call's parameters are built once per
+# process and shared between calls.
+_CACHED_BASES = (
+    teleport._bell_outcomes,
+    teleport._maximal_ghz_outcomes,
+    teleport._three_bell_outcomes,
+    teleport._w_channel_outcomes,
+)
+
+
+def test_cached_outcome_bras_are_read_only():
+    for cached in _CACHED_BASES:
+        outcomes = cached()
+        assert cached() is outcomes
+        for _, bra in outcomes:
+            assert not bra.amplitudes.flags.writeable
+            with pytest.raises(ValueError):
+                bra.amplitudes[0] = 0.0
+
+
+_ANGLE_SETS = (
+    {"ghz-epr": (0.3,), "ghz-meas": (0.2, 1.1), "epr-via-ghz": (0.4,),
+     "ghz-via-3epr": ((0.3, 0.5, 0.7),), "w-channel": ((0.5, 0.5, math.sqrt(0.5)),)},
+    {"ghz-epr": (MAX,), "ghz-meas": (MAX, MAX), "epr-via-ghz": (MAX,),
+     "ghz-via-3epr": ((MAX, MAX, MAX),), "w-channel": ((1 / math.sqrt(3),) * 3,)},
+    {"ghz-epr": (1.2,), "ghz-meas": (1.4, 0.1), "epr-via-ghz": (0.05,),
+     "ghz-via-3epr": ((1.5, 0.0, MAX),), "w-channel": ((0.8, 0.6j, 0.0),)},
+)
+
+
+def _report_bytes(protocol: str, args: tuple) -> bytes:
+    c0, c1 = 0.6, 0.8j
+    if protocol == "ghz-epr":
+        report = teleport_ghz_epr(InputQubit(c0, c1), *args)
+    elif protocol == "ghz-meas":
+        report = teleport_ghz_measurement(InputQubit(c0, c1), *args)
+    elif protocol == "epr-via-ghz":
+        report = teleport_epr_via_ghz((c0, c1), *args)
+    elif protocol == "ghz-via-3epr":
+        report = teleport_ghz_via_3epr((c0, c1), *args)
+    else:
+        report = teleport_w_channel(InputQubit(c0, c1), *args)
+    states = b"".join(b.post_state.amplitudes.tobytes() for b in report.branches if b.post_state)
+    traced = repr(report.avg_fidelity_traced).encode()
+    return json.dumps(report.to_dict()).encode() + traced + states
+
+
+def _cold_reports(i: int) -> dict:
+    """Reports of angle set ``i`` from a new interpreter, where every cached
+    basis is built for that set alone."""
+    tests = Path(__file__).resolve().parent
+    proc = subprocess.run(
+        [
+            sys.executable, "-c",
+            "import sys, json; sys.path[:0] = sys.argv[1:3]; import test_teleport as t; "
+            "print(json.dumps({p: t._report_bytes(p, t._ANGLE_SETS[int(sys.argv[3])][p]).hex()"
+            " for p in t.PROTOCOL_NAMES}))",
+            str(tests.parent / "src"), str(tests), str(i),
+        ],
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    return {protocol: bytes.fromhex(h) for protocol, h in json.loads(proc.stdout).items()}
+
+
+def test_shared_bases_give_the_same_reports_in_any_call_order():
+    cold = [_cold_reports(i) for i in range(len(_ANGLE_SETS))]
+    # One process, protocols and angle sets alternating from call to call.
+    for order in ([0, 1, 2], [2, 0, 1]):
+        for i in order:
+            for protocol in PROTOCOL_NAMES:
+                assert _report_bytes(protocol, _ANGLE_SETS[i][protocol]) == cold[i][protocol]

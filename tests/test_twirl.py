@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from helpers import looped_haar_averages, looped_haar_unitary
+from tripsim import twirl
 from tripsim.bases import bell2, ghz_basis
-from tripsim.core import DensityOp, StateVector
+from tripsim.core import DensityOp, StateVector, haar_unitaries, haar_unitary
 from tripsim.twirl import (
     GenWerner3Q,
     IsotropicParams,
@@ -160,3 +162,84 @@ class TestTwirl:
         assert len(history) == 10
         assert history[-1][0] == 500
         assert all(dist < 5e-2 for _, dist in history)
+
+
+# The blocked twirl must reproduce the one-draw-at-a-time loop exactly: the
+# same averages bit for bit and the generator left in the same state.
+# Building U⊗V with einsum instead of the broadcast product, or dropping the
+# phase fix of the Haar draw, fails these tests.
+
+def _block(d: int) -> int:
+    return max(1, twirl._BLOCK_ENTRIES // d**4)
+
+
+def _sample_counts(d: int) -> list[int]:
+    return sorted({1, 7, _block(d) - 1, _block(d), _block(d) + 1, 500})
+
+
+def _random_density(d: int, seed: int) -> DensityOp:
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((d * d, d * d)) + 1j * rng.standard_normal((d * d, d * d))
+    m = a @ a.conj().T
+    return DensityOp(m / np.trace(m).real)
+
+
+class TestBlockedTwirl:
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("conjugate_second", [False, True], ids=["uu", "uustar"])
+    def test_matrices_match_looped_oracle(self, d, conjugate_second):
+        rho = _random_density(d, seed=d)
+        run = twirl_uustar if conjugate_second else twirl_uu
+        for samples in _sample_counts(d):
+            fast_rng, slow_rng = np.random.default_rng(samples), np.random.default_rng(samples)
+            fast = run(rho, samples, fast_rng).matrix
+            slow = looped_haar_averages(rho, samples, slow_rng, conjugate_second, 1)[-1][1]
+            assert (fast == slow).all(), samples
+            assert fast_rng.standard_normal() == slow_rng.standard_normal()
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("family", ["werner", "isotropic"])
+    def test_report_histories_match_looped_oracle(self, family, d, monkeypatch):
+        invariant = 0.3 if family == "werner" else 0.6
+        for samples in _sample_counts(d):
+            fast_rng, slow_rng = np.random.default_rng(samples), np.random.default_rng(samples)
+            fast = twirl_report(family, d, invariant, samples, fast_rng)
+            with monkeypatch.context() as patch:
+                patch.setattr(twirl, "_haar_averages", looped_haar_averages)
+                slow = twirl_report(family, d, invariant, samples, slow_rng)
+            assert fast == slow, samples
+            assert fast_rng.standard_normal() == slow_rng.standard_normal()
+
+    def test_blocks_stay_within_the_entry_budget(self, monkeypatch):
+        counts = []
+
+        def recording(d, count, rng):
+            counts.append((d, count))
+            return haar_unitaries(d, count, rng)
+
+        monkeypatch.setattr(twirl, "haar_unitaries", recording)
+        for d in (2, 3, 4, 9):
+            twirl_uu(DensityOp(np.eye(d * d) / (d * d)), 60, np.random.default_rng(0))
+        # A stacked U⊗V holds count * d**4 entries; above d = 8 one draw alone
+        # exceeds the budget, so those draws come one at a time.
+        assert all(count * d**4 <= twirl._BLOCK_ENTRIES for d, count in counts if d < 9)
+        assert [count for d, count in counts if d == 3] == [50, 10]
+        assert [count for d, count in counts if d == 9] == [1] * 60
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_haar_unitaries_match_successive_single_draws(self, d):
+        block_rng = np.random.default_rng(d)
+        single_rng = np.random.default_rng(d)
+        oracle_rng = np.random.default_rng(d)
+        block = haar_unitaries(d, 4, block_rng)
+        assert block.shape == (4, d, d)
+        for u in block:
+            assert (u == haar_unitary(d, single_rng).matrix).all()
+            assert (u == looped_haar_unitary(d, oracle_rng)).all()
+        assert block_rng.standard_normal() == single_rng.standard_normal()
+
+    def test_haar_unitaries_reject_bad_sizes(self):
+        with pytest.raises(ValueError):
+            haar_unitaries(0, 1, np.random.default_rng(0))
+        with pytest.raises(ValueError):
+            haar_unitaries(2, 0, np.random.default_rng(0))
