@@ -23,7 +23,7 @@ import numpy as np
 
 from . import bases, noise, nonlocality, teleport
 from .classify import classify as classify_state, diagnostics
-from .core import InputQubit, InvariantViolation, StateVector, partial_inner, project, tensor
+from .core import InvariantViolation, StateVector
 from .twirl import twirl_report
 
 SCHEMA_TAG = "tripsim/1"
@@ -219,60 +219,23 @@ def _cmd_paradox(params: dict, seed: int) -> dict:
     return {"schema": SCHEMA_TAG, "command": "paradox", "theta": theta, **report.to_dict()}
 
 
-_TELEPORT_KEYS = {
-    "ghz-epr": {"protocol", "c0", "c1", "bob_theta"},
-    "ghz-meas": {"protocol", "c0", "c1", "theta_channel", "theta_meas"},
-    "w-channel": {"protocol", "c0", "c1", "a", "b", "c"},
-    "epr-via-ghz": {"protocol", "a0", "a1", "theta_channel"},
-    "ghz-via-3epr": {"protocol", "a0", "a1", "theta1", "theta2", "theta3"},
-}
+def _input_pair(params: dict, keys=("c0", "c1")) -> tuple[complex, complex]:
+    """Pop the input amplitude pair from ``params`` and normalize it."""
+    amps = (params.pop(k, 1 / math.sqrt(2)) for k in keys)
+    return teleport.coerce_pair(_normalized_tuple(amps, "input"))
 
 
 def _cmd_teleport(params: dict, seed: int) -> dict:
-    protocol = params.get("protocol")
-    if protocol not in teleport.PROTOCOL_NAMES:
-        raise ValueError(f"--protocol must be one of {teleport.PROTOCOL_NAMES}")
-    stray = set(params) - _TELEPORT_KEYS[protocol]
-    if stray:
-        raise ValueError(f"flags {sorted(stray)} do not apply to {protocol}")
-    if protocol in ("ghz-epr", "ghz-meas", "w-channel"):
-        c0, c1 = _normalized_tuple(
-            (params.get("c0", 1 / math.sqrt(2)), params.get("c1", 1 / math.sqrt(2))),
-            "input",
-        )
-        iq = InputQubit(c0, c1)
-        if protocol == "ghz-epr":
-            report = teleport.teleport_ghz_epr(iq, float(params.get("bob_theta", math.pi / 4)))
-        elif protocol == "ghz-meas":
-            report = teleport.teleport_ghz_measurement(
-                iq,
-                float(params.get("theta_channel", math.pi / 4)),
-                float(params.get("theta_meas", math.pi / 4)),
-            )
-        else:
-            channel_amps = _normalized_tuple(
-                (
-                    params.get("a", 1 / math.sqrt(3)),
-                    params.get("b", 1 / math.sqrt(3)),
-                    params.get("c", 1 / math.sqrt(3)),
-                ),
-                "channel",
-            )
-            report = teleport.teleport_w_channel(iq, channel_amps)
-    else:
-        a0, a1 = _normalized_tuple(
-            (params.get("a0", 1 / math.sqrt(2)), params.get("a1", 1 / math.sqrt(2))),
-            "input",
-        )
-        if protocol == "epr-via-ghz":
-            report = teleport.teleport_epr_via_ghz(
-                (a0, a1), float(params.get("theta_channel", math.pi / 4))
-            )
-        else:
-            thetas = tuple(
-                float(params.get(k, math.pi / 4)) for k in ("theta1", "theta2", "theta3")
-            )
-            report = teleport.teleport_ghz_via_3epr((a0, a1), thetas)
+    # What is left after the amplitudes are popped goes to protocol_bundle,
+    # which refuses the parameters that do not belong to the protocol.
+    params = dict(params)
+    protocol = params.pop("protocol", None)
+    keys = ("a0", "a1") if protocol in ("epr-via-ghz", "ghz-via-3epr") else ("c0", "c1")
+    c0, c1 = _input_pair(params, keys)
+    if protocol == "w-channel":
+        amps = (params.pop(k, 1 / math.sqrt(3)) for k in "abc")
+        params.update(zip("abc", _normalized_tuple(amps, "channel")))
+    report = teleport.enumerate_branches(teleport.protocol_bundle(protocol, **params), c0, c1)
     return {"schema": SCHEMA_TAG, "command": "teleport", **report.to_dict()}
 
 
@@ -353,6 +316,8 @@ def _parse_grid(text: str) -> np.ndarray:
         raise ValueError("grid step must be positive")
     # The point count np.arange would allocate, without allocating it.
     points = (stop + step / 2 - start) / step
+    if not points > 0:
+        raise ValueError(f"--grid {text} has no points; stop must not lie below start")
     if points > MAX_SWEEP_POINTS:
         raise ValueError(
             f"--grid {text} has {points:.3g} points, more than the {MAX_SWEEP_POINTS} allowed"
@@ -368,17 +333,16 @@ def _cmd_noise_sweep(params: dict, seed: int) -> dict:
     if not target:
         raise ValueError("noise-sweep requires --target INDEX[,INDEX...]")
     grid = _parse_grid(params.get("grid", "0:1:0.05"))
-    passthrough = {
-        k: float(params[k])
-        for k in ("bob_theta", "theta_channel", "theta_meas", "theta1", "theta2", "theta3")
-        if k in params
+    # Every other flag is a protocol parameter; protocol_bundle checks it.
+    angles = {
+        k: v for k, v in params.items() if k not in ("protocol", "channel", "target", "grid")
     }
     rows = noise.noisy_teleport_sweep(
         protocol,
         params.get("channel", "bitflip"),
         target if len(target) > 1 else target[0],
         grid,
-        params=passthrough or None,
+        params=angles,
     )
     return {
         "schema": SCHEMA_TAG,
@@ -391,51 +355,50 @@ def _cmd_noise_sweep(params: dict, seed: int) -> dict:
 
 
 def _cmd_tables(params: dict, seed: int) -> dict:
-    """Re-derive the branch tables of the Bell-plus-rotated-basis protocol
-    for a supplied input and receiver angle, as numeric fixtures."""
-    c0, c1 = _normalized_tuple(
-        (params.get("c0", 1 / math.sqrt(2)), params.get("c1", 1 / math.sqrt(2))), "input"
-    )
+    """Branch tables of the Bell-plus-rotated-basis protocol (ghz-epr) for a
+    supplied input and receiver angle, read off its Kraus stack K_l.
+
+    Corrected states are K_l c and receiver states C_l† K_l c. The pair
+    state of Bell outcome (m, n) is sum_j |x_j> ⊗ C_l† K_l c, by
+    completeness of the receiver basis x. All are scaled by 1/sqrt(p_mn),
+    where p_mn = sum_j |K_(m,n,j) c|^2.
+    """
+    c = np.array(_input_pair(dict(params)))
     theta = float(params.get("theta", math.pi / 4))
-    iq = InputQubit(c0, c1)
-    psi = tensor(iq.state(), bases.ghz_basis(math.pi / 4, (0, 0, 0)))
-    x_pair = bases.bob_x_basis(theta)
-    pair_states: dict[str, list] = {}
-    receiver_states: dict[str, list] = {}
-    corrected: dict[str, list] = {}
-    fidelities: dict[str, float] = {}
-    for m in (0, 1):
-        for n in (0, 1):
-            _, eta = project(psi, bases.bell2(math.pi / 4, (m, n)), (0, 1))
-            pair_states[f"{m}{n}"] = _cvec(eta.amplitudes)
-            for j in (0, 1):
-                chi = partial_inner(eta, x_pair[j], (0,))
-                key = f"{m}{n}{j}"
-                receiver_states[key] = _cvec(chi.amplitudes)
-                desc = teleport.GHZ_EPR_CORRECTIONS[(m, n, j)]
-                fixed = teleport._compose(desc) @ chi.amplitudes
-                corrected[key] = _cvec(fixed)
-                norm2 = float(np.vdot(fixed, fixed).real)
-                fidelities[key] = (
-                    min(max(abs(np.vdot(iq.state().amplitudes, fixed)) ** 2 / norm2, 0.0), 1.0)
-                    if norm2 > 1e-14
-                    else None
-                )
+    bundle = teleport.protocol_bundle("ghz-epr", bob_theta=theta)
+    corrections = [bundle.corrections[label] for label, _ in bundle.outcomes]
+    fixed = teleport._kraus_stack(bundle, bundle.resource.amplitudes[None])[0] @ c
+    chi = np.stack([corr.matrix.conj().T @ row for corr, row in zip(corrections, fixed)])
+    # Outcomes run in (m, n, j) order, so p_mn sums consecutive pairs of rows.
+    p_mn = (fixed.real**2 + fixed.imag**2).sum(axis=1).reshape(4, 2).sum(axis=1)
+    scale = 1 / np.sqrt(p_mn.repeat(2))[:, None]
+    fixed, chi = fixed * scale, chi * scale
+    x_pair = [x.amplitudes for x in bases.bob_x_basis(theta)]
+    tables = {
+        "pair_states": {},
+        "receiver_states": {},
+        "corrections": {},
+        "corrected_states": {},
+        "fidelities": {},
+    }
+    for l, ((m, n, j), _) in enumerate(bundle.outcomes):
+        key = f"{m}{n}{j}"
+        if j == 0:
+            eta = np.kron(x_pair[0], chi[l]) + np.kron(x_pair[1], chi[l + 1])
+            tables["pair_states"][f"{m}{n}"] = _cvec(eta)
+        tables["receiver_states"][key] = _cvec(chi[l])
+        tables["corrections"][key] = corrections[l].desc
+        tables["corrected_states"][key] = _cvec(fixed[l])
+        norm2 = float(np.vdot(fixed[l], fixed[l]).real)
+        tables["fidelities"][key] = (
+            min(max(abs(np.vdot(c, fixed[l])) ** 2 / norm2, 0.0), 1.0) if norm2 > 1e-14 else None
+        )
     return {
         "schema": SCHEMA_TAG,
         "command": "tables",
         "theta": theta,
-        "input": _cvec([c0, c1]),
-        "pair_states": pair_states,
-        "receiver_states": receiver_states,
-        "corrections": {
-            f"{m}{n}{j}": teleport.GHZ_EPR_CORRECTIONS[(m, n, j)]
-            for m in (0, 1)
-            for n in (0, 1)
-            for j in (0, 1)
-        },
-        "corrected_states": corrected,
-        "fidelities": fidelities,
+        "input": _cvec(c),
+        **tables,
     }
 
 
@@ -526,12 +489,16 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     common.add_argument("--out", default=argparse.SUPPRESS)
     common.add_argument("--format", choices=("json", "csv"), default=argparse.SUPPRESS)
+    # Protocol angles; teleport and noise-sweep hand them to protocol_bundle.
+    angles = argparse.ArgumentParser(add_help=False)
+    for flag in ("bob-theta", "theta-channel", "theta-meas", "theta1", "theta2", "theta3"):
+        angles.add_argument(f"--{flag}", type=float)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("paradox", parents=[common], help="three-party local-realism paradox report")
     p.add_argument("--theta", type=float, default=math.pi / 4)
 
-    p = sub.add_parser("teleport", parents=[common], help="run one protocol, emit the branch report")
+    p = sub.add_parser("teleport", parents=[common, angles], help="run one protocol, emit the branch report")
     p.add_argument("--protocol", required=True, choices=teleport.PROTOCOL_NAMES)
     p.add_argument("--c0", type=complex, help="input amplitude (normalized with --c1)")
     p.add_argument("--c1", type=complex)
@@ -540,12 +507,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=complex, help="single-excitation channel amplitudes")
     p.add_argument("--b", type=complex)
     p.add_argument("--c", type=complex)
-    p.add_argument("--bob-theta", dest="bob_theta", type=float)
-    p.add_argument("--theta-channel", dest="theta_channel", type=float)
-    p.add_argument("--theta-meas", dest="theta_meas", type=float)
-    p.add_argument("--theta1", type=float)
-    p.add_argument("--theta2", type=float)
-    p.add_argument("--theta3", type=float)
 
     p = sub.add_parser("fidelity-surface", parents=[common], help="input-averaged fidelity grid")
     p.add_argument("--grid", type=int, default=21)
@@ -559,17 +520,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", parents=[common], help="classify a three-qubit pure state")
     p.add_argument("--state", required=True, help="JSON file with [re,im] amplitude pairs")
 
-    p = sub.add_parser("noise-sweep", parents=[common], help="fidelity versus channel parameter")
+    p = sub.add_parser("noise-sweep", parents=[common, angles], help="fidelity versus channel parameter")
     p.add_argument("--protocol", required=True, choices=teleport.PROTOCOL_NAMES)
     p.add_argument("--channel", choices=sorted(noise.CHANNELS), default="bitflip")
     p.add_argument("--target", required=True, help="resource qubit index (comma list allowed)")
     p.add_argument("--grid", default="0:1:0.05", help="start:stop:step")
-    p.add_argument("--bob-theta", dest="bob_theta", type=float)
-    p.add_argument("--theta-channel", dest="theta_channel", type=float)
-    p.add_argument("--theta-meas", dest="theta_meas", type=float)
-    p.add_argument("--theta1", type=float)
-    p.add_argument("--theta2", type=float)
-    p.add_argument("--theta3", type=float)
 
     p = sub.add_parser("tables", parents=[common], help="numeric branch tables for the Bell+rotated-basis protocol")
     p.add_argument("--c0", type=complex)

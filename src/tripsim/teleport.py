@@ -450,24 +450,24 @@ def _w_channel_success_bundle() -> ProtocolBundle:
 def protocol_bundle(name: str, **params) -> ProtocolBundle:
     """Registry entry point; unknown protocols or parameter keys are rejected."""
     if name == "ghz-epr":
-        _allow(params, {"bob_theta"})
+        _allow(name, params, {"bob_theta"})
         return _ghz_epr_bundle(float(params.get("bob_theta", _MAX)))
     if name == "ghz-meas":
-        _allow(params, {"theta_channel", "theta_meas"})
+        _allow(name, params, {"theta_channel", "theta_meas"})
         return _ghz_meas_bundle(
             float(params.get("theta_channel", _MAX)), float(params.get("theta_meas", _MAX))
         )
     if name == "epr-via-ghz":
-        _allow(params, {"theta_channel"})
+        _allow(name, params, {"theta_channel"})
         return _epr_via_ghz_bundle(
             float(params.get("theta_channel", _MAX)), _epr_via_ghz_corrections()
         )
     if name == "ghz-via-3epr":
-        _allow(params, {"theta1", "theta2", "theta3"})
+        _allow(name, params, {"theta1", "theta2", "theta3"})
         thetas = tuple(float(params.get(k, _MAX)) for k in ("theta1", "theta2", "theta3"))
         return _three_epr_bundle(thetas, _three_epr_corrections())
     if name == "w-channel":
-        _allow(params, {"a", "b", "c"})
+        _allow(name, params, {"a", "b", "c"})
         symmetric = 1 / math.sqrt(3)
         return _w_channel_bundle(
             complex(params.get("a", symmetric)),
@@ -478,15 +478,16 @@ def protocol_bundle(name: str, **params) -> ProtocolBundle:
     raise ValueError(f"unknown protocol {name!r}")
 
 
-def _allow(params: dict, keys: set):
+def _allow(name: str, params: dict, keys: set):
     unknown = set(params) - keys
     if unknown:
-        raise ValueError(f"unknown parameter keys {sorted(unknown)}")
+        raise ValueError(f"parameters {sorted(unknown)} do not apply to {name}")
 
 
 # --- enumeration -------------------------------------------------------
 
-def _enumerate(bundle: ProtocolBundle, c0: complex, c1: complex) -> TeleportReport:
+def enumerate_branches(bundle: ProtocolBundle, c0: complex, c1: complex) -> TeleportReport:
+    """Every branch of a bundle for the normalized input (c0, c1), in outcome order."""
     target = bundle.target_state(c0, c1).amplitudes
     stack = _kraus_stack(bundle, bundle.resource.amplitudes[None])
     residuals, probs = _residuals(stack, np.array([[c0, c1]], dtype=complex))
@@ -531,7 +532,7 @@ def teleport_ghz_epr(input_qubit: InputQubit, bob_theta: float) -> TeleportRepor
     """Maximal three-qubit channel, Bell measurement by the sender, rotated
     single-qubit measurement by the intermediary, lookup correction by the
     receiver; eight branches labeled (m, n, j)."""
-    return _enumerate(_ghz_epr_bundle(bob_theta), input_qubit.c0, input_qubit.c1)
+    return enumerate_branches(_ghz_epr_bundle(bob_theta), input_qubit.c0, input_qubit.c1)
 
 
 def teleport_ghz_measurement(
@@ -540,7 +541,7 @@ def teleport_ghz_measurement(
     """Three-qubit channel at theta_channel, joint three-qubit measurement at
     theta_meas, correction Z^mu X^lam; outcomes with lam != omega carry zero
     probability and are recorded as degenerate."""
-    return _enumerate(
+    return enumerate_branches(
         _ghz_meas_bundle(theta_channel, theta_meas), input_qubit.c0, input_qubit.c1
     )
 
@@ -551,7 +552,7 @@ def teleport_epr_via_ghz(input_pair, theta_channel: float) -> TeleportReport:
     Pauli correction on the receiving pair."""
     c0, c1 = coerce_pair(input_pair)
     bundle = _epr_via_ghz_bundle(theta_channel, _epr_via_ghz_corrections())
-    return _enumerate(bundle, c0, c1)
+    return enumerate_branches(bundle, c0, c1)
 
 
 def teleport_ghz_via_3epr(input_ghz, channels: tuple[float, float, float]) -> TeleportReport:
@@ -560,7 +561,7 @@ def teleport_ghz_via_3epr(input_ghz, channels: tuple[float, float, float]) -> Te
     Pauli corrections on the receiving triple (4,6,8)."""
     c0, c1 = coerce_pair(input_ghz)
     bundle = _three_epr_bundle(tuple(float(t) for t in channels), _three_epr_corrections())
-    return _enumerate(bundle, c0, c1)
+    return enumerate_branches(bundle, c0, c1)
 
 
 def teleport_w_channel(input_qubit: InputQubit, w) -> TeleportReport:
@@ -573,7 +574,7 @@ def teleport_w_channel(input_qubit: InputQubit, w) -> TeleportReport:
         a, b, c = (complex(x) for x in w)
         WChannelSpec(a, b, c)
     bundle = _w_channel_bundle(a, b, c, _w_channel_corrections())
-    return _enumerate(bundle, input_qubit.c0, input_qubit.c1)
+    return enumerate_branches(bundle, input_qubit.c0, input_qubit.c1)
 
 
 # --- input averaging ---------------------------------------------------

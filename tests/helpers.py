@@ -1,19 +1,22 @@
 """Shared test utilities: random states, an independent operator-lifting
 oracle built by basis-index enumeration, a density-matrix protocol oracle,
-a looped correction search and a one-draw-at-a-time twirl (all
-deliberately not the library path)."""
+a looped correction search, a one-draw-at-a-time twirl and a projection
+oracle for the branch tables (all deliberately not the library path)."""
 
 import itertools
 import math
 
 import numpy as np
 
-from tripsim.core import InputQubit, StateVector
+from tripsim.bases import bell2, bob_x_basis, ghz_basis
+from tripsim.core import InputQubit, StateVector, partial_inner, project, tensor
 from tripsim.teleport import (
+    GHZ_EPR_CORRECTIONS,
     _DEGENERATE_CUT,
     _PROBE_PAIRS,
     _Correction,
     _columns,
+    _compose,
     _kraus_stack,
     _kron_letters,
     _residuals,
@@ -55,6 +58,36 @@ def chi_row(m, n, j, a0, a1, theta) -> np.ndarray:
         (1, 1, 1): [-a1 * c, -a0 * s],
     }
     return np.array(rows[(m, n, j)], dtype=complex)
+
+
+def tables_oracle(theta, c0, c1) -> dict:
+    """The five branch tables of the ghz-epr protocol, by projecting
+    c ⊗ GHZ onto each maximal Bell outcome (normalized pair state) and
+    taking the inner product with each receiver basis state."""
+    iq = InputQubit(c0, c1)
+    psi = tensor(iq.state(), ghz_basis(math.pi / 4, (0, 0, 0)))
+    x_pair = bob_x_basis(theta)
+    names = ("pair_states", "receiver_states", "corrections", "corrected_states", "fidelities")
+    tables = {name: {} for name in names}
+    for m in (0, 1):
+        for n in (0, 1):
+            _, eta = project(psi, bell2(math.pi / 4, (m, n)), (0, 1))
+            tables["pair_states"][f"{m}{n}"] = eta.amplitudes
+            for j in (0, 1):
+                key = f"{m}{n}{j}"
+                chi = partial_inner(eta, x_pair[j], (0,)).amplitudes
+                desc = GHZ_EPR_CORRECTIONS[(m, n, j)]
+                fixed = _compose(desc) @ chi
+                norm2 = float(np.vdot(fixed, fixed).real)
+                tables["receiver_states"][key] = chi
+                tables["corrections"][key] = desc
+                tables["corrected_states"][key] = fixed
+                tables["fidelities"][key] = (
+                    abs(np.vdot(iq.state().amplitudes, fixed)) ** 2 / norm2
+                    if norm2 > 1e-14
+                    else None
+                )
+    return tables
 
 
 def lift_operator(op: np.ndarray, targets, n: int) -> np.ndarray:

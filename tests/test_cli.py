@@ -1,3 +1,4 @@
+import cmath
 import contextlib
 import io
 import json
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from helpers import chi_row, eta_row, tables_oracle
 from tripsim import cli
 from tripsim.cli import ExperimentConfig, main, run
 from tripsim.core import InvariantViolation
@@ -72,18 +74,49 @@ class TestCommands:
         assert payload["tag"] == "genuine-ghz"
         assert payload["diagnostics"]["three_tangle"] == pytest.approx(1.0)
 
-    def test_tables_match_protocol(self, capsys):
-        code, out = _run(["tables", "--theta", "0.6", "--c0", "0.6", "--c1", "0.8"], capsys)
+    @pytest.mark.parametrize(
+        "theta, c0, c1",
+        [
+            (0.6, 0.6, 0.8),
+            (0.0, 1.0, 0.0),
+            (0.0, 0.6, -0.8j),
+            (math.pi / 2, 0.6, 0.8j),
+            (1.1, math.sqrt(0.3), math.sqrt(0.7) * cmath.exp(0.9j)),
+        ],
+        ids=[
+            "theta-0.6", "theta-0-c1-zero", "theta-0-imaginary", "theta-half-pi", "theta-1.1-phase",
+        ],
+    )
+    def test_tables_match_protocol(self, theta, c0, c1, capsys):
+        argv = ["tables", f"--theta={theta!r}", f"--c0={complex(c0)!r}", f"--c1={complex(c1)!r}"]
+        code, out = _run(argv, capsys)
         assert code == 0
         payload = json.loads(out)
-        s, c = math.sin(0.6), math.cos(0.6)
-        row = payload["receiver_states"]["000"]
-        np.testing.assert_allclose(
-            [row[0][0], row[1][0]], [0.6 * s, 0.8 * c], atol=1e-12
-        )
-        assert payload["corrections"]["011"] == "XZ"
-        pair = payload["pair_states"]["01"]
-        np.testing.assert_allclose([pair[0][0], pair[3][0]], [0.8, 0.6], atol=1e-12)
+        expected = tables_oracle(theta, c0, c1)
+        for name, table in expected.items():
+            assert list(payload[name]) == list(table)
+            for key, want in table.items():
+                got = payload[name][key]
+                if name == "corrections":
+                    assert got == want
+                elif name == "fidelities":
+                    assert (got is None) == (want is None)
+                    assert got is None or abs(got - want) <= 1e-12
+                else:
+                    np.testing.assert_allclose(
+                        [complex(re, im) for re, im in got], want, rtol=0, atol=1e-12
+                    )
+        # The closed-form rows, independent of both derivations.
+        for key, row in payload["receiver_states"].items():
+            m, n, j = map(int, key)
+            np.testing.assert_allclose(
+                [complex(re, im) for re, im in row], chi_row(m, n, j, c0, c1, theta), atol=1e-12
+            )
+        for key, row in payload["pair_states"].items():
+            m, n = map(int, key)
+            np.testing.assert_allclose(
+                [complex(re, im) for re, im in row], eta_row(m, n, c0, c1), atol=1e-12
+            )
 
     def test_noise_sweep_csv(self, capsys):
         code, out = _run(
@@ -171,11 +204,25 @@ class TestDeterminismAndConfig:
             (["fidelity-surface", "--grid", str(cli.MAX_SURFACE_GRID + 1)], {}),
             (["twirl", "--samples", str(cli.MAX_TWIRL_SAMPLES + 1)], {}),
             (["twirl", "--d", str(cli.MAX_TWIRL_D + 1), "--samples", "1"], {}),
+            (["noise-sweep", "--protocol", "ghz-meas", "--target", "3", "--grid", "1:0:0.1"], {}),
+            (
+                [
+                    "noise-sweep", "--protocol", "ghz-meas", "--target", "3",
+                    "--grid", "0.5:0.2:0.1", "--format", "csv",
+                ],
+                {},
+            ),
+            (["teleport", "--protocol", "ghz-epr", "--theta1", "0.3"], {}),
+            (["teleport", "--protocol", "ghz-via-3epr", "--c0", "0.3"], {}),
+            (["teleport", "--protocol", "ghz-meas", "--a", "0.5"], {}),
+            (["noise-sweep", "--protocol", "ghz-meas", "--target", "3", "--theta1", "0.4"], {}),
         ],
         ids=[
             "nan-amplitude", "flat-state-file", "zero-samples", "noise-grid-too-fine",
             "noise-grid-subnormal-step", "noise-grid-infinite", "surface-grid-too-large",
-            "too-many-twirl-samples", "twirl-d-too-large",
+            "too-many-twirl-samples", "twirl-d-too-large", "noise-grid-reversed",
+            "noise-grid-empty-csv", "teleport-stray-angle", "teleport-stray-input-amplitude",
+            "teleport-stray-channel-amplitude", "noise-sweep-stray-angle",
         ],
     )
     def test_bad_input_exits_2_without_traceback(self, argv, files, tmp_path, monkeypatch, capsys):

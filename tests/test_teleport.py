@@ -21,6 +21,7 @@ from tripsim.teleport import (
     avg_fidelity_surface,
     closed_form_avg_fidelity,
     coerce_pair,
+    enumerate_branches,
     protocol_bundle,
     teleport_epr_via_ghz,
     teleport_ghz_epr,
@@ -28,7 +29,6 @@ from tripsim.teleport import (
     teleport_ghz_via_3epr,
     teleport_w_channel,
     _compose,
-    _enumerate,
     _epr_via_ghz_bundle,
     _searched_corrections,
     _three_epr_bundle,
@@ -445,7 +445,7 @@ def test_live_outcome_without_correction_is_an_invariant_violation():
     del corrections[(0, 0, 0)]
     broken = dataclasses.replace(bundle, corrections=corrections)
     with pytest.raises(InvariantViolation, match="correction-coverage"):
-        _enumerate(broken, 0.6, 0.8)
+        enumerate_branches(broken, 0.6, 0.8)
     with pytest.raises(InvariantViolation, match="correction-coverage"):
         average_fidelity(broken)
 
