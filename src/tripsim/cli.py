@@ -23,7 +23,7 @@ import numpy as np
 
 from . import bases, noise, nonlocality, teleport
 from .classify import classify as classify_state, diagnostics
-from .core import InvariantViolation, StateVector
+from .core import InvariantViolation, StateVector, clamp_unit
 from .twirl import twirl_report
 
 SCHEMA_TAG = "tripsim/1"
@@ -205,10 +205,13 @@ def _normalized_tuple(values, what: str) -> tuple[complex, ...]:
     vec = np.array([complex(v) for v in values])
     if not np.isfinite(vec).all():
         raise ValueError(f"{what} amplitudes must be finite")
-    norm = float(np.linalg.norm(vec))
-    if norm == 0.0:
+    peak = np.abs(vec.view(float)).max()
+    if peak == 0.0:
         raise ValueError(f"{what} amplitudes must not all vanish")
-    return tuple(vec / norm)
+    if not 1e-100 <= peak <= 1e100:
+        # Rescale first so that the norm neither overflows nor underflows.
+        vec = (vec.view(float) / peak).view(complex)
+    return tuple(vec / np.linalg.norm(vec))
 
 
 # --- command payloads ----------------------------------------------------
@@ -326,31 +329,21 @@ def _parse_grid(text: str) -> np.ndarray:
 
 
 def _cmd_noise_sweep(params: dict, seed: int) -> dict:
-    protocol = params.get("protocol")
-    if protocol not in teleport.PROTOCOL_NAMES:
-        raise ValueError(f"--protocol must be one of {teleport.PROTOCOL_NAMES}")
+    protocol, channel = params.get("protocol"), params.get("channel", "bitflip")
     target = [int(t) for t in str(params.get("target", "")).split(",") if t != ""]
     if not target:
         raise ValueError("noise-sweep requires --target INDEX[,INDEX...]")
     grid = _parse_grid(params.get("grid", "0:1:0.05"))
     # Every other flag is a protocol parameter; protocol_bundle checks it.
-    angles = {
-        k: v for k, v in params.items() if k not in ("protocol", "channel", "target", "grid")
-    }
-    rows = noise.noisy_teleport_sweep(
-        protocol,
-        params.get("channel", "bitflip"),
-        target if len(target) > 1 else target[0],
-        grid,
-        params=angles,
-    )
+    angles = {k: v for k, v in params.items() if k not in ("protocol", "channel", "target", "grid")}
+    rows = noise.noisy_teleport_sweep(protocol, channel, target, grid, params=angles)
     return {
         "schema": SCHEMA_TAG,
         "command": "noise-sweep",
         "protocol": protocol,
-        "channel": params.get("channel", "bitflip"),
+        "channel": channel,
         "target": target,
-        "rows": [[p, min(max(f, 0.0), 1.0)] for p, f in rows],
+        "rows": [[p, clamp_unit(f, "noise-sweep fidelity")] for p, f in rows],
     }
 
 
@@ -390,9 +383,8 @@ def _cmd_tables(params: dict, seed: int) -> dict:
         tables["corrections"][key] = corrections[l].desc
         tables["corrected_states"][key] = _cvec(fixed[l])
         norm2 = float(np.vdot(fixed[l], fixed[l]).real)
-        tables["fidelities"][key] = (
-            min(max(abs(np.vdot(c, fixed[l])) ** 2 / norm2, 0.0), 1.0) if norm2 > 1e-14 else None
-        )
+        fid = abs(np.vdot(c, fixed[l])) ** 2 / norm2 if norm2 > 1e-14 else None
+        tables["fidelities"][key] = None if fid is None else clamp_unit(fid, "tables fidelity")
     return {
         "schema": SCHEMA_TAG,
         "command": "tables",

@@ -46,6 +46,18 @@ class InvariantViolation(ValueError):
         super().__init__(f"{invariant}: {detail}")
 
 
+def clamp_unit(value, what: str):
+    """Clamp a probability or fidelity (a scalar or an array) onto [0, 1].
+    Only rounding is absorbed: a value more than ``NORM_ATOL`` outside, or
+    NaN, raises ``InvariantViolation("unit-interval")``."""
+    array = isinstance(value, np.ndarray)
+    low, high = (value.min(), value.max()) if array else (float(value),) * 2
+    if not (low >= -NORM_ATOL and high <= 1.0 + NORM_ATOL):
+        bad = high if low >= -NORM_ATOL else low
+        raise InvariantViolation("unit-interval", f"{what} {float(bad)!r} lies outside [0, 1]")
+    return np.clip(value, 0.0, 1.0) if array else min(max(low, 0.0), 1.0)
+
+
 class RegisterCapacityError(InvariantViolation):
     """Tensor product would exceed the dense register cap."""
 
@@ -340,8 +352,7 @@ def fidelity_pure(rho: DensityOp, target: StateVector) -> float:
         raise ValueError(
             f"dimension mismatch: rho dim {rho.dim}, target dim {target.dim}"
         )
-    value = float(np.vdot(target.amplitudes, rho.matrix @ target.amplitudes).real)
-    return min(max(value, 0.0), 1.0)
+    return clamp_unit(np.vdot(target.amplitudes, rho.matrix @ target.amplitudes).real, "fidelity")
 
 
 def schmidt_decompose(s: StateVector, left) -> SchmidtData:

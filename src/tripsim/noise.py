@@ -1,11 +1,10 @@
 """Kraus-channel noise on protocol resources, with fidelity-vs-noise sweeps.
 
 Noise is applied to the resource state after preparation and before any
-measurement. A sweep expands the channel on each target qubit into pure
-Kraus terms N_j|R>, whose projectors sum to the noisy resource, and runs
-every term through the protocol's Kraus stack via
-:func:`tripsim.teleport.average_fidelity`, which averages over inputs
-exactly.
+measurement. A sweep builds the protocol's resource response W once
+(:func:`tripsim.teleport.resource_response`); per channel parameter it
+applies the channel to the resource density, target qubit by target
+qubit, and reads the exact input-averaged fidelity off as sum(W * rho).
 """
 
 from __future__ import annotations
@@ -15,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DensityOp, InvariantViolation, PAULI_X, PAULI_Y, PAULI_Z, StateVector
-from .teleport import ProtocolBundle, average_fidelity, protocol_bundle
+from .core import DensityOp, InvariantViolation, PAULI_X, PAULI_Y, PAULI_Z
+from .teleport import ProtocolBundle, protocol_bundle, resource_response
 
 _COMPLETENESS_ATOL = 1e-12
 
@@ -129,18 +128,6 @@ def _resource_targets(bundle: ProtocolBundle, target) -> tuple[int, ...]:
     return tuple(t - lo for t in targets)
 
 
-def _noisy_resource_terms(resource: StateVector, kraus, targets) -> np.ndarray:
-    """Rows N_j|R>, one per product of Kraus operators on the targets; the
-    sum of their projectors is the noisy resource density matrix."""
-    n = resource.num_qubits
-    ops = np.stack(kraus)
-    terms = resource.amplitudes.reshape((1,) + (2,) * n)
-    for q in targets:
-        applied = np.tensordot(ops, terms, axes=([2], [q + 1]))
-        terms = np.moveaxis(applied, 1, q + 2).reshape((-1,) + (2,) * n)
-    return terms.reshape(len(terms), -1)
-
-
 def noisy_teleport_sweep(
     protocol: str,
     channel_kind: str,
@@ -152,9 +139,13 @@ def noisy_teleport_sweep(
     resource qubit(s), one row (p, fidelity) per channel parameter."""
     bundle = protocol_bundle(protocol, **(params or {}))
     local_targets = _resource_targets(bundle, target)
+    response = resource_response(bundle)
+    n, amps = bundle.resource.num_qubits, bundle.resource.amplitudes
     rows: list[tuple[float, float]] = []
     for p in np.asarray(p_grid, dtype=float):
-        ch = make_channel(channel_kind, float(p))
-        terms = _noisy_resource_terms(bundle.resource, ch.kraus, local_targets)
-        rows.append((float(p), average_fidelity(bundle, terms)))
+        kraus = make_channel(channel_kind, float(p)).kraus
+        rho = np.outer(amps, amps.conj())
+        for q in local_targets:
+            rho = _apply_kraus_1q(rho, n, kraus, q)
+        rows.append((float(p), float((response * rho).sum().real)))
     return rows

@@ -5,7 +5,8 @@ product basis (Bell pairs, the three-qubit basis, a rotated single-qubit
 basis, computational kets), a per-outcome correction lookup, and a target
 state to score against. A bundle compiles to one stack of logical Kraus
 operators (:func:`_kraus_stack`) that serves the per-input reports, the
-correction search, the exact input averages and the noise sweeps.
+correction search and the resource response behind the exact input
+averages and the noise sweeps.
 Branches are enumerated in lexicographic label order. Two fidelity
 accountings are kept side by side: the sum of ``tr(rho_in rho~_f)`` over
 unnormalized corrected branch operators, and the probability-weighted sum
@@ -28,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from .bases import WChannelSpec, bell2, bob_x_basis, ghz_basis
-from .core import PAULIS, InputQubit, InvariantViolation, StateVector, tensor
+from .core import PAULIS, InputQubit, InvariantViolation, StateVector, clamp_unit, tensor
 
 _MAX = math.pi / 4
 _DEGENERATE_CUT = 1e-14
@@ -72,7 +73,7 @@ class TeleportReport:
         return float(sum(b.probability for b in self.branches))
 
     def to_dict(self) -> dict:
-        unit = lambda v: None if v is None else min(max(float(v), 0.0), 1.0)
+        unit = lambda v: None if v is None else clamp_unit(v, "teleport payload value")
         return {
             "protocol": self.protocol,
             "params": {k: _jsonable(v) for k, v in self.params.items()},
@@ -513,7 +514,7 @@ def enumerate_branches(bundle: ProtocolBundle, c0: complex, c1: complex) -> Tele
             continue
         sum_traced += abs(np.vdot(target, corrected)) ** 2
         post = StateVector(corrected / math.sqrt(p))
-        fid = min(max(abs(np.vdot(target, post.amplitudes)) ** 2, 0.0), 1.0)
+        fid = clamp_unit(abs(np.vdot(target, post.amplitudes)) ** 2, "branch fidelity")
         sum_weighted += p * fid
         if corr.success:
             success_p += p
@@ -592,44 +593,45 @@ _OCTAHEDRON = (
     (math.sqrt(0.5), -1j * math.sqrt(0.5)),
 )
 
-# Resource terms evaluated per stack, so many-term noise expansions stay
-# within a few megabytes.
-_TERM_CHUNK = 64
+# Resource basis rows per Kraus stack while a response is built, so the
+# 64-row ghz-via-3epr build needs well under a megabyte of scratch.
+_BASIS_BLOCK = 4
 
 
-def _term_fidelities(bundle: ProtocolBundle, resource_terms: np.ndarray) -> np.ndarray:
-    """Exact input-averaged branch-summed fidelity of each resource term.
+def resource_response(bundle: ProtocolBundle) -> np.ndarray:
+    """The resource response W: the exact input-averaged branch-summed
+    fidelity of a resource density rho is sum(W * rho), linear in rho.
 
-    Row j of ``resource_terms`` is a pure (possibly unnormalized) resource
-    term N_j|R>; entry j of the result is its six-state mean fidelity.
+    W = (1/6) sum_{n,l} a a^† over the octahedron inputs c_n and outcomes
+    l, with a[r] = <t_n| K_l(e_r) c_n for the resource basis rows e_r.
     Raises ``InvariantViolation("correction-coverage")`` if an outcome
-    without a correction is live for any term and averaged input.
+    without a correction is live for any basis row and averaged input,
+    which covers every resource density.
     """
     inputs = np.array(_OCTAHEDRON, dtype=complex)
     targets = inputs @ _columns(bundle.target_state).T
-    per_term = []
-    probs = np.zeros((len(inputs), len(bundle.outcomes)))
-    for start in range(0, len(resource_terms), _TERM_CHUNK):
-        stack = _kraus_stack(bundle, resource_terms[start : start + _TERM_CHUNK])
-        residuals, chunk_probs = _residuals(stack, inputs)
-        overlaps = np.einsum("nd,jnld->jnl", targets.conj(), residuals)
-        per_term.append((overlaps.real**2 + overlaps.imag**2).sum(axis=(1, 2)))
-        probs += chunk_probs
+    basis = np.eye(1 << bundle.resource.num_qubits, dtype=complex)
+    a = np.empty((len(basis), len(inputs), len(bundle.outcomes)), dtype=complex)
+    probs = 0.0
+    for start in range(0, len(basis), _BASIS_BLOCK):
+        stack = _kraus_stack(bundle, basis[start : start + _BASIS_BLOCK])
+        residuals, block_probs = _residuals(stack, inputs)
+        a[start : start + _BASIS_BLOCK] = np.einsum("nd,jnld->jnl", targets.conj(), residuals)
+        probs = probs + block_probs
     _require_corrections(bundle, probs)
-    return np.concatenate(per_term) / len(inputs)
+    return np.einsum("rnl,snl->rs", a, a.conj()) / len(inputs)
 
 
-def average_fidelity(bundle: ProtocolBundle, resource_terms=None) -> float:
+def average_fidelity(bundle: ProtocolBundle, rho=None) -> float:
     """Exact input-averaged branch-summed fidelity of a protocol bundle.
 
-    ``resource_terms`` lists pure resource terms N_j|R> (rows) whose
-    projectors sum to a mixed resource; by default the bundle's own pure
-    resource. Raises ``InvariantViolation("correction-coverage")`` if an
-    outcome without a correction is live for any of the averaged inputs.
+    ``rho`` is a resource density matrix, by default the projector onto
+    the bundle's own pure resource. Raises
+    ``InvariantViolation("correction-coverage")`` as :func:`resource_response`.
     """
-    if resource_terms is None:
-        resource_terms = bundle.resource.amplitudes[None]
-    return float(_term_fidelities(bundle, resource_terms).sum())
+    if rho is None:
+        rho = np.outer(bundle.resource.amplitudes, bundle.resource.amplitudes.conj())
+    return float((resource_response(bundle) * rho).sum().real)
 
 
 def average_fidelity_ghz_meas(theta_channel: float, theta_meas: float) -> float:
@@ -645,8 +647,9 @@ def closed_form_avg_fidelity(theta_channel: float, theta_meas: float) -> float:
 def avg_fidelity_surface(theta_grid, phi_grid=None) -> FidelitySurface:
     """Input-averaged fidelity over a grid of (channel, measurement) angles.
 
-    One Kraus stack per measurement angle carries every channel angle as a
-    resource term; ``values[i, j]`` belongs to (theta_grid[i], phi_grid[j]).
+    One resource response W_phi per measurement angle, evaluated as
+    R_theta^T W_phi R_theta^* for every channel angle; ``values[i, j]``
+    belongs to (theta_grid[i], phi_grid[j]).
     """
     theta_grid = np.asarray(theta_grid, dtype=float)
     phi_grid = theta_grid if phi_grid is None else np.asarray(phi_grid, dtype=float)
@@ -654,7 +657,6 @@ def avg_fidelity_surface(theta_grid, phi_grid=None) -> FidelitySurface:
         if grid.min() < 0.0 or grid.max() > math.pi / 2 + 1e-12:
             raise ValueError("grid angles must lie in [0, pi/2]")
     channels = np.stack([ghz_basis(th, (0, 0, 0)).amplitudes for th in theta_grid])
-    values = np.stack(
-        [_term_fidelities(_ghz_meas_bundle(_MAX, ph), channels) for ph in phi_grid], axis=1
-    )
-    return FidelitySurface(theta_grid, phi_grid, np.clip(values, 0.0, 1.0))
+    responses = np.stack([resource_response(_ghz_meas_bundle(_MAX, ph)) for ph in phi_grid])
+    values = np.einsum("ir,jrs,is->ij", channels, responses, channels.conj()).real
+    return FidelitySurface(theta_grid, phi_grid, clamp_unit(values, "surface fidelity"))

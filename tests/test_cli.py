@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from helpers import chi_row, eta_row, tables_oracle
-from tripsim import cli
+from tripsim import cli, teleport
 from tripsim.cli import ExperimentConfig, main, run
 from tripsim.core import InvariantViolation
 from tripsim.noise import CHANNELS
@@ -257,6 +257,48 @@ class TestDeterminismAndConfig:
         assert code == 0
         phi_of_second_row = out.strip().split("\n")[2].split(",")[1]
         assert phi_of_second_row == f"{math.pi / 4:.17g}"
+
+
+class TestNoSilentClamp:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["teleport", "--protocol", "ghz-meas"],
+            ["fidelity-surface", "--grid", "3"],
+            ["noise-sweep", "--protocol", "ghz-meas", "--target", "3", "--grid", "0:1:0.5"],
+        ],
+        ids=["teleport", "fidelity-surface", "noise-sweep"],
+    )
+    def test_scaled_correction_exits_1(self, argv, monkeypatch, capsys):
+        # Scaling every ghz-meas correction by 1.1 scales the maximal
+        # fidelity to 1.21; it must not be clamped to 1.
+        compose = teleport._compose
+        monkeypatch.setattr(teleport, "_compose", lambda letters: 1.1 * compose(letters))
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("invariant violated [unit-interval]: ")
+        assert "1.21" in captured.err
+
+
+class TestAmplitudeScale:
+    @pytest.mark.parametrize("scale", ["1e200", "1e-200", "5e-324"])
+    @pytest.mark.parametrize(
+        "argv, flags",
+        [
+            (["teleport", "--protocol", "ghz-epr"], ("--c0", "--c1")),
+            (["teleport", "--protocol", "w-channel"], ("--a", "--b", "--c")),
+            (["tables"], ("--c0", "--c1")),
+        ],
+        ids=["teleport", "w-channel", "tables"],
+    )
+    def test_extreme_amplitudes_normalize_like_unit_ones(self, argv, flags, scale, capsys):
+        unit = [arg for flag in flags for arg in (flag, "1")]
+        scaled = [arg for flag in flags for arg in (flag, scale)]
+        assert main(argv + unit) == 0
+        expected = capsys.readouterr()
+        assert main(argv + scaled) == 0
+        assert capsys.readouterr() == expected
 
 
 def _ghz_state_file(path) -> str:

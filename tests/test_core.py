@@ -16,6 +16,7 @@ from tripsim.core import (
     RegisterCapacityError,
     StateVector,
     apply_local,
+    clamp_unit,
     fidelity_pure,
     haar_unitary,
     partial_inner,
@@ -221,6 +222,23 @@ class TestFidelity:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             fidelity_pure(DensityOp(np.eye(2) / 2), StateVector([1, 0, 0, 0]))
+
+
+class TestClampUnit:
+    def test_absorbs_rounding_only(self):
+        assert clamp_unit(1 + 1e-12, "f") == 1.0
+        assert clamp_unit(-1e-12, "f") == 0.0
+        assert clamp_unit(0.25, "f") == 0.25
+        np.testing.assert_array_equal(
+            clamp_unit(np.array([[1 + 1e-12, 0.5], [-1e-12, 0.0]]), "f"), [[1.0, 0.5], [0.0, 0.0]]
+        )
+
+    @pytest.mark.parametrize(
+        "value", [1.21, -1e-6, math.nan, np.array([0.5, 1.0 + 1e-8]), np.array([0.5, math.nan])]
+    )
+    def test_beyond_rounding_is_an_invariant_violation(self, value):
+        with pytest.raises(InvariantViolation, match="unit-interval: f .* lies outside"):
+            clamp_unit(value, "f")
 
 
 class TestSchmidt:

@@ -23,7 +23,8 @@ from tripsim.noise import (
     noisy_teleport_sweep,
     phase_flip,
 )
-from tripsim.teleport import PROTOCOL_NAMES, protocol_bundle
+from tripsim import teleport
+from tripsim.teleport import PROTOCOL_NAMES, average_fidelity, protocol_bundle
 
 MAX = math.pi / 4
 ALL_CHANNELS = (bit_flip, phase_flip, depolarizing, amplitude_damping)
@@ -163,16 +164,34 @@ class TestSweep:
         rows = noisy_teleport_sweep(protocol, kind, targets, grid)
         for (_, fid), p in zip(rows, grid):
             noisy = _noisy_resource_rho(bundle, kind, p, targets)
-            assert abs(fid - six_state_mean(average_fidelity_density, bundle, noisy)) < 1e-12
+            oracle = six_state_mean(average_fidelity_density, bundle, noisy)
+            assert abs(fid - oracle) < 1e-12
+            assert abs(average_fidelity(bundle, noisy) - oracle) < 1e-12
 
     def test_many_term_expansion_matches_density_oracle(self):
-        # Four depolarized qubits give 4^4 = 256 pure resource terms, more
-        # than one evaluation chunk holds.
+        # Depolarizing four or all six resource qubits would expand into
+        # 4^4 = 256 or 4^6 = 4096 pure Kraus terms; the sweep applies the
+        # channel to the resource density instead.
         bundle = protocol_bundle("ghz-via-3epr")
-        targets = [3, 5, 7, 8]
-        rows = noisy_teleport_sweep("ghz-via-3epr", "depolarizing", targets, [0.37])
-        noisy = _noisy_resource_rho(bundle, "depolarizing", 0.37, targets)
-        assert abs(rows[0][1] - six_state_mean(average_fidelity_density, bundle, noisy)) < 1e-12
+        for targets, grid in (([3, 5, 7, 8], [0.37]), ([3, 4, 5, 6, 7, 8], np.linspace(0, 1, 5))):
+            rows = noisy_teleport_sweep("ghz-via-3epr", "depolarizing", targets, grid)
+            for (_, fid), p in zip(rows, grid):
+                noisy = _noisy_resource_rho(bundle, "depolarizing", p, targets)
+                assert abs(fid - six_state_mean(average_fidelity_density, bundle, noisy)) < 1e-12
+
+    def test_sweep_cost_does_not_grow_with_targets_or_points(self, monkeypatch):
+        # The resource response is built once per sweep, so six targets over
+        # five points cost no more Kraus stacks than one target at one point.
+        calls = []
+        kraus_stack = teleport._kraus_stack
+        monkeypatch.setattr(
+            teleport, "_kraus_stack", lambda *args: calls.append(1) or kraus_stack(*args)
+        )
+        noisy_teleport_sweep("ghz-via-3epr", "depolarizing", 3, [0.37])
+        single = len(calls)
+        calls.clear()
+        noisy_teleport_sweep("ghz-via-3epr", "depolarizing", range(3, 9), np.linspace(0, 1, 5))
+        assert 0 < len(calls) <= single
 
     def test_fully_depolarized_channel_delivers_coin_flip(self):
         rows = noisy_teleport_sweep("ghz-meas", "depolarizing", [1, 2, 3], [1.0])
