@@ -288,6 +288,8 @@ def _load_state(path: str) -> StateVector:
         values = [complex(re, im) for re, im in amps]
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: amplitudes must be a list of [re, im] pairs") from exc
+    if len(values) != 8:
+        raise ValueError(f"{path}: a three-qubit state has 8 amplitude pairs, got {len(values)}")
     return StateVector(values)
 
 
@@ -360,7 +362,7 @@ def _cmd_tables(params: dict, seed: int) -> dict:
     theta = float(params.get("theta", math.pi / 4))
     bundle = teleport.protocol_bundle("ghz-epr", bob_theta=theta)
     corrections = [bundle.corrections[label] for label, _ in bundle.outcomes]
-    fixed = teleport._kraus_stack(bundle, bundle.resource.amplitudes[None])[0] @ c
+    fixed = teleport._kraus_stack(bundle) @ c
     chi = np.stack([corr.matrix.conj().T @ row for corr, row in zip(corrections, fixed)])
     # Outcomes run in (m, n, j) order, so p_mn sums consecutive pairs of rows.
     p_mn = (fixed.real**2 + fixed.imag**2).sum(axis=1).reshape(4, 2).sum(axis=1)

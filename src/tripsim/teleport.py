@@ -1,16 +1,18 @@
 """Teleportation protocols as exhaustively enumerated branch simulations.
 
-Every protocol is expressed as one joint projective measurement with a
-product basis (Bell pairs, the three-qubit basis, a rotated single-qubit
-basis, computational kets), a per-outcome correction lookup, and a target
-state to score against. A bundle compiles to one stack of logical Kraus
-operators (:func:`_kraus_stack`) that serves the per-input reports, the
-correction search and the resource response behind the exact input
-averages and the noise sweeps.
-Branches are enumerated in lexicographic label order. Two fidelity
-accountings are kept side by side: the sum of ``tr(rho_in rho~_f)`` over
-unnormalized corrected branch operators, and the probability-weighted sum
-of normalized branch fidelities; they must coincide.
+Every protocol is one joint projective measurement with a product basis
+(Bell pairs, the three-qubit basis, a rotated single-qubit basis,
+computational kets) and a per-outcome correction lookup; the receiver
+should end up holding the input encoding. Every input qubit is measured,
+so each outcome bra contracts the input encoding to a resource-independent
+factor (:func:`_branch_factors`). On the bundle's own resource it gives the
+Kraus stack (:func:`_kraus_stack`) behind the per-input reports and the
+correction search; on the resource basis, in closed form, it gives the
+resource response W behind the exact input averages and the noise sweeps.
+Branches are enumerated in lexicographic label order, with two fidelity
+accountings side by side that must coincide: the sum of ``tr(rho_in rho~_f)``
+over unnormalized corrected branches, and the probability-weighted sum of
+normalized branch fidelities.
 
 Register convention: input qubits first, resource qubits after, so e.g.
 the measurement-based single-qubit protocol lives on qubits (0 | 1 2 3)
@@ -128,7 +130,6 @@ class ProtocolBundle:
     outcomes: tuple[tuple[tuple, StateVector], ...]
     corrections: dict
     input_state: Callable
-    target_state: Callable
 
     @property
     def n_total(self) -> int:
@@ -172,49 +173,59 @@ def coerce_pair(pair) -> tuple[complex, complex]:
     return complex(pair.c0), complex(pair.c1)
 
 
-# --- the Kraus-stack engine --------------------------------------------
+# --- the branch-map engine ---------------------------------------------
 
 def _columns(make_state: Callable) -> np.ndarray:
     """The linear map (c0, c1) -> make_state(c0, c1) as a (dim, 2) matrix."""
     return np.stack([make_state(1, 0).amplitudes, make_state(0, 1).amplitudes], axis=1)
 
 
-def _kraus_stack(bundle: ProtocolBundle, resource_terms: np.ndarray) -> np.ndarray:
-    """Logical Kraus operators K[j, l] = C_l (<b_l| ⊗ 1)(E ⊗ |R_j>).
+def _branch_factors(bundle: ProtocolBundle):
+    """The resource-independent part of every branch map.
 
-    E encodes the input amplitudes into the input register and R_j runs
-    over the rows of ``resource_terms``, pure (possibly unnormalized)
-    resource states. The shape is (terms, outcomes, 2^(n - k), 2), so the
-    corrected residual of outcome l for input c is ``K[j, l] @ c``.
-    Outcomes without a correction keep the identity; :func:`_require_corrections`
-    rejects any of them that is live.
+    Precondition: the bundle measures all of its input qubits. Then the
+    outcome bra <b_l| contracts the input encoding E to B[l, m, c], where m
+    runs over the measured resource qubits, and for a resource R
+
+        K_l(R) c = C_l sum_m (B_l c)[m] R[m, u]
+
+    with u the unmeasured resource qubits, in ascending order. Returns B
+    as (outcomes, 2^|m|, 2), the resource qubit order (m, u), and the
+    correction stack C; outcomes without a correction keep the identity.
     """
-    n, k = bundle.n_total, len(bundle.meas_targets)
-    n_terms, n_outcomes = len(resource_terms), len(bundle.outcomes)
-    joint = np.einsum("ic,jr->jirc", _columns(bundle.input_state), resource_terms)
-    joint = joint.reshape((n_terms,) + (2,) * n + (2,))
+    n_in, k = bundle.n_input, len(bundle.meas_targets)
     bras = np.stack([bvec.amplitudes for _, bvec in bundle.outcomes]).conj()
-    raw = np.tensordot(
-        bras.reshape((n_outcomes,) + (2,) * k),
-        joint,
-        axes=(tuple(range(1, k + 1)), tuple(t + 1 for t in bundle.meas_targets)),
+    encoding = _columns(bundle.input_state).reshape((2,) * n_in + (2,))
+    factor = np.tensordot(
+        bras.reshape((len(bras),) + (2,) * k),
+        encoding,
+        axes=([bundle.meas_targets.index(q) + 1 for q in range(n_in)], list(range(n_in))),
     )
-    raw = raw.reshape(n_outcomes, n_terms, -1, 2).swapaxes(0, 1)
-    identity = np.eye(raw.shape[2], dtype=complex)
-    corrections = np.stack(
-        [
-            bundle.corrections[label].matrix if label in bundle.corrections else identity
-            for label, _ in bundle.outcomes
-        ]
-    )
-    return corrections @ raw
+    measured = tuple(q - n_in for q in bundle.meas_targets if q >= n_in)
+    kept = tuple(q - n_in for q in range(n_in, bundle.n_total) if q not in bundle.meas_targets)
+    identity = np.eye(1 << len(kept), dtype=complex)
+    fixes = [bundle.corrections.get(label) for label, _ in bundle.outcomes]
+    corrections = np.stack([identity if fix is None else fix.matrix for fix in fixes])
+    return factor.reshape(len(bras), -1, 2), measured + kept, corrections
+
+
+def _kraus_stack(bundle: ProtocolBundle) -> np.ndarray:
+    """Logical Kraus operators K[l] = C_l (<b_l| ⊗ 1)(E ⊗ |R>) of the bundle's
+    own resource R, shape (outcomes, 2^(n - k), 2), so the corrected
+    residual of outcome l for input c is ``K[l] @ c``. A live outcome
+    without a correction is for :func:`_require_corrections` to reject.
+    """
+    factor, order, corrections = _branch_factors(bundle)
+    resource = bundle.resource.amplitudes.reshape((2,) * len(order))
+    resource = resource.transpose(order).reshape(factor.shape[1], -1)
+    return corrections @ np.einsum("lmc,mu->luc", factor, resource)
 
 
 def _residuals(stack: np.ndarray, inputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Residuals K c of shape (terms, inputs, outcomes, dim) and the outcome
-    probabilities p[input, outcome], summed over the resource terms."""
-    residuals = np.einsum("jldc,nc->jnld", stack, inputs)
-    probs = (residuals.real**2 + residuals.imag**2).sum(axis=(0, 3))
+    """Residuals K c of shape (inputs, outcomes, dim) and the outcome
+    probabilities p[input, outcome]."""
+    residuals = np.einsum("ldc,nc->nld", stack, inputs)
+    probs = (residuals.real**2 + residuals.imag**2).sum(axis=2)
     return residuals, probs
 
 
@@ -247,11 +258,9 @@ def _searched_corrections(bundle: ProtocolBundle) -> dict:
     )
     matrices = np.stack([_kron_letters(letters) for letters in candidates])
     probes = np.array(_PROBE_PAIRS, dtype=complex)
-    residuals, probs = _residuals(_kraus_stack(bundle, bundle.resource.amplitudes[None]), probes)
-    targets = probes @ _columns(bundle.target_state).T
-    overlaps = np.einsum(
-        "ni,cij,nlj->cnl", targets.conj(), matrices, residuals[0], optimize=True
-    )
+    residuals, probs = _residuals(_kraus_stack(bundle), probes)
+    targets = probes @ _columns(bundle.input_state).T
+    overlaps = np.einsum("ni,cij,nlj->cnl", targets.conj(), matrices, residuals, optimize=True)
     live = probs > _DEGENERATE_CUT
     scores = (overlaps.real**2 + overlaps.imag**2) / np.where(live, probs, 1.0)
     worst = np.where(live, scores, np.inf).min(axis=1)
@@ -353,7 +362,6 @@ def _ghz_epr_bundle(bob_theta: float) -> ProtocolBundle:
         outcomes=outcomes,
         corrections=corrections,
         input_state=_single_state,
-        target_state=_single_state,
     )
 
 
@@ -371,7 +379,6 @@ def _ghz_meas_bundle(theta_channel: float, theta_meas: float) -> ProtocolBundle:
         outcomes=_ghz_outcomes(theta_meas),
         corrections=corrections,
         input_state=_single_state,
-        target_state=_single_state,
     )
 
 
@@ -385,7 +392,6 @@ def _epr_via_ghz_bundle(theta_channel: float, corrections=None) -> ProtocolBundl
         outcomes=_maximal_ghz_outcomes(),
         corrections=corrections if corrections is not None else {},
         input_state=_pair_state,
-        target_state=_pair_state,
     )
 
 
@@ -405,7 +411,6 @@ def _three_epr_bundle(thetas: tuple[float, float, float], corrections=None) -> P
         outcomes=_three_bell_outcomes(),
         corrections=corrections if corrections is not None else {},
         input_state=_ghz_input_state,
-        target_state=_ghz_input_state,
     )
 
 
@@ -424,7 +429,6 @@ def _w_channel_bundle(a: complex, b: complex, c: complex, corrections=None) -> P
         outcomes=_w_channel_outcomes(),
         corrections=corrections if corrections is not None else {},
         input_state=_single_state,
-        target_state=_single_state,
     )
 
 
@@ -434,9 +438,8 @@ def _w_channel_corrections():
     outcomes where the last channel qubit reads 0; the others deliver
     nothing and get no correction attempt."""
     table = _searched_corrections(_w_channel_success_bundle())
-    for m in (0, 1):
-        for n in (0, 1):
-            table[(m, n, 1)] = _Correction("none", np.eye(2, dtype=complex), success=False)
+    for m, n in itertools.product((0, 1), repeat=2):
+        table[(m, n, 1)] = _Correction("none", np.eye(2, dtype=complex), success=False)
     return table
 
 
@@ -455,9 +458,8 @@ def protocol_bundle(name: str, **params) -> ProtocolBundle:
         return _ghz_epr_bundle(float(params.get("bob_theta", _MAX)))
     if name == "ghz-meas":
         _allow(name, params, {"theta_channel", "theta_meas"})
-        return _ghz_meas_bundle(
-            float(params.get("theta_channel", _MAX)), float(params.get("theta_meas", _MAX))
-        )
+        angles = (float(params.get(k, _MAX)) for k in ("theta_channel", "theta_meas"))
+        return _ghz_meas_bundle(*angles)
     if name == "epr-via-ghz":
         _allow(name, params, {"theta_channel"})
         return _epr_via_ghz_bundle(
@@ -469,13 +471,8 @@ def protocol_bundle(name: str, **params) -> ProtocolBundle:
         return _three_epr_bundle(thetas, _three_epr_corrections())
     if name == "w-channel":
         _allow(name, params, {"a", "b", "c"})
-        symmetric = 1 / math.sqrt(3)
-        return _w_channel_bundle(
-            complex(params.get("a", symmetric)),
-            complex(params.get("b", symmetric)),
-            complex(params.get("c", symmetric)),
-            _w_channel_corrections(),
-        )
+        a, b, c = (complex(params.get(k, 1 / math.sqrt(3))) for k in "abc")
+        return _w_channel_bundle(a, b, c, _w_channel_corrections())
     raise ValueError(f"unknown protocol {name!r}")
 
 
@@ -489,15 +486,14 @@ def _allow(name: str, params: dict, keys: set):
 
 def enumerate_branches(bundle: ProtocolBundle, c0: complex, c1: complex) -> TeleportReport:
     """Every branch of a bundle for the normalized input (c0, c1), in outcome order."""
-    target = bundle.target_state(c0, c1).amplitudes
-    stack = _kraus_stack(bundle, bundle.resource.amplitudes[None])
-    residuals, probs = _residuals(stack, np.array([[c0, c1]], dtype=complex))
+    target = bundle.input_state(c0, c1).amplitudes
+    residuals, probs = _residuals(_kraus_stack(bundle), np.array([[c0, c1]], dtype=complex))
     _require_corrections(bundle, probs)
     records = []
     sum_weighted = 0.0
     sum_traced = 0.0
     success_p = 0.0
-    for (label, _), corrected, p in zip(bundle.outcomes, residuals[0, 0], probs[0]):
+    for (label, _), corrected, p in zip(bundle.outcomes, residuals[0], probs[0]):
         p = float(p)
         corr = bundle.corrections.get(label)
         if p < _DEGENERATE_CUT:
@@ -533,7 +529,8 @@ def teleport_ghz_epr(input_qubit: InputQubit, bob_theta: float) -> TeleportRepor
     """Maximal three-qubit channel, Bell measurement by the sender, rotated
     single-qubit measurement by the intermediary, lookup correction by the
     receiver; eight branches labeled (m, n, j)."""
-    return enumerate_branches(_ghz_epr_bundle(bob_theta), input_qubit.c0, input_qubit.c1)
+    bundle = protocol_bundle("ghz-epr", bob_theta=bob_theta)
+    return enumerate_branches(bundle, input_qubit.c0, input_qubit.c1)
 
 
 def teleport_ghz_measurement(
@@ -542,39 +539,35 @@ def teleport_ghz_measurement(
     """Three-qubit channel at theta_channel, joint three-qubit measurement at
     theta_meas, correction Z^mu X^lam; outcomes with lam != omega carry zero
     probability and are recorded as degenerate."""
-    return enumerate_branches(
-        _ghz_meas_bundle(theta_channel, theta_meas), input_qubit.c0, input_qubit.c1
-    )
+    bundle = protocol_bundle("ghz-meas", theta_channel=theta_channel, theta_meas=theta_meas)
+    return enumerate_branches(bundle, input_qubit.c0, input_qubit.c1)
 
 
 def teleport_epr_via_ghz(input_pair, theta_channel: float) -> TeleportReport:
     """Teleport an entangled pair a0|00> + a1|11> through a three-qubit
     channel: maximal three-qubit measurement on (0,1,2), searched two-qubit
     Pauli correction on the receiving pair."""
-    c0, c1 = coerce_pair(input_pair)
-    bundle = _epr_via_ghz_bundle(theta_channel, _epr_via_ghz_corrections())
-    return enumerate_branches(bundle, c0, c1)
+    bundle = protocol_bundle("epr-via-ghz", theta_channel=theta_channel)
+    return enumerate_branches(bundle, *coerce_pair(input_pair))
 
 
 def teleport_ghz_via_3epr(input_ghz, channels: tuple[float, float, float]) -> TeleportReport:
     """Teleport a0|000> + a1|111> through three pair channels with Bell
     measurements on (0,3), (1,5), (2,7); 64 branches, searched per-qubit
     Pauli corrections on the receiving triple (4,6,8)."""
-    c0, c1 = coerce_pair(input_ghz)
-    bundle = _three_epr_bundle(tuple(float(t) for t in channels), _three_epr_corrections())
-    return enumerate_branches(bundle, c0, c1)
+    channels = tuple(channels)
+    if len(channels) != 3:
+        raise ValueError(f"ghz-via-3epr takes three channel angles, got {len(channels)}")
+    bundle = protocol_bundle("ghz-via-3epr", **dict(zip(("theta1", "theta2", "theta3"), channels)))
+    return enumerate_branches(bundle, *coerce_pair(input_ghz))
 
 
 def teleport_w_channel(input_qubit: InputQubit, w) -> TeleportReport:
     """Probabilistic single-qubit teleport through a single-excitation
     channel: Bell measurement on (0,1), computational readout of the last
     channel qubit; readout 1 means no teleport (success=False)."""
-    if isinstance(w, WChannelSpec):
-        a, b, c = w.a, w.b, w.c
-    else:
-        a, b, c = (complex(x) for x in w)
-        WChannelSpec(a, b, c)
-    bundle = _w_channel_bundle(a, b, c, _w_channel_corrections())
+    a, b, c = (w.a, w.b, w.c) if isinstance(w, WChannelSpec) else w
+    bundle = protocol_bundle("w-channel", a=a, b=b, c=c)
     return enumerate_branches(bundle, input_qubit.c0, input_qubit.c1)
 
 
@@ -593,32 +586,28 @@ _OCTAHEDRON = (
     (math.sqrt(0.5), -1j * math.sqrt(0.5)),
 )
 
-# Resource basis rows per Kraus stack while a response is built, so the
-# 64-row ghz-via-3epr build needs well under a megabyte of scratch.
-_BASIS_BLOCK = 4
-
 
 def resource_response(bundle: ProtocolBundle) -> np.ndarray:
     """The resource response W: the exact input-averaged branch-summed
     fidelity of a resource density rho is sum(W * rho), linear in rho.
 
     W = (1/6) sum_{n,l} a a^† over the octahedron inputs c_n and outcomes
-    l, with a[r] = <t_n| K_l(e_r) c_n for the resource basis rows e_r.
+    l, with a[r] = <t_n| K_l(|r>) c_n for the resource basis states |r>.
+    The bundle must measure all of its input qubits: then the factors B, C
+    of :func:`_branch_factors` give a[(m, u)] = (B_l c_n)[m] <t_n|C_l|u>.
     Raises ``InvariantViolation("correction-coverage")`` if an outcome
-    without a correction is live for any basis row and averaged input,
-    which covers every resource density.
+    without a correction is live for any basis state and averaged input
+    (summed weight 2^|u| sum_m |(B_l c_n)[m]|^2), which covers every
+    resource density.
     """
     inputs = np.array(_OCTAHEDRON, dtype=complex)
-    targets = inputs @ _columns(bundle.target_state).T
-    basis = np.eye(1 << bundle.resource.num_qubits, dtype=complex)
-    a = np.empty((len(basis), len(inputs), len(bundle.outcomes)), dtype=complex)
-    probs = 0.0
-    for start in range(0, len(basis), _BASIS_BLOCK):
-        stack = _kraus_stack(bundle, basis[start : start + _BASIS_BLOCK])
-        residuals, block_probs = _residuals(stack, inputs)
-        a[start : start + _BASIS_BLOCK] = np.einsum("nd,jnld->jnl", targets.conj(), residuals)
-        probs = probs + block_probs
-    _require_corrections(bundle, probs)
+    factor, order, corrections = _branch_factors(bundle)
+    fed = np.einsum("lmc,nc->nlm", factor, inputs)
+    _require_corrections(bundle, (fed.real**2 + fed.imag**2).sum(axis=2) * len(corrections[0]))
+    targets = inputs @ _columns(bundle.input_state).T
+    delivered = np.einsum("nd,ldu->nlu", targets.conj(), corrections)
+    a = np.einsum("nlm,nlu->munl", fed, delivered).reshape((2,) * len(order) + (len(inputs), -1))
+    a = a.transpose(*np.argsort(order), -2, -1).reshape(1 << len(order), len(inputs), -1)
     return np.einsum("rnl,snl->rs", a, a.conj()) / len(inputs)
 
 

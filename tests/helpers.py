@@ -144,7 +144,7 @@ def average_fidelity_density(bundle, resource_rho: np.ndarray, c0, c1) -> float:
     n = bundle.n_total
     k = len(bundle.meas_targets)
     t = rho.reshape([2] * (2 * n))
-    target = bundle.target_state(c0, c1).amplitudes
+    target = bundle.input_state(c0, c1).amplitudes
     total = 0.0
     for label, bvec in bundle.outcomes:
         corr = bundle.corrections.get(label)
@@ -194,13 +194,13 @@ def looped_corrections(bundle) -> dict:
     outcome over the probe inputs for which the outcome is live."""
     width = bundle.n_total - len(bundle.meas_targets)
     probes = np.array(_PROBE_PAIRS, dtype=complex)
-    residuals, probs = _residuals(_kraus_stack(bundle, bundle.resource.amplitudes[None]), probes)
-    targets = probes @ _columns(bundle.target_state).T
+    residuals, probs = _residuals(_kraus_stack(bundle), probes)
+    targets = probes @ _columns(bundle.input_state).T
     per_label: dict[tuple, list] = {}
     for n, target in enumerate(targets):
         for i, (label, _) in enumerate(bundle.outcomes):
             if probs[n, i] > _DEGENERATE_CUT:
-                per_label.setdefault(label, []).append((residuals[0, n, i], target))
+                per_label.setdefault(label, []).append((residuals[n, i], target))
     return {
         label: search_pauli_correction(samples, width)
         for label, samples in per_label.items()

@@ -216,6 +216,8 @@ class TestDeterminismAndConfig:
             (["teleport", "--protocol", "ghz-via-3epr", "--c0", "0.3"], {}),
             (["teleport", "--protocol", "ghz-meas", "--a", "0.5"], {}),
             (["noise-sweep", "--protocol", "ghz-meas", "--target", "3", "--theta1", "0.4"], {}),
+            (["classify", "--state", "s.json"], {"s.json": {"amplitudes": [[0.25, 0]] * 7}}),
+            (["classify", "--state", "s.json"], {"s.json": {"amplitudes": [[0.25, 0]] * 16}}),
         ],
         ids=[
             "nan-amplitude", "flat-state-file", "zero-samples", "noise-grid-too-fine",
@@ -223,6 +225,7 @@ class TestDeterminismAndConfig:
             "too-many-twirl-samples", "twirl-d-too-large", "noise-grid-reversed",
             "noise-grid-empty-csv", "teleport-stray-angle", "teleport-stray-input-amplitude",
             "teleport-stray-channel-amplitude", "noise-sweep-stray-angle",
+            "classify-seven-pairs", "classify-sixteen-pairs",
         ],
     )
     def test_bad_input_exits_2_without_traceback(self, argv, files, tmp_path, monkeypatch, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,7 +12,7 @@ from helpers import (
     six_state_mean,
 )
 from tripsim.bases import ghz_basis
-from tripsim.core import DensityOp, InvariantViolation, PAULI_X
+from tripsim.core import DensityOp, InvariantViolation, PAULI_X, StateVector
 from tripsim.noise import (
     CHANNELS,
     KrausChannel,
@@ -104,7 +105,7 @@ def _full_space_oracle(bundle, resource_rho, c0, c1):
     n = bundle.n_total
     k = len(bundle.meas_targets)
     out_qubits = [q for q in range(n) if q not in bundle.meas_targets]
-    target = bundle.target_state(c0, c1).amplitudes
+    target = bundle.input_state(c0, c1).amplitudes
     total = 0.0
     for label, bvec in bundle.outcomes:
         corr = bundle.corrections.get(label)
@@ -168,6 +169,33 @@ class TestSweep:
             assert abs(fid - oracle) < 1e-12
             assert abs(average_fidelity(bundle, noisy) - oracle) < 1e-12
 
+    @pytest.mark.parametrize(
+        "protocol, params, qubit",
+        [("ghz-meas", {}, 1), ("ghz-via-3epr", {"theta1": 0.5, "theta2": 0.9, "theta3": 1.2}, 3)],
+    )
+    def test_response_orientation_matches_density_oracle(self, protocol, params, qubit):
+        # Complex outcome bras and a complex resource density tell W from
+        # its transpose; for ghz-via-3epr the rotated qubit 3 sits between
+        # kept resource qubits.
+        bundle = protocol_bundle(protocol, **params)
+        v = np.cos(0.3) * np.eye(2) - 1j * np.sin(0.3) * PAULI_X
+        v = v @ np.diag([1, np.exp(0.7j)])
+        slot = bundle.meas_targets.index(qubit)
+        k = len(bundle.meas_targets)
+        rotated = []
+        for label, bra in bundle.outcomes:
+            amps = np.moveaxis(bra.amplitudes.reshape((2,) * k), slot, 0)
+            amps = np.moveaxis(np.tensordot(v, amps, axes=1), 0, slot)
+            rotated.append((label, StateVector(amps.reshape(-1))))
+        bundle = dataclasses.replace(bundle, outcomes=tuple(rotated))
+        rng = np.random.default_rng(31)
+        dim = 1 << bundle.resource.num_qubits
+        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        rho = g @ g.conj().T
+        rho /= np.trace(rho).real
+        oracle = six_state_mean(average_fidelity_density, bundle, rho)
+        assert abs(average_fidelity(bundle, rho) - oracle) < 1e-12
+
     def test_many_term_expansion_matches_density_oracle(self):
         # Depolarizing four or all six resource qubits would expand into
         # 4^4 = 256 or 4^6 = 4096 pure Kraus terms; the sweep applies the
@@ -181,11 +209,11 @@ class TestSweep:
 
     def test_sweep_cost_does_not_grow_with_targets_or_points(self, monkeypatch):
         # The resource response is built once per sweep, so six targets over
-        # five points cost no more Kraus stacks than one target at one point.
+        # five points build no more branch factors than one target at one point.
         calls = []
-        kraus_stack = teleport._kraus_stack
+        branch_factors = teleport._branch_factors
         monkeypatch.setattr(
-            teleport, "_kraus_stack", lambda *args: calls.append(1) or kraus_stack(*args)
+            teleport, "_branch_factors", lambda *args: calls.append(1) or branch_factors(*args)
         )
         noisy_teleport_sweep("ghz-via-3epr", "depolarizing", 3, [0.37])
         single = len(calls)

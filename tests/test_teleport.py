@@ -369,6 +369,11 @@ class TestGhzVia3Epr:
         )
         assert abs(report.total_probability - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("channels", [(MAX, MAX), (MAX, MAX, MAX, MAX)])
+    def test_channel_count_other_than_three_is_refused(self, channels):
+        with pytest.raises(ValueError, match="three channel angles"):
+            teleport_ghz_via_3epr((0.6, 0.8), channels)
+
 
 class TestWChannel:
     def test_plus_outcome_branch_state(self):
