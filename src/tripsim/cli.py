@@ -69,7 +69,7 @@ _SCHEMAS = {
                     "required": ["label", "p", "correction", "fidelity"],
                     "properties": {
                         "p": _UNIT,
-                        "fidelity": {"oneOf": [_UNIT, {"type": "null"}]},
+                        "fidelity": {**_UNIT, "type": ["number", "null"]},
                     },
                 },
             },
@@ -101,10 +101,7 @@ _SCHEMAS = {
         "required": ["schema", "command", "protocol", "channel", "target", "rows"],
         "properties": {
             "schema": {"const": SCHEMA_TAG},
-            "rows": {
-                "type": "array",
-                "items": {"type": "array", "prefixItems": [_UNIT, _UNIT]},
-            },
+            "rows": {"type": "array", "items": {"type": "array", "items": _UNIT}},
         },
     },
     "tables": {
@@ -126,66 +123,46 @@ _TYPES = {
     "boolean": lambda v: isinstance(v, bool),
     "null": lambda v: v is None,
 }
-_KEYWORDS = {
-    "type", "required", "properties", "items", "prefixItems", "const", "minimum", "maximum",
-    "oneOf",
-}
-
-
-class _Mismatch(InvariantViolation):
-    # A value failing a rule. ``oneOf`` catches only this, so an unknown
-    # keyword inside one of its branches still raises.
-    def __init__(self, where: str, why: str):
-        super().__init__("payload-schema", f"{where}: {why}")
+_KEYWORDS = {"type", "required", "properties", "items", "const", "minimum", "maximum"}
 
 
 def _check(value, schema: dict, where: str = "$") -> None:
     """Check a payload against one of the schemas above.
 
-    Interprets exactly the keywords those schemas use; a schema with any
-    other keyword or type name raises, so no rule is skipped silently. A
-    ``number`` is a finite int or float, never a bool. Payloads are built
-    by the library from range-checked inputs, so a mismatch is an
+    Interprets exactly the seven keywords those schemas use: ``type``,
+    ``required``, ``properties``, ``items``, ``const``, ``minimum`` and
+    ``maximum``. ``type`` is one type name or a list of them, any of which
+    may match. A schema with any other keyword or type name raises, so no
+    rule is skipped silently. A ``number`` is a finite int or float, never
+    a bool; ``minimum`` and ``maximum`` apply to numbers only. Payloads are
+    built by the library from range-checked inputs, so a mismatch is an
     ``InvariantViolation("payload-schema")``.
     """
-    unknown = sorted(schema.keys() - _KEYWORDS)
-    if "type" in schema and schema["type"] not in _TYPES:
-        unknown.append(f"type {schema['type']!r}")
+    fail = lambda why: InvariantViolation("payload-schema", f"{where}: {why}")
+    types = schema.get("type", ())
+    types = (types,) if isinstance(types, str) else types
+    unknown = sorted(schema.keys() - _KEYWORDS) + [f"type {t!r}" for t in types if t not in _TYPES]
     if unknown:
-        raise InvariantViolation("payload-schema", f"{where}: unknown schema keywords {unknown}")
-    if "type" in schema and not _TYPES[schema["type"]](value):
-        raise _Mismatch(where, f"{reprlib.repr(value)} is not of type {schema['type']}")
+        raise fail(f"unknown schema keywords {unknown}")
+    if types and not any(_TYPES[t](value) for t in types):
+        raise fail(f"{reprlib.repr(value)} is not of type {' or '.join(types)}")
     if "const" in schema and value != schema["const"]:
-        raise _Mismatch(where, f"{reprlib.repr(value)} is not {schema['const']!r}")
+        raise fail(f"{reprlib.repr(value)} is not {schema['const']!r}")
     if _is_number(value):
         if "minimum" in schema and not value >= schema["minimum"]:
-            raise _Mismatch(where, f"{value!r} is below {schema['minimum']!r}")
+            raise fail(f"{value!r} is below {schema['minimum']!r}")
         if "maximum" in schema and not value <= schema["maximum"]:
-            raise _Mismatch(where, f"{value!r} is above {schema['maximum']!r}")
+            raise fail(f"{value!r} is above {schema['maximum']!r}")
     if isinstance(value, dict):
         missing = [key for key in schema.get("required", ()) if key not in value]
         if missing:
-            raise _Mismatch(where, f"missing required keys {missing}")
+            raise fail(f"missing required keys {missing}")
         for key, sub in schema.get("properties", {}).items():
             if key in value:
                 _check(value[key], sub, f"{where}.{key}")
-    if isinstance(value, list):
-        prefix = schema.get("prefixItems", [])
+    if isinstance(value, list) and "items" in schema:
         for i, item in enumerate(value):
-            sub = prefix[i] if i < len(prefix) else schema.get("items")
-            if sub is not None:
-                _check(item, sub, f"{where}[{i}]")
-    if "oneOf" in schema:
-        hits = 0
-        for sub in schema["oneOf"]:
-            try:
-                _check(value, sub, where)
-                hits += 1
-            except _Mismatch:
-                pass
-        if hits != 1:
-            branches = len(schema["oneOf"])
-            raise _Mismatch(where, f"{reprlib.repr(value)} matches {hits} of {branches} oneOf branches")
+            _check(item, schema["items"], f"{where}[{i}]")
 
 
 @dataclass(frozen=True)
@@ -469,8 +446,11 @@ def run(config: ExperimentConfig) -> int:
 # --- argument parsing ----------------------------------------------------
 
 def _build_parser() -> argparse.ArgumentParser:
+    # allow_abbrev=False on every parser: a prefix such as --b must not
+    # silently stand for --bob-theta.
     parser = argparse.ArgumentParser(
         prog="tripsim",
+        allow_abbrev=False,
         description="Tripartite-entanglement experiments: bases, twirls, "
         "paradox reports, teleportation protocols, noise sweeps.",
     )
@@ -489,10 +469,10 @@ def _build_parser() -> argparse.ArgumentParser:
         angles.add_argument(f"--{flag}", type=float)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("paradox", parents=[common], help="three-party local-realism paradox report")
+    p = sub.add_parser("paradox", parents=[common], allow_abbrev=False, help="three-party local-realism paradox report")
     p.add_argument("--theta", type=float, default=math.pi / 4)
 
-    p = sub.add_parser("teleport", parents=[common, angles], help="run one protocol, emit the branch report")
+    p = sub.add_parser("teleport", parents=[common, angles], allow_abbrev=False, help="run one protocol, emit the branch report")
     p.add_argument("--protocol", required=True, choices=teleport.PROTOCOL_NAMES)
     p.add_argument("--c0", type=complex, help="input amplitude (normalized with --c1)")
     p.add_argument("--c1", type=complex)
@@ -502,25 +482,25 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=complex)
     p.add_argument("--c", type=complex)
 
-    p = sub.add_parser("fidelity-surface", parents=[common], help="input-averaged fidelity grid")
+    p = sub.add_parser("fidelity-surface", parents=[common], allow_abbrev=False, help="input-averaged fidelity grid")
     p.add_argument("--grid", type=int, default=21)
 
-    p = sub.add_parser("twirl", parents=[common], help="Monte-Carlo twirl against the analytic family")
+    p = sub.add_parser("twirl", parents=[common], allow_abbrev=False, help="Monte-Carlo twirl against the analytic family")
     p.add_argument("--family", choices=("werner", "isotropic"), default="werner")
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--invariant", type=float, default=0.5)
     p.add_argument("--samples", type=int, default=2000)
 
-    p = sub.add_parser("classify", parents=[common], help="classify a three-qubit pure state")
+    p = sub.add_parser("classify", parents=[common], allow_abbrev=False, help="classify a three-qubit pure state")
     p.add_argument("--state", required=True, help="JSON file with [re,im] amplitude pairs")
 
-    p = sub.add_parser("noise-sweep", parents=[common, angles], help="fidelity versus channel parameter")
+    p = sub.add_parser("noise-sweep", parents=[common, angles], allow_abbrev=False, help="fidelity versus channel parameter")
     p.add_argument("--protocol", required=True, choices=teleport.PROTOCOL_NAMES)
     p.add_argument("--channel", choices=sorted(noise.CHANNELS), default="bitflip")
     p.add_argument("--target", required=True, help="resource qubit index (comma list allowed)")
     p.add_argument("--grid", default="0:1:0.05", help="start:stop:step")
 
-    p = sub.add_parser("tables", parents=[common], help="numeric branch tables for the Bell+rotated-basis protocol")
+    p = sub.add_parser("tables", parents=[common], allow_abbrev=False, help="numeric branch tables for the Bell+rotated-basis protocol")
     p.add_argument("--c0", type=complex)
     p.add_argument("--c1", type=complex)
     p.add_argument("--theta", type=float, default=math.pi / 4)

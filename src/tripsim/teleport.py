@@ -490,38 +490,23 @@ def enumerate_branches(bundle: ProtocolBundle, c0: complex, c1: complex) -> Tele
     residuals, probs = _residuals(_kraus_stack(bundle), np.array([[c0, c1]], dtype=complex))
     _require_corrections(bundle, probs)
     records = []
-    sum_weighted = 0.0
-    sum_traced = 0.0
-    success_p = 0.0
     for (label, _), corrected, p in zip(bundle.outcomes, residuals[0], probs[0]):
         p = float(p)
         corr = bundle.corrections.get(label)
-        if p < _DEGENERATE_CUT:
-            records.append(
-                BranchRecord(
-                    outcome=label,
-                    probability=p,
-                    correction=corr.desc if corr else "n/a",
-                    post_state=None,
-                    fidelity=None,
-                    success=corr.success if corr else True,
-                )
-            )
-            continue
-        sum_traced += abs(np.vdot(target, corrected)) ** 2
-        post = StateVector(corrected / math.sqrt(p))
-        fid = clamp_unit(abs(np.vdot(target, post.amplitudes)) ** 2, "branch fidelity")
-        sum_weighted += p * fid
-        if corr.success:
-            success_p += p
-        records.append(BranchRecord(label, p, corr.desc, post, fid, corr.success))
+        post = fid = None
+        if not p < _DEGENERATE_CUT:  # a NaN weight reaches StateVector and raises
+            post = StateVector(corrected / math.sqrt(p))
+            fid = clamp_unit(abs(np.vdot(target, post.amplitudes)) ** 2, "branch fidelity")
+        desc, success = (corr.desc, corr.success) if corr else ("n/a", True)
+        records.append(BranchRecord(label, p, desc, post, fid, success))
+    live = [(b, row) for b, row in zip(records, residuals[0]) if b.fidelity is not None]
     return TeleportReport(
         protocol=bundle.name,
         params=bundle.params,
         branches=tuple(records),
-        avg_fidelity=sum_weighted,
-        avg_fidelity_traced=float(sum_traced),
-        success_probability=success_p,
+        avg_fidelity=sum(b.probability * b.fidelity for b, _ in live),
+        avg_fidelity_traced=float(sum(abs(np.vdot(target, row)) ** 2 for _, row in live)),
+        success_probability=sum((b.probability for b, _ in live if b.success), 0.0),
     )
 
 

@@ -218,6 +218,9 @@ class TestDeterminismAndConfig:
             (["noise-sweep", "--protocol", "ghz-meas", "--target", "3", "--theta1", "0.4"], {}),
             (["classify", "--state", "s.json"], {"s.json": {"amplitudes": [[0.25, 0]] * 7}}),
             (["classify", "--state", "s.json"], {"s.json": {"amplitudes": [[0.25, 0]] * 16}}),
+            (["noise-sweep", "--protocol", "ghz-epr", "--target", "1", "--grid", "0:0:1", "--b", "0.3"], {}),
+            (["teleport", "--protocol", "ghz-meas", "--theta-m", "0.3"], {}),
+            (["--form=json", "paradox"], {}),
         ],
         ids=[
             "nan-amplitude", "flat-state-file", "zero-samples", "noise-grid-too-fine",
@@ -225,7 +228,8 @@ class TestDeterminismAndConfig:
             "too-many-twirl-samples", "twirl-d-too-large", "noise-grid-reversed",
             "noise-grid-empty-csv", "teleport-stray-angle", "teleport-stray-input-amplitude",
             "teleport-stray-channel-amplitude", "noise-sweep-stray-angle",
-            "classify-seven-pairs", "classify-sixteen-pairs",
+            "classify-seven-pairs", "classify-sixteen-pairs", "noise-sweep-b-prefix",
+            "teleport-theta-m-prefix", "global-form-prefix",
         ],
     )
     def test_bad_input_exits_2_without_traceback(self, argv, files, tmp_path, monkeypatch, capsys):
@@ -235,7 +239,11 @@ class TestDeterminismAndConfig:
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error:")
+        err = captured.err
+        if err.startswith("usage: tripsim"):
+            # argparse refused a flag: usage, then "tripsim: error: ...".
+            err = err.splitlines()[-1].removeprefix("tripsim: ")
+        assert err.startswith("error:")
         assert "Traceback" not in captured.err
 
     def test_invariant_violation_exits_1(self, tmp_path, capsys):
@@ -334,6 +342,12 @@ class TestPayloadCheck:
         cli._check(payload, cli._SCHEMAS[command])
         assert payload["command"] == command
 
+    def test_null_branch_fidelities_pass(self, capsys):
+        # ghz-meas records its four lam != omega outcomes as dead branches.
+        assert main(["teleport", "--protocol", "ghz-meas"]) == 0
+        branches = json.loads(capsys.readouterr().out)["branches"]
+        assert sum(b["fidelity"] is None for b in branches) == 4
+
     @pytest.mark.parametrize(
         "command, mutate",
         [
@@ -347,11 +361,12 @@ class TestPayloadCheck:
             ("teleport", lambda p: p["branches"][0].update(fidelity=1.25)),
             ("teleport", lambda p: p["branches"][0].update(fidelity="0.5")),
             ("teleport", lambda p: p.pop("command")),
+            ("noise-sweep", lambda p: p["rows"][1].append(2.0)),
         ],
         ids=[
             "missing-key", "schema-tag", "p-1.5", "nan-avg-fidelity", "nan-surface-value",
             "bool-number", "noise-row", "branch-fidelity-1.25", "branch-fidelity-string",
-            "teleport-missing-command",
+            "teleport-missing-command", "noise-row-third-item",
         ],
     )
     def test_mutated_payload_exits_1(self, command, mutate, monkeypatch, capsys):
@@ -382,8 +397,9 @@ class TestPayloadCheck:
             {"type": "string"},
             {"oneOf": [{"type": "null"}, {"type": "number", "format": "float"}]},
             {"type": "array", "items": {"uniqueItems": True}},
+            {"type": ["number", "string"]},
         ],
-        ids=["keyword", "type-name", "inside-oneOf", "nested"],
+        ids=["keyword", "type-name", "inside-oneOf", "nested", "type-list"],
     )
     def test_unknown_keyword_raises(self, schema):
         with pytest.raises(InvariantViolation, match="unknown schema keywords"):

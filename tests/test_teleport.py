@@ -455,6 +455,18 @@ def test_live_outcome_without_correction_is_an_invariant_violation():
         average_fidelity(broken)
 
 
+def test_nan_branch_weight_is_an_invariant_violation():
+    # A NaN weight fails every comparison; the branch cut must send it to
+    # the normalization check rather than record the branch as dead.
+    bundle = protocol_bundle("ghz-meas")
+    corrections = dict(bundle.corrections)
+    corr = corrections[(0, 0, 0)]
+    corrections[(0, 0, 0)] = dataclasses.replace(corr, matrix=np.full_like(corr.matrix, np.nan))
+    broken = dataclasses.replace(bundle, corrections=corrections)
+    with np.errstate(invalid="ignore"), pytest.raises(InvariantViolation, match="state-normalization"):
+        enumerate_branches(broken, 0.6, 0.8)
+
+
 @pytest.mark.parametrize(
     "bundle",
     [
