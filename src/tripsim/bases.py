@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InvariantViolation, NORM_ATOL, StateVector
+from .core import InvariantViolation, NORM_ATOL, StateVector, within
 
 
 def _check_angle(name: str, value: float) -> float:
@@ -66,7 +66,7 @@ class GeneralBellSpec:
         if beta.shape != (self.d, self.d):
             raise ValueError(f"beta must be {self.d}x{self.d}, got {beta.shape}")
         col_norms = (beta**2).sum(axis=0)
-        if not np.allclose(col_norms, 1.0, atol=NORM_ATOL, rtol=0.0):
+        if not within(col_norms, 1.0, NORM_ATOL):
             raise InvariantViolation(
                 "bell-column-normalization",
                 f"beta columns have squared norms {col_norms}",
@@ -188,7 +188,7 @@ def w_basis(theta: float, phi: float, k: int) -> StateVector:
         raise ValueError(f"k must be in 1..8, got {k}")
     family = np.stack([_w_amplitudes(theta, phi, j) for j in range(1, 9)])
     gram = family @ family.conj().T
-    if not np.allclose(gram, np.eye(8), atol=1e-9, rtol=0.0):
+    if not within(gram, np.eye(8), 1e-9):
         raise InvariantViolation(
             "w-basis-orthonormality", f"Gram check failed at theta={theta}, phi={phi}"
         )

@@ -24,6 +24,9 @@ GENUINE_GHZ = "genuine-ghz"
 
 _PARTITIONS = ("A|BC", "B|AC", "C|AB")
 
+_YY = np.kron(PAULI_Y, PAULI_Y)
+_YY.setflags(write=False)
+
 
 @dataclass(frozen=True)
 class EntClass:
@@ -59,8 +62,7 @@ def concurrence(rho: DensityOp | np.ndarray) -> float:
     mat = rho.matrix if isinstance(rho, DensityOp) else np.asarray(rho, dtype=complex)
     if mat.shape != (4, 4):
         raise ValueError(f"concurrence needs a 4x4 operator, got {mat.shape}")
-    yy = np.kron(PAULI_Y, PAULI_Y)
-    flipped = yy @ mat.conj() @ yy
+    flipped = _YY @ mat.conj() @ _YY
     eigs = np.sort(np.linalg.eigvals(mat @ flipped).real)[::-1]
     # Null modes come back as O(eps) values whose square roots would inject
     # ~1e-8 noise into the subtraction; flush them before taking roots.

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DensityOp, InvariantViolation, PAULI_X, PAULI_Y, PAULI_Z
+from .core import DensityOp, InvariantViolation, PAULI_X, PAULI_Y, PAULI_Z, within
 from .teleport import ProtocolBundle, protocol_bundle, resource_response
 
 _COMPLETENESS_ATOL = 1e-12
@@ -33,7 +33,7 @@ class KrausChannel:
         object.__setattr__(self, "kraus", mats)
         dim = mats[0].shape[0]
         acc = sum(k.conj().T @ k for k in mats)
-        if not np.allclose(acc, np.eye(dim), atol=_COMPLETENESS_ATOL, rtol=0.0):
+        if not within(acc, np.eye(dim), _COMPLETENESS_ATOL):
             raise InvariantViolation(
                 "kraus-completeness", "sum K†K differs from identity beyond 1e-12"
             )

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -27,7 +27,16 @@ class PauliString:
         return len(self.letters)
 
     def matrix(self) -> np.ndarray:
-        return reduce(np.kron, (PAULIS[ch] for ch in self.letters))
+        """The Kronecker product of the letters' matrices, built once per
+        letter string and shared read-only."""
+        return _string_matrix(self.letters)
+
+
+@lru_cache(maxsize=64)
+def _string_matrix(letters: str) -> np.ndarray:
+    m = reduce(np.kron, (PAULIS[ch] for ch in letters))
+    m.setflags(write=False)
+    return m
 
 
 @dataclass(frozen=True)

@@ -349,10 +349,6 @@ def _ghz_epr_bundle(bob_theta: float) -> ProtocolBundle:
         for (m, n), bell in _bell_outcomes()
         for j in (0, 1)
     )
-    corrections = {
-        label: _Correction(desc, _compose(desc))
-        for label, desc in GHZ_EPR_CORRECTIONS.items()
-    }
     return ProtocolBundle(
         name="ghz-epr",
         params={"bob_theta": bob_theta},
@@ -360,16 +356,20 @@ def _ghz_epr_bundle(bob_theta: float) -> ProtocolBundle:
         resource=ghz_basis(_MAX, (0, 0, 0)),
         meas_targets=(0, 1, 2),
         outcomes=outcomes,
-        corrections=corrections,
+        corrections=_ghz_epr_corrections(),
         input_state=_single_state,
     )
 
 
+@lru_cache(maxsize=1)
+def _ghz_epr_corrections():
+    return {
+        label: _Correction(desc, _compose(desc))
+        for label, desc in GHZ_EPR_CORRECTIONS.items()
+    }
+
+
 def _ghz_meas_bundle(theta_channel: float, theta_meas: float) -> ProtocolBundle:
-    corrections = {}
-    for mu, lam, om in itertools.product((0, 1), repeat=3):
-        desc = "Z" * mu + "X" * lam or "I"
-        corrections[(mu, lam, om)] = _Correction(desc, _compose(desc))
     return ProtocolBundle(
         name="ghz-meas",
         params={"theta_channel": theta_channel, "theta_meas": theta_meas},
@@ -377,9 +377,19 @@ def _ghz_meas_bundle(theta_channel: float, theta_meas: float) -> ProtocolBundle:
         resource=ghz_basis(theta_channel, (0, 0, 0)),
         meas_targets=(0, 1, 2),
         outcomes=_ghz_outcomes(theta_meas),
-        corrections=corrections,
+        corrections=_ghz_meas_corrections(),
         input_state=_single_state,
     )
+
+
+@lru_cache(maxsize=1)
+def _ghz_meas_corrections():
+    """Z^mu X^lam for outcome (mu, lam, omega)."""
+    table = {}
+    for mu, lam, om in itertools.product((0, 1), repeat=3):
+        desc = "Z" * mu + "X" * lam or "I"
+        table[(mu, lam, om)] = _Correction(desc, _compose(desc))
+    return table
 
 
 def _epr_via_ghz_bundle(theta_channel: float, corrections=None) -> ProtocolBundle:

@@ -1,5 +1,6 @@
 import cmath
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -282,9 +283,13 @@ class TestNoSilentClamp:
     )
     def test_scaled_correction_exits_1(self, argv, monkeypatch, capsys):
         # Scaling every ghz-meas correction by 1.1 scales the maximal
-        # fidelity to 1.21; it must not be clamped to 1.
-        compose = teleport._compose
-        monkeypatch.setattr(teleport, "_compose", lambda letters: 1.1 * compose(letters))
+        # fidelity to 1.21; it must not be clamped to 1. The table is built
+        # once per process, so the scaled copy replaces the cached one.
+        scaled = {
+            label: dataclasses.replace(fix, matrix=1.1 * fix.matrix)
+            for label, fix in teleport._ghz_meas_corrections().items()
+        }
+        monkeypatch.setattr(teleport, "_ghz_meas_corrections", lambda: scaled)
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -1,9 +1,13 @@
 import math
+import re
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from helpers import lift_operator, random_state
 from tripsim.core import (
@@ -16,6 +20,7 @@ from tripsim.core import (
     RegisterCapacityError,
     StateVector,
     apply_local,
+    check_density,
     clamp_unit,
     fidelity_pure,
     haar_unitary,
@@ -24,6 +29,7 @@ from tripsim.core import (
     project,
     schmidt_decompose,
     tensor,
+    within,
 )
 from tripsim.bases import bell2, ghz_basis
 
@@ -72,6 +78,108 @@ class TestDensityOp:
         with pytest.raises(InvariantViolation, match="density-positivity"):
             DensityOp(np.diag([1.5, -0.5]))
 
+    # Before the NaN-safe checks, the infinite off-diagonal passed: the
+    # all-close test counts inf as close to inf, and eigvalsh then returns
+    # NaN, which no `<` comparison flags.
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            [[0.5, math.inf], [math.inf, 0.5]],
+            [[0.5, complex(0, math.inf)], [complex(0, -math.inf), 0.5]],
+            [[0.5, 0.0], [0.0, math.nan]],
+        ],
+        ids=["inf", "complex-inf", "nan"],
+    )
+    def test_rejects_non_finite_entries_without_warning(self, matrix):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvariantViolation):
+                DensityOp(np.array(matrix, dtype=complex))
+
+    def test_rejects_empty_matrix(self):
+        with pytest.raises(InvariantViolation, match="density-trace"):
+            DensityOp(np.zeros((0, 0)))
+
+    def test_rejects_a_stack(self):
+        with pytest.raises(InvariantViolation, match="density-shape"):
+            DensityOp(np.stack([np.eye(2) / 2] * 2))
+
+    def test_stack_check_names_the_failing_invariant(self):
+        good = np.stack([np.eye(2) / 2, np.diag([0.3, 0.7])]).astype(complex)
+        check_density(good)
+        for name, index, matrix in [
+            ("density-hermitian", 1, [[0.3, 0.1], [0.0, 0.7]]),
+            ("density-trace", 0, [[0.5, 0.0], [0.0, 0.6]]),
+            ("density-positivity", 1, [[-0.3, 0.0], [0.0, 1.3]]),
+        ]:
+            bad = good.copy()
+            bad[index] = matrix
+            with pytest.raises(InvariantViolation, match=name):
+                check_density(bad)
+
+
+_FINITE = {
+    "real": st.floats(-1e3, 1e3),
+    "complex": st.complex_numbers(max_magnitude=1e3),
+}
+
+
+@st.composite
+def _close_pairs(draw):
+    """(a, b, atol): b is a's shape, a trailing part of it, or a scalar, with
+    entries a small shift away from a's so both verdicts occur."""
+    kind = draw(st.sampled_from(sorted(_FINITE)))
+    dtype = complex if kind == "complex" else float
+    shape = draw(hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4))
+    a = draw(hnp.arrays(dtype, shape, elements=_FINITE[kind]))
+    atol = draw(st.sampled_from([0.0, 1e-12, 1e-9, 0.5]))
+    tail = shape[len(shape) - draw(st.integers(0, len(shape))):]
+    shift = draw(hnp.arrays(float, tail, elements=st.sampled_from([0.0, atol / 2, atol, 2 * atol, 1.0])))
+    base = a[(0,) * (len(shape) - len(tail))] if a.size else np.zeros(tail, dtype)
+    b = base + shift
+    if draw(st.booleans()) and b.ndim == 0:
+        b = b.item()
+    return a, b, atol
+
+
+class TestWithin:
+    @settings(max_examples=300, deadline=None)
+    @given(_close_pairs())
+    def test_matches_numpy_on_finite_input(self, case):
+        a, b, atol = case
+        assert within(a, b, atol) == np.allclose(a, b, atol=atol, rtol=0.0)
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (math.nan, math.nan),
+            (math.inf, math.inf),
+            (-math.inf, -math.inf),
+            (math.inf, 1.0),
+            (complex(math.inf, 0.0), complex(math.inf, 0.0)),
+            (complex(1.0, math.nan), 1.0),
+            (np.array([[0.5, math.inf], [math.inf, 0.5]]), np.eye(2)),
+            (np.array([1.0, math.nan]), np.array([1.0, 1.0])),
+        ],
+    )
+    def test_non_finite_fails_without_warning(self, a, b):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert within(a, b, 1.0) is False
+
+
+def test_package_has_one_tolerance_check():
+    # `within` rejects NaN and inf; numpy's all-close tests pass inf == inf.
+    package = Path(__file__).resolve().parent.parent / "src" / "tripsim"
+    calls = re.compile(r"\b(allclose|isclose)\s*\(")
+    found = [
+        f"{path.name}:{n}"
+        for path in sorted(package.glob("*.py"))
+        for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if calls.search(line)
+    ]
+    assert found == []
+
 
 class TestTensor:
     def test_basis_product(self):
@@ -88,6 +196,13 @@ class TestTensor:
         s = random_state(np.random.default_rng(5), 3)
         out = tensor(s, StateVector([1.0]))
         np.testing.assert_allclose(out.amplitudes, s.amplitudes)
+
+    def test_bitwise_equal_to_kron(self):
+        rng = np.random.default_rng(7)
+        for na, nb in [(0, 1), (1, 1), (1, 3), (2, 2), (3, 1)]:
+            a, b = random_state(rng, na), random_state(rng, nb)
+            expected = np.kron(a.amplitudes, b.amplitudes)
+            assert tensor(a, b).amplitudes.tobytes() == expected.tobytes()
 
     def test_register_cap(self):
         a = StateVector.computational(7, 0)

@@ -40,6 +40,14 @@ class TestPauliExpectation:
         with pytest.raises(ValueError):
             pauli_expectation(GHZ, "XX")
 
+    def test_matrix_is_shared_and_read_only(self):
+        m = PauliString("XYY").matrix()
+        assert PauliString("XYY").matrix() is m
+        assert (m == reduce(np.kron, (PAULIS[ch] for ch in "XYY"))).all()
+        assert not m.flags.writeable
+        with pytest.raises(ValueError):
+            m[0, 0] = 1.0
+
     def test_bad_letters(self):
         with pytest.raises(ValueError):
             PauliString("XQZ")

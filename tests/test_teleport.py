@@ -512,6 +512,31 @@ def test_cached_outcome_bras_are_read_only():
                 bra.amplitudes[0] = 0.0
 
 
+# Correction tables are parameter-free too: one per protocol and process,
+# shared by every bundle whatever its angles.
+_CACHED_TABLES = {
+    "ghz-epr": teleport._ghz_epr_corrections,
+    "ghz-meas": teleport._ghz_meas_corrections,
+    "epr-via-ghz": teleport._epr_via_ghz_corrections,
+    "ghz-via-3epr": teleport._three_epr_corrections,
+    "w-channel": teleport._w_channel_corrections,
+}
+_BUNDLE_PARAMS = (
+    {},
+    {"ghz-epr": {"bob_theta": 0.3}, "ghz-meas": {"theta_channel": 0.2, "theta_meas": 1.1},
+     "epr-via-ghz": {"theta_channel": 0.4}, "ghz-via-3epr": {"theta1": 0.3, "theta3": 0.7},
+     "w-channel": {"a": 0.8, "b": 0.6j, "c": 0.0}},
+)
+
+
+def test_correction_tables_are_shared_across_calls_and_angles():
+    for protocol, cached in _CACHED_TABLES.items():
+        table = cached()
+        assert cached() is table
+        for params in _BUNDLE_PARAMS:
+            assert protocol_bundle(protocol, **params.get(protocol, {})).corrections is table
+
+
 _ANGLE_SETS = (
     {"ghz-epr": (0.3,), "ghz-meas": (0.2, 1.1), "epr-via-ghz": (0.4,),
      "ghz-via-3epr": ((0.3, 0.5, 0.7),), "w-channel": ((0.5, 0.5, math.sqrt(0.5)),)},

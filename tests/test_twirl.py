@@ -6,7 +6,7 @@ import pytest
 from helpers import looped_haar_averages, looped_haar_unitary
 from tripsim import twirl
 from tripsim.bases import bell2, ghz_basis
-from tripsim.core import DensityOp, StateVector, haar_unitaries, haar_unitary
+from tripsim.core import DensityOp, InvariantViolation, StateVector, haar_unitaries, haar_unitary
 from tripsim.twirl import (
     GenWerner3Q,
     IsotropicParams,
@@ -199,16 +199,40 @@ class TestBlockedTwirl:
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     @pytest.mark.parametrize("family", ["werner", "isotropic"])
-    def test_report_histories_match_looped_oracle(self, family, d, monkeypatch):
+    def test_report_histories_match_looped_oracle(self, family, d):
+        # The oracle takes each looped checkpoint average through the public
+        # DensityOp and trace_distance, one at a time.
         invariant = 0.3 if family == "werner" else 0.6
+        if family == "werner":
+            target, conjugate_second = werner(WernerParams(d, invariant)), False
+        else:
+            target, conjugate_second = isotropic(IsotropicParams(d, invariant)), True
         for samples in _sample_counts(d):
             fast_rng, slow_rng = np.random.default_rng(samples), np.random.default_rng(samples)
             fast = twirl_report(family, d, invariant, samples, fast_rng)
-            with monkeypatch.context() as patch:
-                patch.setattr(twirl, "_haar_averages", looped_haar_averages)
-                slow = twirl_report(family, d, invariant, samples, slow_rng)
-            assert fast == slow, samples
+            slow = [
+                (stop, trace_distance(DensityOp(average), target))
+                for stop, average in looped_haar_averages(
+                    target, samples, slow_rng, conjugate_second, 10
+                )
+            ]
+            assert fast == {
+                "family": family, "d": d, "invariant": invariant, "trace_distance_history": slow
+            }, samples
             assert fast_rng.standard_normal() == slow_rng.standard_normal()
+
+    def test_report_rejects_a_non_hermitian_checkpoint(self, monkeypatch):
+        def skewed(*args):
+            averages = looped_haar_averages(*args)
+            stop, average = averages[4]
+            average = average.copy()
+            average[0, 1] += 1e-6
+            averages[4] = (stop, average)
+            return averages
+
+        monkeypatch.setattr(twirl, "_haar_averages", skewed)
+        with pytest.raises(InvariantViolation, match="density-hermitian"):
+            twirl_report("werner", 2, 0.3, 50, np.random.default_rng(0))
 
     def test_blocks_stay_within_the_entry_budget(self, monkeypatch):
         counts = []
