@@ -179,7 +179,7 @@ def w_basis(theta: float, phi: float, k: int) -> StateVector:
     """k-th member (1..8) of the single-excitation-family basis.
 
     The full Gram matrix is verified at construction; parameter values
-    where it fails the 1e-12 identity check are rejected (none are
+    where it fails the 1e-9 identity check are rejected (none are
     expected for real angles).
     """
     _check_angle("theta", theta)

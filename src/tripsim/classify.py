@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DensityOp, PAULI_Y, StateVector, partial_trace
+from .core import DensityOp, PAULI_Y, StateVector, _reduced_matrix, check_density
 
 EPS = 1e-9
 
@@ -56,6 +56,10 @@ class ReducedDiagnostics:
             "three_tangle": self.three_tangle,
         }
 
+    def verdict(self) -> EntClass:
+        """The :func:`classify` decision, read off these diagnostics."""
+        return _decide(self.single_qubit_purities, self.three_tangle)
+
 
 def concurrence(rho: DensityOp | np.ndarray) -> float:
     """Spin-flip concurrence of a two-qubit (possibly mixed) state."""
@@ -97,28 +101,52 @@ def three_tangle(s: StateVector) -> float:
     return float(min(1.0, 4.0 * abs(d1 - 2.0 * d2 + 4.0 * d3)))
 
 
-def diagnostics(s: StateVector) -> ReducedDiagnostics:
-    """Purities tr(rho_k^2), pair concurrences, and the 3-tangle."""
+_SINGLES = ((0,), (1,), (2,))
+_PAIRS = ((0, 1), (0, 2), (1, 2))
+
+
+def _projector(s: StateVector) -> np.ndarray:
     if s.num_qubits != 3:
         raise ValueError(f"diagnostics needs a 3-qubit state, got {s.num_qubits}")
-    rho = DensityOp.from_pure(s)
-    purities = tuple(partial_trace(rho, [q]).purity() for q in range(3))
-    pairs = ((0, 1), (0, 2), (1, 2))
-    concurrences = tuple(concurrence(partial_trace(rho, pair)) for pair in pairs)
+    return np.outer(s.amplitudes, s.amplitudes.conj())
+
+
+def _reductions(rho: np.ndarray, keeps) -> np.ndarray:
+    """The reductions of ``rho`` onto each qubit tuple of ``keeps``, stacked
+    and checked in one :func:`check_density` call."""
+    stack = np.stack([_reduced_matrix(rho, keep) for keep in keeps])
+    check_density(stack)
+    return stack
+
+
+def _purities(rho: np.ndarray) -> tuple[float, float, float]:
+    """Single-qubit purities tr(rho_k^2)."""
+    singles = _reductions(rho, _SINGLES)
+    return tuple(np.trace(singles @ singles, axis1=1, axis2=2).real.tolist())
+
+
+def diagnostics(s: StateVector) -> ReducedDiagnostics:
+    """Purities tr(rho_k^2), pair concurrences, and the 3-tangle."""
+    rho = _projector(s)
+    purities = _purities(rho)
+    concurrences = tuple(concurrence(pair) for pair in _reductions(rho, _PAIRS))
     return ReducedDiagnostics(purities, concurrences, three_tangle(s))
 
 
 def classify(s: StateVector) -> EntClass:
-    """Decide fully separable / biseparable(partition) / genuine W / genuine GHZ."""
-    diag = diagnostics(s)
-    pure_flags = [p > 1.0 - EPS for p in diag.single_qubit_purities]
+    """Decide fully separable / biseparable(partition) / genuine W / genuine GHZ
+    from the single-qubit purities and the 3-tangle; no concurrence is needed."""
+    return _decide(_purities(_projector(s)), three_tangle(s))
+
+
+def _decide(purities, tangle: float) -> EntClass:
+    pure_flags = [p > 1.0 - EPS for p in purities]
     if all(pure_flags):
         return EntClass(FULLY_SEPARABLE)
     if sum(pure_flags) == 1:
         return EntClass(BISEPARABLE, partition=_PARTITIONS[pure_flags.index(True)])
-    tangle = diag.three_tangle
     borderline = (
-        any(1.0 - 2.0 * EPS < p <= 1.0 - EPS for p in diag.single_qubit_purities)
+        any(1.0 - 2.0 * EPS < p <= 1.0 - EPS for p in purities)
         or 0.0 < tangle < 2.0 * EPS
     )
     if tangle > EPS:

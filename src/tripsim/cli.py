@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bases, noise, nonlocality, teleport
-from .classify import classify as classify_state, diagnostics
+from .classify import diagnostics
 from .core import InvariantViolation, StateVector, clamp_unit
 from .twirl import twirl_report
 
@@ -275,8 +275,8 @@ def _cmd_classify(params: dict, seed: int) -> dict:
     if not path:
         raise ValueError("classify requires --state FILE")
     state = _load_state(path)
-    verdict = classify_state(state)
     diag = diagnostics(state)
+    verdict = diag.verdict()
     return {
         "schema": SCHEMA_TAG,
         "command": "classify",

@@ -133,6 +133,31 @@ class StateVector:
         return self.amplitudes.size
 
     @classmethod
+    def stack(cls, rows) -> tuple["StateVector", ...]:
+        """One state per row of a (count, dim) array, each held to the same
+        ``state-dimension`` and ``state-normalization`` invariants as
+        ``__init__``; a NaN or infinite row fails. The rows are read-only
+        views of one copy of the array."""
+        rows = np.array(rows, dtype=complex)
+        if rows.ndim != 2:
+            raise InvariantViolation("state-dimension", f"row stack shape {rows.shape} is not 2-D")
+        n = _num_qubits_for(rows.shape[1])
+        parts = rows.view(np.float64)
+        with np.errstate(over="ignore"):
+            norms2 = (parts * parts).sum(axis=1).tolist()
+        for norm2 in norms2:
+            if not abs(norm2 - 1.0) <= NORM_ATOL:
+                raise InvariantViolation(
+                    "state-normalization", f"squared norm {norm2!r} differs from 1"
+                )
+        states = []
+        for row in _frozen(rows):
+            state = cls.__new__(cls)
+            state.num_qubits, state.amplitudes = n, row
+            states.append(state)
+        return tuple(states)
+
+    @classmethod
     def computational(cls, num_qubits: int, index: int) -> "StateVector":
         """Basis ket ``|index>`` on a ``num_qubits`` register."""
         amps = np.zeros(1 << num_qubits, dtype=complex)
@@ -355,15 +380,21 @@ def partial_trace(rho: DensityOp, keep) -> DensityOp:
     for q in keep:
         if not 0 <= q < n:
             raise IndexError(f"keep index {q} out of range for {n} qubits")
-    t = rho.matrix.reshape([2] * (2 * n))
+    return DensityOp(_reduced_matrix(rho.matrix, keep))
+
+
+def _reduced_matrix(matrix: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
+    """The partial trace of a (2^n, 2^n) matrix onto the kept qubits, in the
+    order listed, unchecked: :func:`partial_trace` validates ``keep`` and
+    the result."""
+    n = matrix.shape[0].bit_length() - 1
     subs = list(range(2 * n))
     for q in range(n):
         if q not in keep:
             subs[n + q] = subs[q]
     out = [q for q in keep] + [n + q for q in keep]
     k = len(keep)
-    reduced = np.einsum(t, subs, out).reshape(1 << k, 1 << k)
-    return DensityOp(reduced)
+    return np.einsum(matrix.reshape([2] * (2 * n)), subs, out).reshape(1 << k, 1 << k)
 
 
 def fidelity_pure(rho: DensityOp, target: StateVector) -> float:

@@ -9,10 +9,15 @@ factor (:func:`_branch_factors`). On the bundle's own resource it gives the
 Kraus stack (:func:`_kraus_stack`) behind the per-input reports and the
 correction search; on the resource basis, in closed form, it gives the
 resource response W behind the exact input averages and the noise sweeps.
+The factors that do not depend on a call's parameters are built once per
+process and handed to each bundle by :func:`protocol_bundle`; a bundle
+whose outcomes or corrections were replaced builds its own.
 Branches are enumerated in lexicographic label order, with two fidelity
 accountings side by side that must coincide: the sum of ``tr(rho_in rho~_f)``
 over unnormalized corrected branches, and the probability-weighted sum of
-normalized branch fidelities.
+normalized branch fidelities. The post-states of the live branches are
+built as one checked :meth:`StateVector.stack`, and the branch sums are
+left folds, so reports carry the same bits on every Python version.
 
 Register convention: input qubits first, resource qubits after, so e.g.
 the measurement-based single-qubit protocol lives on qubits (0 | 1 2 3)
@@ -24,7 +29,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache, reduce
 from typing import Callable
 
@@ -72,7 +77,7 @@ class TeleportReport:
 
     @property
     def total_probability(self) -> float:
-        return float(sum(b.probability for b in self.branches))
+        return _left_fold(b.probability for b in self.branches)
 
     def to_dict(self) -> dict:
         unit = lambda v: None if v is None else clamp_unit(v, "teleport payload value")
@@ -118,6 +123,22 @@ class _Correction:
     success: bool = True
 
 
+@dataclass(frozen=True, eq=False)
+class _SharedFactors:
+    """Read-only branch factors (B, order, C) of :func:`_branch_factors`,
+    built once per process from one bundle. Another bundle with the same
+    layout and this very correction table reuses C if its outcome labels
+    match, and B too if it holds this very outcome tuple."""
+
+    layout: tuple
+    outcomes: tuple
+    labels: tuple
+    corrections: dict
+    factor: np.ndarray
+    order: tuple[int, ...]
+    stack: np.ndarray
+
+
 @dataclass(frozen=True)
 class ProtocolBundle:
     """Everything needed to enumerate one protocol's branches."""
@@ -130,6 +151,7 @@ class ProtocolBundle:
     outcomes: tuple[tuple[tuple, StateVector], ...]
     corrections: dict
     input_state: Callable
+    shared: _SharedFactors | None = field(default=None, repr=False, compare=False)
 
     @property
     def n_total(self) -> int:
@@ -175,9 +197,13 @@ def coerce_pair(pair) -> tuple[complex, complex]:
 
 # --- the branch-map engine ---------------------------------------------
 
+@lru_cache(maxsize=None)
 def _columns(make_state: Callable) -> np.ndarray:
-    """The linear map (c0, c1) -> make_state(c0, c1) as a (dim, 2) matrix."""
-    return np.stack([make_state(1, 0).amplitudes, make_state(0, 1).amplitudes], axis=1)
+    """The linear map (c0, c1) -> make_state(c0, c1) as a read-only (dim, 2)
+    matrix, built once per input encoding."""
+    columns = np.stack([make_state(1, 0).amplitudes, make_state(0, 1).amplitudes], axis=1)
+    columns.setflags(write=False)
+    return columns
 
 
 def _branch_factors(bundle: ProtocolBundle):
@@ -192,7 +218,16 @@ def _branch_factors(bundle: ProtocolBundle):
     with u the unmeasured resource qubits, in ascending order. Returns B
     as (outcomes, 2^|m|, 2), the resource qubit order (m, u), and the
     correction stack C; outcomes without a correction keep the identity.
+    The bundle's shared factors stand in for what they still fit.
     """
+    shared = bundle.shared
+    fits = (
+        shared is not None
+        and shared.corrections is bundle.corrections
+        and shared.layout == _layout(bundle)
+    )
+    if fits and shared.outcomes is bundle.outcomes:
+        return shared.factor, shared.order, shared.stack
     n_in, k = bundle.n_input, len(bundle.meas_targets)
     bras = np.stack([bvec.amplitudes for _, bvec in bundle.outcomes]).conj()
     encoding = _columns(bundle.input_state).reshape((2,) * n_in + (2,))
@@ -203,10 +238,31 @@ def _branch_factors(bundle: ProtocolBundle):
     )
     measured = tuple(q - n_in for q in bundle.meas_targets if q >= n_in)
     kept = tuple(q - n_in for q in range(n_in, bundle.n_total) if q not in bundle.meas_targets)
-    identity = np.eye(1 << len(kept), dtype=complex)
-    fixes = [bundle.corrections.get(label) for label, _ in bundle.outcomes]
-    corrections = np.stack([identity if fix is None else fix.matrix for fix in fixes])
+    labels = tuple(label for label, _ in bundle.outcomes)
+    if fits and shared.labels == labels:
+        corrections = shared.stack
+    else:
+        identity = np.eye(1 << len(kept), dtype=complex)
+        fixes = [bundle.corrections.get(label) for label in labels]
+        corrections = np.stack([identity if fix is None else fix.matrix for fix in fixes])
     return factor.reshape(len(bras), -1, 2), measured + kept, corrections
+
+
+def _layout(bundle: ProtocolBundle) -> tuple:
+    """What the branch factors read of a bundle besides its outcomes and
+    corrections."""
+    return bundle.n_input, bundle.resource.num_qubits, bundle.meas_targets, bundle.input_state
+
+
+def _shared_factors(bundle: ProtocolBundle) -> _SharedFactors:
+    """Build a bundle's branch factors once, for later bundles to share."""
+    factor, order, corrections = _branch_factors(bundle)
+    factor.setflags(write=False)
+    corrections.setflags(write=False)
+    labels = tuple(label for label, _ in bundle.outcomes)
+    return _SharedFactors(
+        _layout(bundle), bundle.outcomes, labels, bundle.corrections, factor, order, corrections
+    )
 
 
 def _kraus_stack(bundle: ProtocolBundle) -> np.ndarray:
@@ -342,7 +398,7 @@ def _w_channel_outcomes():
     )
 
 
-def _ghz_epr_bundle(bob_theta: float) -> ProtocolBundle:
+def _ghz_epr_bundle(bob_theta: float, shared=None) -> ProtocolBundle:
     x_pair = bob_x_basis(bob_theta)
     outcomes = tuple(
         ((m, n, j), tensor(bell, x_pair[j]))
@@ -358,6 +414,7 @@ def _ghz_epr_bundle(bob_theta: float) -> ProtocolBundle:
         outcomes=outcomes,
         corrections=_ghz_epr_corrections(),
         input_state=_single_state,
+        shared=shared,
     )
 
 
@@ -369,7 +426,13 @@ def _ghz_epr_corrections():
     }
 
 
-def _ghz_meas_bundle(theta_channel: float, theta_meas: float) -> ProtocolBundle:
+@lru_cache(maxsize=1)
+def _ghz_epr_factors():
+    """Shared for the correction stack C only: B depends on the angle."""
+    return _shared_factors(_ghz_epr_bundle(_MAX))
+
+
+def _ghz_meas_bundle(theta_channel: float, theta_meas: float, shared=None) -> ProtocolBundle:
     return ProtocolBundle(
         name="ghz-meas",
         params={"theta_channel": theta_channel, "theta_meas": theta_meas},
@@ -379,6 +442,7 @@ def _ghz_meas_bundle(theta_channel: float, theta_meas: float) -> ProtocolBundle:
         outcomes=_ghz_outcomes(theta_meas),
         corrections=_ghz_meas_corrections(),
         input_state=_single_state,
+        shared=shared,
     )
 
 
@@ -392,7 +456,13 @@ def _ghz_meas_corrections():
     return table
 
 
-def _epr_via_ghz_bundle(theta_channel: float, corrections=None) -> ProtocolBundle:
+@lru_cache(maxsize=1)
+def _ghz_meas_factors():
+    """Shared for the correction stack C only: B depends on the angles."""
+    return _shared_factors(_ghz_meas_bundle(_MAX, _MAX))
+
+
+def _epr_via_ghz_bundle(theta_channel: float, corrections=None, shared=None) -> ProtocolBundle:
     return ProtocolBundle(
         name="epr-via-ghz",
         params={"theta_channel": theta_channel},
@@ -402,6 +472,7 @@ def _epr_via_ghz_bundle(theta_channel: float, corrections=None) -> ProtocolBundl
         outcomes=_maximal_ghz_outcomes(),
         corrections=corrections if corrections is not None else {},
         input_state=_pair_state,
+        shared=shared,
     )
 
 
@@ -410,7 +481,14 @@ def _epr_via_ghz_corrections():
     return _searched_corrections(_epr_via_ghz_bundle(_MAX))
 
 
-def _three_epr_bundle(thetas: tuple[float, float, float], corrections=None) -> ProtocolBundle:
+@lru_cache(maxsize=1)
+def _epr_via_ghz_factors():
+    return _shared_factors(_epr_via_ghz_bundle(_MAX, _epr_via_ghz_corrections()))
+
+
+def _three_epr_bundle(
+    thetas: tuple[float, float, float], corrections=None, shared=None
+) -> ProtocolBundle:
     resource = reduce(tensor, (bell2(t, (0, 0)) for t in thetas))
     return ProtocolBundle(
         name="ghz-via-3epr",
@@ -421,6 +499,7 @@ def _three_epr_bundle(thetas: tuple[float, float, float], corrections=None) -> P
         outcomes=_three_bell_outcomes(),
         corrections=corrections if corrections is not None else {},
         input_state=_ghz_input_state,
+        shared=shared,
     )
 
 
@@ -429,7 +508,14 @@ def _three_epr_corrections():
     return _searched_corrections(_three_epr_bundle((_MAX, _MAX, _MAX)))
 
 
-def _w_channel_bundle(a: complex, b: complex, c: complex, corrections=None) -> ProtocolBundle:
+@lru_cache(maxsize=1)
+def _three_epr_factors():
+    return _shared_factors(_three_epr_bundle((_MAX, _MAX, _MAX), _three_epr_corrections()))
+
+
+def _w_channel_bundle(
+    a: complex, b: complex, c: complex, corrections=None, shared=None
+) -> ProtocolBundle:
     return ProtocolBundle(
         name="w-channel",
         params={"a": a, "b": b, "c": c},
@@ -439,6 +525,7 @@ def _w_channel_bundle(a: complex, b: complex, c: complex, corrections=None) -> P
         outcomes=_w_channel_outcomes(),
         corrections=corrections if corrections is not None else {},
         input_state=_single_state,
+        shared=shared,
     )
 
 
@@ -453,6 +540,12 @@ def _w_channel_corrections():
     return table
 
 
+@lru_cache(maxsize=1)
+def _w_channel_factors():
+    symmetric = 1 / math.sqrt(3)
+    return _shared_factors(_w_channel_bundle(*(3 * (symmetric,)), _w_channel_corrections()))
+
+
 def _w_channel_success_bundle() -> ProtocolBundle:
     """The symmetric w-channel bundle cut to its success outcomes (q = 0)."""
     symmetric = 1 / math.sqrt(3)
@@ -465,24 +558,26 @@ def protocol_bundle(name: str, **params) -> ProtocolBundle:
     """Registry entry point; unknown protocols or parameter keys are rejected."""
     if name == "ghz-epr":
         _allow(name, params, {"bob_theta"})
-        return _ghz_epr_bundle(float(params.get("bob_theta", _MAX)))
+        return _ghz_epr_bundle(float(params.get("bob_theta", _MAX)), _ghz_epr_factors())
     if name == "ghz-meas":
         _allow(name, params, {"theta_channel", "theta_meas"})
         angles = (float(params.get(k, _MAX)) for k in ("theta_channel", "theta_meas"))
-        return _ghz_meas_bundle(*angles)
+        return _ghz_meas_bundle(*angles, _ghz_meas_factors())
     if name == "epr-via-ghz":
         _allow(name, params, {"theta_channel"})
         return _epr_via_ghz_bundle(
-            float(params.get("theta_channel", _MAX)), _epr_via_ghz_corrections()
+            float(params.get("theta_channel", _MAX)),
+            _epr_via_ghz_corrections(),
+            _epr_via_ghz_factors(),
         )
     if name == "ghz-via-3epr":
         _allow(name, params, {"theta1", "theta2", "theta3"})
         thetas = tuple(float(params.get(k, _MAX)) for k in ("theta1", "theta2", "theta3"))
-        return _three_epr_bundle(thetas, _three_epr_corrections())
+        return _three_epr_bundle(thetas, _three_epr_corrections(), _three_epr_factors())
     if name == "w-channel":
         _allow(name, params, {"a", "b", "c"})
         a, b, c = (complex(params.get(k, 1 / math.sqrt(3))) for k in "abc")
-        return _w_channel_bundle(a, b, c, _w_channel_corrections())
+        return _w_channel_bundle(a, b, c, _w_channel_corrections(), _w_channel_factors())
     raise ValueError(f"unknown protocol {name!r}")
 
 
@@ -494,29 +589,50 @@ def _allow(name: str, params: dict, keys: set):
 
 # --- enumeration -------------------------------------------------------
 
+def _left_fold(values) -> float:
+    """Sum in order with one rounding per term. The built-in ``sum``
+    compensates float rounding from Python 3.12 on; this fold gives the
+    same bits on every version."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def enumerate_branches(bundle: ProtocolBundle, c0: complex, c1: complex) -> TeleportReport:
-    """Every branch of a bundle for the normalized input (c0, c1), in outcome order."""
+    """Every branch of a bundle for the normalized input (c0, c1), in outcome order.
+
+    The live residuals are normalized in one division and checked as one
+    :meth:`StateVector.stack`; a NaN weight counts as live, so it reaches
+    that check and raises ``state-normalization``. Each branch fidelity is
+    ``abs(np.vdot(target, post)) ** 2`` on its own row: batched products,
+    and even the array forms of ``abs`` and ``** 2``, change its last bits.
+    """
     target = bundle.input_state(c0, c1).amplitudes
     residuals, probs = _residuals(_kraus_stack(bundle), np.array([[c0, c1]], dtype=complex))
     _require_corrections(bundle, probs)
+    residuals, probs = residuals[0], probs[0]
+    live = ~(probs < _DEGENERATE_CUT)
+    rows = residuals[live]
+    posts = StateVector.stack(rows / np.sqrt(probs[live])[:, None])
+    fids = [abs(np.vdot(target, post.amplitudes)) ** 2 for post in posts]
+    fids = clamp_unit(np.array(fids, dtype=float), "branch fidelity").tolist()
+    delivered = iter(zip(posts, fids))
     records = []
-    for (label, _), corrected, p in zip(bundle.outcomes, residuals[0], probs[0]):
-        p = float(p)
+    for (label, _), p, is_live in zip(bundle.outcomes, probs.tolist(), live.tolist()):
         corr = bundle.corrections.get(label)
-        post = fid = None
-        if not p < _DEGENERATE_CUT:  # a NaN weight reaches StateVector and raises
-            post = StateVector(corrected / math.sqrt(p))
-            fid = clamp_unit(abs(np.vdot(target, post.amplitudes)) ** 2, "branch fidelity")
+        post, fid = next(delivered) if is_live else (None, None)
         desc, success = (corr.desc, corr.success) if corr else ("n/a", True)
         records.append(BranchRecord(label, p, desc, post, fid, success))
-    live = [(b, row) for b, row in zip(records, residuals[0]) if b.fidelity is not None]
+    kept = [b for b in records if b.fidelity is not None]
+    overlaps = rows @ target.conj()
     return TeleportReport(
         protocol=bundle.name,
         params=bundle.params,
         branches=tuple(records),
-        avg_fidelity=sum(b.probability * b.fidelity for b, _ in live),
-        avg_fidelity_traced=float(sum(abs(np.vdot(target, row)) ** 2 for _, row in live)),
-        success_probability=sum((b.probability for b, _ in live if b.success), 0.0),
+        avg_fidelity=_left_fold(b.probability * b.fidelity for b in kept),
+        avg_fidelity_traced=float(np.vdot(overlaps, overlaps).real),
+        success_probability=_left_fold(b.probability for b in kept if b.success),
     )
 
 

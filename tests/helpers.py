@@ -1,7 +1,8 @@
 """Shared test utilities: random states, an independent operator-lifting
 oracle built by basis-index enumeration, a density-matrix protocol oracle,
 a looped correction search, a one-draw-at-a-time twirl and a projection
-oracle for the branch tables (all deliberately not the library path)."""
+oracle for the branch tables and per-reduction classification diagnostics
+(all deliberately not the library path)."""
 
 import itertools
 import math
@@ -9,7 +10,8 @@ import math
 import numpy as np
 
 from tripsim.bases import bell2, bob_x_basis, ghz_basis
-from tripsim.core import InputQubit, StateVector, partial_inner, project, tensor
+from tripsim.classify import ReducedDiagnostics, concurrence, three_tangle
+from tripsim.core import DensityOp, InputQubit, StateVector, partial_inner, partial_trace, project, tensor
 from tripsim.teleport import (
     GHZ_EPR_CORRECTIONS,
     _DEGENERATE_CUT,
@@ -233,3 +235,13 @@ def looped_haar_averages(rho, samples, rng, conjugate_second, checkpoints):
         done = stop
         averages.append((stop, acc / stop))
     return averages
+
+
+def looped_diagnostics(s: StateVector) -> ReducedDiagnostics:
+    """Purities, pair concurrences and 3-tangle with one checked
+    ``partial_trace`` per reduction."""
+    rho = DensityOp.from_pure(s)
+    purities = tuple(partial_trace(rho, [q]).purity() for q in range(3))
+    pairs = ((0, 1), (0, 2), (1, 2))
+    concurrences = tuple(concurrence(partial_trace(rho, pair)) for pair in pairs)
+    return ReducedDiagnostics(purities, concurrences, three_tangle(s))

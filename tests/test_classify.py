@@ -1,9 +1,10 @@
+import importlib
 import math
 
 import numpy as np
 import pytest
 
-from helpers import random_state
+from helpers import looped_diagnostics, random_state
 from tripsim.bases import bell2, ghz_basis, w_basis
 from tripsim.classify import (
     BISEPARABLE,
@@ -19,12 +20,16 @@ from tripsim.core import (
     DensityOp,
     LocalOperator,
     StateVector,
+    InvariantViolation,
     apply_local,
     haar_unitary,
     partial_trace,
     schmidt_decompose,
     tensor,
 )
+
+# The package exports the function ``classify`` under the module's name.
+classify_module = importlib.import_module("tripsim.classify")
 
 GHZ = ghz_basis(math.pi / 4, (0, 0, 0))
 W_SYM = StateVector(np.array([0, 1, 1, 0, 1, 0, 0, 0]) / math.sqrt(3))
@@ -141,3 +146,51 @@ def test_concurrence_requires_two_qubits():
 def test_three_tangle_requires_three_qubits():
     with pytest.raises(ValueError):
         three_tangle(StateVector([1, 0]))
+
+
+def _oracle_states(count: int):
+    """Random, product, biseparable and W-support states, plus the named ones."""
+    rng = np.random.default_rng(1311)
+    states = [GHZ, W_SYM, StateVector.computational(3, 5)]
+    for i in range(count):
+        kind = i % 4
+        if kind == 0:
+            states.append(random_state(rng, 3))
+        elif kind == 1:
+            states.append(tensor(random_state(rng, 1), tensor(random_state(rng, 1), random_state(rng, 1))))
+        elif kind == 2:
+            states.append(tensor(random_state(rng, 1), random_state(rng, 2)))
+        else:
+            v = np.zeros(8, dtype=complex)
+            v[[1, 2, 4]] = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+            states.append(StateVector(v / np.linalg.norm(v)))
+    return states
+
+
+class TestStackedReductions:
+    def test_diagnostics_bit_equal_to_per_reduction_oracle(self):
+        for s in _oracle_states(200):
+            got, want = diagnostics(s), looped_diagnostics(s)
+            assert repr(got) == repr(want)
+            assert classify(s) == got.verdict() == want.verdict()
+
+    @pytest.mark.parametrize("keep", [(1,), (0, 2)], ids=["single", "pair"])
+    @pytest.mark.parametrize(
+        "invariant, spoil",
+        [
+            ("density-hermitian", lambda m: m + np.triu(np.full_like(m, 1e-3), 1)),
+            ("density-trace", lambda m: 1.1 * m),
+            ("density-positivity", lambda m: m + 0.5 * np.diag([1.0, -1.0] + [0.0] * (len(m) - 2))),
+        ],
+        ids=["hermitian", "trace", "positivity"],
+    )
+    def test_a_bad_reduction_in_a_stack_names_its_invariant(self, keep, invariant, spoil, monkeypatch):
+        # |000> reduces to pure projectors; each spoiled copy breaks one invariant.
+        reduced = classify_module._reduced_matrix
+        monkeypatch.setattr(
+            classify_module,
+            "_reduced_matrix",
+            lambda matrix, k: spoil(reduced(matrix, k)) if tuple(k) == keep else reduced(matrix, k),
+        )
+        with pytest.raises(InvariantViolation, match=invariant):
+            diagnostics(StateVector.computational(3, 0))

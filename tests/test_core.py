@@ -56,6 +56,44 @@ class TestStateVector:
         with pytest.raises(ValueError):
             s.amplitudes[0] = 0.0
 
+    def test_stack_matches_one_state_per_row(self):
+        rng = np.random.default_rng(3)
+        rows = np.stack([random_state(rng, 3).amplitudes for _ in range(5)])
+        states = StateVector.stack(rows)
+        assert len(states) == 5
+        for state, row in zip(states, rows):
+            assert state.num_qubits == 3 and state.dim == 8
+            assert state.amplitudes.tobytes() == StateVector(row).amplitudes.tobytes()
+            with pytest.raises(ValueError):
+                state.amplitudes[0] = 0.0
+        rows[0, 0] = 7.0  # the states keep their own copy
+        assert states[0].amplitudes[0] != 7.0
+        assert StateVector.stack(np.zeros((0, 4))) == ()
+
+    @pytest.mark.parametrize(
+        "row, invariant",
+        [
+            ([1.0, 1.0], "state-normalization"),
+            ([math.nan, 0.0], "state-normalization"),
+            ([math.inf, 0.0], "state-normalization"),
+            ([1.0, 0.0, 0.0], "state-dimension"),
+        ],
+        ids=["unnormalized", "nan", "inf", "width-three"],
+    )
+    def test_stack_refuses_what_the_constructor_refuses(self, row, invariant):
+        with pytest.raises(InvariantViolation, match=invariant):
+            StateVector(row)
+        good = np.zeros(len(row))
+        good[0] = 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvariantViolation, match=invariant):
+                StateVector.stack([good, row])
+
+    def test_stack_needs_rows(self):
+        with pytest.raises(InvariantViolation, match="state-dimension"):
+            StateVector.stack([1.0, 0.0])
+
     def test_input_qubit_normalization(self):
         with pytest.raises(InvariantViolation):
             InputQubit(1.0, 1.0)

@@ -588,3 +588,94 @@ def test_shared_bases_give_the_same_reports_in_any_call_order():
         for i in order:
             for protocol in PROTOCOL_NAMES:
                 assert _report_bytes(protocol, _ANGLE_SETS[i][protocol]) == cold[i][protocol]
+
+
+# Branch factors of the three protocols with fixed outcomes are built once per
+# process; ghz-epr and ghz-meas share only the correction stack C, since
+# their outcome bras depend on the angles.
+_SHARED_FACTORS = {
+    "ghz-epr": teleport._ghz_epr_factors,
+    "ghz-meas": teleport._ghz_meas_factors,
+    "epr-via-ghz": teleport._epr_via_ghz_factors,
+    "ghz-via-3epr": teleport._three_epr_factors,
+    "w-channel": teleport._w_channel_factors,
+}
+_FIXED_OUTCOMES = ("epr-via-ghz", "ghz-via-3epr", "w-channel")
+
+
+def _bits_equal(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("protocol", PROTOCOL_NAMES)
+def test_shared_factors_are_built_once_read_only_and_exact(protocol):
+    shared = _SHARED_FACTORS[protocol]()
+    assert _SHARED_FACTORS[protocol]() is shared
+    assert not shared.factor.flags.writeable and not shared.stack.flags.writeable
+    for params in _BUNDLE_PARAMS:
+        bundle = protocol_bundle(protocol, **params.get(protocol, {}))
+        assert bundle.shared is shared
+        factor, order, stack = teleport._branch_factors(bundle)
+        assert stack is shared.stack
+        assert (factor is shared.factor) == (protocol in _FIXED_OUTCOMES)
+        fresh = teleport._branch_factors(dataclasses.replace(bundle, shared=None))
+        assert _bits_equal(factor, fresh[0]) and order == fresh[1] and _bits_equal(stack, fresh[2])
+
+
+@pytest.mark.parametrize("protocol", PROTOCOL_NAMES)
+def test_replaced_bundles_build_their_own_factors(protocol):
+    bundle = protocol_bundle(protocol)
+    shared = bundle.shared
+    # Outcomes in another order: neither B nor C may be the shared one.
+    reordered = dataclasses.replace(bundle, outcomes=bundle.outcomes[::-1])
+    factor, order, stack = teleport._branch_factors(reordered)
+    fresh = teleport._branch_factors(dataclasses.replace(reordered, shared=None))
+    assert factor is not shared.factor and stack is not shared.stack
+    assert _bits_equal(factor, fresh[0]) and order == fresh[1] and _bits_equal(stack, fresh[2])
+    # Other measured qubits: the same objects, but another layout.
+    moved = dataclasses.replace(bundle, meas_targets=bundle.meas_targets[::-1])
+    factor, order, stack = teleport._branch_factors(moved)
+    fresh = teleport._branch_factors(dataclasses.replace(moved, shared=None))
+    assert factor is not shared.factor and stack is not shared.stack
+    assert _bits_equal(factor, fresh[0]) and order == fresh[1] and _bits_equal(stack, fresh[2])
+    # A correction-free copy, as the search sees it: C is the identity.
+    bare = dataclasses.replace(bundle, corrections={})
+    stack = teleport._branch_factors(bare)[2]
+    assert _bits_equal(stack, np.broadcast_to(np.eye(stack.shape[1], dtype=complex), stack.shape))
+
+
+@pytest.mark.parametrize("protocol", _FIXED_OUTCOMES)
+def test_search_on_a_shipped_bundle_ignores_its_shared_factors(protocol):
+    bundle = dataclasses.replace(protocol_bundle(protocol), corrections={})
+    if protocol == "w-channel":
+        bundle = dataclasses.replace(bundle, outcomes=_w_channel_success_bundle().outcomes)
+    table = _searched_corrections(bundle)
+    shipped = protocol_bundle(protocol).corrections
+    assert table.keys() <= shipped.keys()
+    for label, corr in table.items():
+        assert corr.desc == shipped[label].desc
+
+
+def test_branch_sums_are_left_folds_on_every_python(monkeypatch):
+    # From Python 3.12 the built-in sum compensates float rounding. The
+    # report must not follow it: with sum replaced by a fully compensated
+    # sum, each of the three sums must still be the plain left fold.
+    def compensated(values, start=0.0):
+        return math.fsum(itertools.chain((start,), values))
+
+    monkeypatch.setattr(teleport, "sum", compensated, raising=False)
+    report = teleport_ghz_via_3epr((0.6, 0.8j), (0.3, 0.5, 0.7))
+
+    def left(values):
+        total = 0.0
+        for v in values:
+            total += v
+        return total
+
+    live = [b for b in report.branches if b.fidelity is not None]
+    terms = [b.probability * b.fidelity for b in live]
+    # This input tells the two folds apart.
+    assert left(terms) != math.fsum(terms)
+    assert report.avg_fidelity == left(terms)
+    assert report.success_probability == left(b.probability for b in live if b.success)
+    assert report.total_probability == left(b.probability for b in report.branches)
