@@ -267,6 +267,8 @@ def _load_state(path: str) -> StateVector:
         raise ValueError(f"{path}: amplitudes must be a list of [re, im] pairs") from exc
     if len(values) != 8:
         raise ValueError(f"{path}: a three-qubit state has 8 amplitude pairs, got {len(values)}")
+    if not np.isfinite(values).all():
+        raise ValueError(f"{path}: amplitudes must be finite")
     return StateVector(values)
 
 

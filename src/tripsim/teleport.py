@@ -9,9 +9,9 @@ factor (:func:`_branch_factors`). On the bundle's own resource it gives the
 Kraus stack (:func:`_kraus_stack`) behind the per-input reports and the
 correction search; on the resource basis, in closed form, it gives the
 resource response W behind the exact input averages and the noise sweeps.
-The factors that do not depend on a call's parameters are built once per
-process and handed to each bundle by :func:`protocol_bundle`; a bundle
-whose outcomes or corrections were replaced builds its own.
+A fixed-outcome protocol's bundles (epr-via-ghz, ghz-via-3epr, w-channel)
+carry these factors, built once per process by :func:`protocol_bundle`;
+``dataclasses.replace`` drops them, so any other bundle builds its own.
 Branches are enumerated in lexicographic label order, with two fidelity
 accountings side by side that must coincide: the sum of ``tr(rho_in rho~_f)``
 over unnormalized corrected branches, and the probability-weighted sum of
@@ -123,22 +123,6 @@ class _Correction:
     success: bool = True
 
 
-@dataclass(frozen=True, eq=False)
-class _SharedFactors:
-    """Read-only branch factors (B, order, C) of :func:`_branch_factors`,
-    built once per process from one bundle. Another bundle with the same
-    layout and this very correction table reuses C if its outcome labels
-    match, and B too if it holds this very outcome tuple."""
-
-    layout: tuple
-    outcomes: tuple
-    labels: tuple
-    corrections: dict
-    factor: np.ndarray
-    order: tuple[int, ...]
-    stack: np.ndarray
-
-
 @dataclass(frozen=True)
 class ProtocolBundle:
     """Everything needed to enumerate one protocol's branches."""
@@ -151,7 +135,7 @@ class ProtocolBundle:
     outcomes: tuple[tuple[tuple, StateVector], ...]
     corrections: dict
     input_state: Callable
-    shared: _SharedFactors | None = field(default=None, repr=False, compare=False)
+    factors: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n_total(self) -> int:
@@ -218,18 +202,12 @@ def _branch_factors(bundle: ProtocolBundle):
     with u the unmeasured resource qubits, in ascending order. Returns B
     as (outcomes, 2^|m|, 2), the resource qubit order (m, u), and the
     correction stack C; outcomes without a correction keep the identity.
-    The bundle's shared factors stand in for what they still fit.
+    Factors the bundle carries (see :func:`protocol_bundle`) are returned as they are.
     """
-    shared = bundle.shared
-    fits = (
-        shared is not None
-        and shared.corrections is bundle.corrections
-        and shared.layout == _layout(bundle)
-    )
-    if fits and shared.outcomes is bundle.outcomes:
-        return shared.factor, shared.order, shared.stack
+    if bundle.factors is not None:
+        return bundle.factors
     n_in, k = bundle.n_input, len(bundle.meas_targets)
-    bras = np.stack([bvec.amplitudes for _, bvec in bundle.outcomes]).conj()
+    bras = np.array([bvec.amplitudes for _, bvec in bundle.outcomes]).conj()
     encoding = _columns(bundle.input_state).reshape((2,) * n_in + (2,))
     factor = np.tensordot(
         bras.reshape((len(bras),) + (2,) * k),
@@ -238,31 +216,10 @@ def _branch_factors(bundle: ProtocolBundle):
     )
     measured = tuple(q - n_in for q in bundle.meas_targets if q >= n_in)
     kept = tuple(q - n_in for q in range(n_in, bundle.n_total) if q not in bundle.meas_targets)
-    labels = tuple(label for label, _ in bundle.outcomes)
-    if fits and shared.labels == labels:
-        corrections = shared.stack
-    else:
-        identity = np.eye(1 << len(kept), dtype=complex)
-        fixes = [bundle.corrections.get(label) for label in labels]
-        corrections = np.stack([identity if fix is None else fix.matrix for fix in fixes])
+    identity = np.eye(1 << len(kept), dtype=complex)
+    fixes = [bundle.corrections.get(label) for label, _ in bundle.outcomes]
+    corrections = np.array([identity if fix is None else fix.matrix for fix in fixes])
     return factor.reshape(len(bras), -1, 2), measured + kept, corrections
-
-
-def _layout(bundle: ProtocolBundle) -> tuple:
-    """What the branch factors read of a bundle besides its outcomes and
-    corrections."""
-    return bundle.n_input, bundle.resource.num_qubits, bundle.meas_targets, bundle.input_state
-
-
-def _shared_factors(bundle: ProtocolBundle) -> _SharedFactors:
-    """Build a bundle's branch factors once, for later bundles to share."""
-    factor, order, corrections = _branch_factors(bundle)
-    factor.setflags(write=False)
-    corrections.setflags(write=False)
-    labels = tuple(label for label, _ in bundle.outcomes)
-    return _SharedFactors(
-        _layout(bundle), bundle.outcomes, labels, bundle.corrections, factor, order, corrections
-    )
 
 
 def _kraus_stack(bundle: ProtocolBundle) -> np.ndarray:
@@ -398,7 +355,7 @@ def _w_channel_outcomes():
     )
 
 
-def _ghz_epr_bundle(bob_theta: float, shared=None) -> ProtocolBundle:
+def _ghz_epr_bundle(bob_theta: float) -> ProtocolBundle:
     x_pair = bob_x_basis(bob_theta)
     outcomes = tuple(
         ((m, n, j), tensor(bell, x_pair[j]))
@@ -414,7 +371,6 @@ def _ghz_epr_bundle(bob_theta: float, shared=None) -> ProtocolBundle:
         outcomes=outcomes,
         corrections=_ghz_epr_corrections(),
         input_state=_single_state,
-        shared=shared,
     )
 
 
@@ -426,13 +382,7 @@ def _ghz_epr_corrections():
     }
 
 
-@lru_cache(maxsize=1)
-def _ghz_epr_factors():
-    """Shared for the correction stack C only: B depends on the angle."""
-    return _shared_factors(_ghz_epr_bundle(_MAX))
-
-
-def _ghz_meas_bundle(theta_channel: float, theta_meas: float, shared=None) -> ProtocolBundle:
+def _ghz_meas_bundle(theta_channel: float, theta_meas: float) -> ProtocolBundle:
     return ProtocolBundle(
         name="ghz-meas",
         params={"theta_channel": theta_channel, "theta_meas": theta_meas},
@@ -442,7 +392,6 @@ def _ghz_meas_bundle(theta_channel: float, theta_meas: float, shared=None) -> Pr
         outcomes=_ghz_outcomes(theta_meas),
         corrections=_ghz_meas_corrections(),
         input_state=_single_state,
-        shared=shared,
     )
 
 
@@ -456,13 +405,7 @@ def _ghz_meas_corrections():
     return table
 
 
-@lru_cache(maxsize=1)
-def _ghz_meas_factors():
-    """Shared for the correction stack C only: B depends on the angles."""
-    return _shared_factors(_ghz_meas_bundle(_MAX, _MAX))
-
-
-def _epr_via_ghz_bundle(theta_channel: float, corrections=None, shared=None) -> ProtocolBundle:
+def _epr_via_ghz_bundle(theta_channel: float, corrections=None) -> ProtocolBundle:
     return ProtocolBundle(
         name="epr-via-ghz",
         params={"theta_channel": theta_channel},
@@ -472,7 +415,6 @@ def _epr_via_ghz_bundle(theta_channel: float, corrections=None, shared=None) -> 
         outcomes=_maximal_ghz_outcomes(),
         corrections=corrections if corrections is not None else {},
         input_state=_pair_state,
-        shared=shared,
     )
 
 
@@ -481,14 +423,7 @@ def _epr_via_ghz_corrections():
     return _searched_corrections(_epr_via_ghz_bundle(_MAX))
 
 
-@lru_cache(maxsize=1)
-def _epr_via_ghz_factors():
-    return _shared_factors(_epr_via_ghz_bundle(_MAX, _epr_via_ghz_corrections()))
-
-
-def _three_epr_bundle(
-    thetas: tuple[float, float, float], corrections=None, shared=None
-) -> ProtocolBundle:
+def _three_epr_bundle(thetas: tuple[float, float, float], corrections=None) -> ProtocolBundle:
     resource = reduce(tensor, (bell2(t, (0, 0)) for t in thetas))
     return ProtocolBundle(
         name="ghz-via-3epr",
@@ -499,7 +434,6 @@ def _three_epr_bundle(
         outcomes=_three_bell_outcomes(),
         corrections=corrections if corrections is not None else {},
         input_state=_ghz_input_state,
-        shared=shared,
     )
 
 
@@ -508,14 +442,7 @@ def _three_epr_corrections():
     return _searched_corrections(_three_epr_bundle((_MAX, _MAX, _MAX)))
 
 
-@lru_cache(maxsize=1)
-def _three_epr_factors():
-    return _shared_factors(_three_epr_bundle((_MAX, _MAX, _MAX), _three_epr_corrections()))
-
-
-def _w_channel_bundle(
-    a: complex, b: complex, c: complex, corrections=None, shared=None
-) -> ProtocolBundle:
+def _w_channel_bundle(a: complex, b: complex, c: complex, corrections=None) -> ProtocolBundle:
     return ProtocolBundle(
         name="w-channel",
         params={"a": a, "b": b, "c": c},
@@ -525,7 +452,6 @@ def _w_channel_bundle(
         outcomes=_w_channel_outcomes(),
         corrections=corrections if corrections is not None else {},
         input_state=_single_state,
-        shared=shared,
     )
 
 
@@ -540,12 +466,6 @@ def _w_channel_corrections():
     return table
 
 
-@lru_cache(maxsize=1)
-def _w_channel_factors():
-    symmetric = 1 / math.sqrt(3)
-    return _shared_factors(_w_channel_bundle(*(3 * (symmetric,)), _w_channel_corrections()))
-
-
 def _w_channel_success_bundle() -> ProtocolBundle:
     """The symmetric w-channel bundle cut to its success outcomes (q = 0)."""
     symmetric = 1 / math.sqrt(3)
@@ -555,29 +475,47 @@ def _w_channel_success_bundle() -> ProtocolBundle:
 
 
 def protocol_bundle(name: str, **params) -> ProtocolBundle:
-    """Registry entry point; unknown protocols or parameter keys are rejected."""
+    """Registry entry point; unknown protocols or parameter keys are rejected.
+
+    The outcomes, corrections and layout of epr-via-ghz, ghz-via-3epr and
+    w-channel are the same for every call, so their bundles carry branch
+    factors built once per process.
+    """
+    bundle = _new_bundle(name, params)
+    if name in ("epr-via-ghz", "ghz-via-3epr", "w-channel"):
+        object.__setattr__(bundle, "factors", _fixed_factors(name))
+    return bundle
+
+
+@lru_cache(maxsize=None)
+def _fixed_factors(name: str) -> tuple:
+    """Read-only branch factors of a fixed-outcome protocol's default bundle."""
+    factor, order, corrections = _branch_factors(_new_bundle(name, {}))
+    factor.setflags(write=False)
+    corrections.setflags(write=False)
+    return factor, order, corrections
+
+
+def _new_bundle(name: str, params: dict) -> ProtocolBundle:
     if name == "ghz-epr":
         _allow(name, params, {"bob_theta"})
-        return _ghz_epr_bundle(float(params.get("bob_theta", _MAX)), _ghz_epr_factors())
+        return _ghz_epr_bundle(float(params.get("bob_theta", _MAX)))
     if name == "ghz-meas":
         _allow(name, params, {"theta_channel", "theta_meas"})
         angles = (float(params.get(k, _MAX)) for k in ("theta_channel", "theta_meas"))
-        return _ghz_meas_bundle(*angles, _ghz_meas_factors())
+        return _ghz_meas_bundle(*angles)
     if name == "epr-via-ghz":
         _allow(name, params, {"theta_channel"})
-        return _epr_via_ghz_bundle(
-            float(params.get("theta_channel", _MAX)),
-            _epr_via_ghz_corrections(),
-            _epr_via_ghz_factors(),
-        )
+        theta = float(params.get("theta_channel", _MAX))
+        return _epr_via_ghz_bundle(theta, _epr_via_ghz_corrections())
     if name == "ghz-via-3epr":
         _allow(name, params, {"theta1", "theta2", "theta3"})
         thetas = tuple(float(params.get(k, _MAX)) for k in ("theta1", "theta2", "theta3"))
-        return _three_epr_bundle(thetas, _three_epr_corrections(), _three_epr_factors())
+        return _three_epr_bundle(thetas, _three_epr_corrections())
     if name == "w-channel":
         _allow(name, params, {"a", "b", "c"})
         a, b, c = (complex(params.get(k, 1 / math.sqrt(3))) for k in "abc")
-        return _w_channel_bundle(a, b, c, _w_channel_corrections(), _w_channel_factors())
+        return _w_channel_bundle(a, b, c, _w_channel_corrections())
     raise ValueError(f"unknown protocol {name!r}")
 
 

@@ -222,6 +222,8 @@ class TestDeterminismAndConfig:
             (["noise-sweep", "--protocol", "ghz-epr", "--target", "1", "--grid", "0:0:1", "--b", "0.3"], {}),
             (["teleport", "--protocol", "ghz-meas", "--theta-m", "0.3"], {}),
             (["--form=json", "paradox"], {}),
+            (["classify", "--state", "s.json"], {"s.json": [[math.nan, 0]] + [[0.25, 0]] * 7}),
+            (["classify", "--state", "s.json"], {"s.json": [[0.25, 0]] * 7 + [[0, -math.inf]]}),
         ],
         ids=[
             "nan-amplitude", "flat-state-file", "zero-samples", "noise-grid-too-fine",
@@ -230,7 +232,8 @@ class TestDeterminismAndConfig:
             "noise-grid-empty-csv", "teleport-stray-angle", "teleport-stray-input-amplitude",
             "teleport-stray-channel-amplitude", "noise-sweep-stray-angle",
             "classify-seven-pairs", "classify-sixteen-pairs", "noise-sweep-b-prefix",
-            "teleport-theta-m-prefix", "global-form-prefix",
+            "teleport-theta-m-prefix", "global-form-prefix", "classify-nan-amplitude",
+            "classify-infinite-amplitude",
         ],
     )
     def test_bad_input_exits_2_without_traceback(self, argv, files, tmp_path, monkeypatch, capsys):

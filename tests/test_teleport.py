@@ -590,16 +590,9 @@ def test_shared_bases_give_the_same_reports_in_any_call_order():
                 assert _report_bytes(protocol, _ANGLE_SETS[i][protocol]) == cold[i][protocol]
 
 
-# Branch factors of the three protocols with fixed outcomes are built once per
-# process; ghz-epr and ghz-meas share only the correction stack C, since
-# their outcome bras depend on the angles.
-_SHARED_FACTORS = {
-    "ghz-epr": teleport._ghz_epr_factors,
-    "ghz-meas": teleport._ghz_meas_factors,
-    "epr-via-ghz": teleport._epr_via_ghz_factors,
-    "ghz-via-3epr": teleport._three_epr_factors,
-    "w-channel": teleport._w_channel_factors,
-}
+# Bundles of the three protocols with fixed outcomes carry branch factors built
+# once per process; ghz-epr and ghz-meas, whose outcome bras depend on the
+# angles, carry none. dataclasses.replace drops the factors.
 _FIXED_OUTCOMES = ("epr-via-ghz", "ghz-via-3epr", "w-channel")
 
 
@@ -609,37 +602,38 @@ def _bits_equal(a: np.ndarray, b: np.ndarray) -> bool:
 
 @pytest.mark.parametrize("protocol", PROTOCOL_NAMES)
 def test_shared_factors_are_built_once_read_only_and_exact(protocol):
-    shared = _SHARED_FACTORS[protocol]()
-    assert _SHARED_FACTORS[protocol]() is shared
-    assert not shared.factor.flags.writeable and not shared.stack.flags.writeable
-    for params in _BUNDLE_PARAMS:
-        bundle = protocol_bundle(protocol, **params.get(protocol, {}))
-        assert bundle.shared is shared
-        factor, order, stack = teleport._branch_factors(bundle)
-        assert stack is shared.stack
-        assert (factor is shared.factor) == (protocol in _FIXED_OUTCOMES)
-        fresh = teleport._branch_factors(dataclasses.replace(bundle, shared=None))
-        assert _bits_equal(factor, fresh[0]) and order == fresh[1] and _bits_equal(stack, fresh[2])
+    bundles = [protocol_bundle(protocol, **params.get(protocol, {})) for params in _BUNDLE_PARAMS]
+    factors = bundles[0].factors
+    if protocol in _FIXED_OUTCOMES:
+        assert not factors[0].flags.writeable and not factors[2].flags.writeable
+    else:
+        assert factors is None
+    for bundle in bundles:
+        assert bundle.factors is factors
+        built = teleport._branch_factors(bundle)
+        assert factors is None or built is factors
+        fresh = dataclasses.replace(bundle)
+        assert fresh.factors is None
+        factor, order, stack = teleport._branch_factors(fresh)
+        assert _bits_equal(built[0], factor) and built[1] == order and _bits_equal(built[2], stack)
 
 
 @pytest.mark.parametrize("protocol", PROTOCOL_NAMES)
 def test_replaced_bundles_build_their_own_factors(protocol):
     bundle = protocol_bundle(protocol)
-    shared = bundle.shared
-    # Outcomes in another order: neither B nor C may be the shared one.
+    # Outcomes in another order, or other measured qubits: no factors carried.
     reordered = dataclasses.replace(bundle, outcomes=bundle.outcomes[::-1])
-    factor, order, stack = teleport._branch_factors(reordered)
-    fresh = teleport._branch_factors(dataclasses.replace(reordered, shared=None))
-    assert factor is not shared.factor and stack is not shared.stack
-    assert _bits_equal(factor, fresh[0]) and order == fresh[1] and _bits_equal(stack, fresh[2])
-    # Other measured qubits: the same objects, but another layout.
     moved = dataclasses.replace(bundle, meas_targets=bundle.meas_targets[::-1])
-    factor, order, stack = teleport._branch_factors(moved)
-    fresh = teleport._branch_factors(dataclasses.replace(moved, shared=None))
-    assert factor is not shared.factor and stack is not shared.stack
-    assert _bits_equal(factor, fresh[0]) and order == fresh[1] and _bits_equal(stack, fresh[2])
+    for replaced in (reordered, moved):
+        assert replaced.factors is None
+        factor, _, stack = teleport._branch_factors(replaced)
+        assert factor.flags.writeable and stack.flags.writeable
+    # The reversed outcomes give the reversed factors.
+    built, flipped = teleport._branch_factors(bundle), teleport._branch_factors(reordered)
+    assert _bits_equal(built[0][::-1], flipped[0]) and _bits_equal(built[2][::-1], flipped[2])
     # A correction-free copy, as the search sees it: C is the identity.
     bare = dataclasses.replace(bundle, corrections={})
+    assert bare.factors is None
     stack = teleport._branch_factors(bare)[2]
     assert _bits_equal(stack, np.broadcast_to(np.eye(stack.shape[1], dtype=complex), stack.shape))
 
