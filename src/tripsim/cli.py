@@ -298,15 +298,17 @@ def _parse_grid(text: str) -> np.ndarray:
         raise ValueError(f"--grid values must be finite, got {text!r}")
     if step <= 0:
         raise ValueError("grid step must be positive")
-    # The point count np.arange would allocate, without allocating it.
-    points = (stop + step / 2 - start) / step
-    if not points > 0:
+    if not stop >= start:
         raise ValueError(f"--grid {text} has no points; stop must not lie below start")
-    if points > MAX_SWEEP_POINTS:
+    # The points start + i*step that do not pass stop. A billionth of a step
+    # of slack keeps the division's rounding from dropping the last point,
+    # and a point past stop by that slack alone is emitted as stop.
+    span = (stop - start) / step + 1e-9
+    if span >= MAX_SWEEP_POINTS:
         raise ValueError(
-            f"--grid {text} has {points:.3g} points, more than the {MAX_SWEEP_POINTS} allowed"
+            f"--grid {text} has {span + 1:.3g} points, more than the {MAX_SWEEP_POINTS} allowed"
         )
-    return np.arange(start, stop + step / 2, step)
+    return np.minimum(start + step * np.arange(math.floor(span) + 1), stop)
 
 
 def _cmd_noise_sweep(params: dict, seed: int) -> dict:

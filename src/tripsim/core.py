@@ -13,6 +13,7 @@ Conventions used by the whole package:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -265,7 +266,7 @@ class LocalOperator:
             raise InvariantViolation("operator-shape", f"matrix shape {m.shape} not square")
         object.__setattr__(self, "matrix", _frozen(m))
         if self.targets is not None:
-            targets = tuple(int(t) for t in self.targets)
+            targets = tuple(operator.index(t) for t in self.targets)
             object.__setattr__(self, "targets", targets)
             if len(set(targets)) != len(targets):
                 raise InvariantViolation("operator-targets", f"duplicate targets {targets}")
@@ -305,7 +306,8 @@ def tensor(a: StateVector, b: StateVector) -> StateVector:
 
 
 def _check_targets(n: int, targets) -> tuple[int, ...]:
-    targets = tuple(int(t) for t in targets)
+    """Distinct qubit indices in range(n); a non-integer index is a TypeError."""
+    targets = tuple(operator.index(t) for t in targets)
     if len(set(targets)) != len(targets):
         raise IndexError(f"overlapping targets {targets}")
     for t in targets:
@@ -371,15 +373,9 @@ def project(
 
 def partial_trace(rho: DensityOp, keep) -> DensityOp:
     """Reduced operator on the kept qubits, in the order they are listed."""
-    keep = tuple(int(q) for q in keep)
+    keep = _check_targets(rho.num_qubits, keep)
     if not keep:
         raise ValueError("keep must list at least one qubit")
-    n = rho.num_qubits
-    if len(set(keep)) != len(keep):
-        raise IndexError(f"overlapping keep indices {keep}")
-    for q in keep:
-        if not 0 <= q < n:
-            raise IndexError(f"keep index {q} out of range for {n} qubits")
     return DensityOp(_reduced_matrix(rho.matrix, keep))
 
 

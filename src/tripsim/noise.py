@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DensityOp, InvariantViolation, PAULI_X, PAULI_Y, PAULI_Z, within
+from .core import DensityOp, InvariantViolation, PAULI_X, PAULI_Y, PAULI_Z, _check_targets, within
 from .teleport import ProtocolBundle, protocol_bundle, resource_response
 
 _COMPLETENESS_ATOL = 1e-12
@@ -108,8 +108,7 @@ def _apply_kraus_1q(mat: np.ndarray, n: int, kraus, q: int) -> np.ndarray:
 def apply_channel(rho: DensityOp, ch: KrausChannel, target: int) -> DensityOp:
     """Apply a single-qubit channel to one qubit of a register state."""
     n = rho.num_qubits
-    if not 0 <= target < n:
-        raise IndexError(f"target {target} out of range for {n} qubits")
+    (target,) = _check_targets(n, (target,))
     return DensityOp(_apply_kraus_1q(rho.matrix, n, ch.kraus, target))
 
 

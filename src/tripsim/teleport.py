@@ -6,12 +6,13 @@ computational kets) and a per-outcome correction lookup; the receiver
 should end up holding the input encoding. Every input qubit is measured,
 so each outcome bra contracts the input encoding to a resource-independent
 factor (:func:`_branch_factors`). On the bundle's own resource it gives the
-Kraus stack (:func:`_kraus_stack`) behind the per-input reports and the
-correction search; on the resource basis, in closed form, it gives the
-resource response W behind the exact input averages and the noise sweeps.
+Kraus stack (:func:`_kraus_stack`) behind the per-input reports; on the
+resource basis, in closed form, it gives the resource response W behind
+the exact input averages and the noise sweeps.
 A fixed-outcome protocol's bundles (epr-via-ghz, ghz-via-3epr, w-channel)
 carry these factors, built once per process by :func:`protocol_bundle`;
 ``dataclasses.replace`` drops them, so any other bundle builds its own.
+Each correction lookup is a stated rule, built once per process.
 Branches are enumerated in lexicographic label order, with two fidelity
 accountings side by side that must coincide: the sum of ``tr(rho_in rho~_f)``
 over unnormalized corrected branches, and the probability-weighted sum of
@@ -26,10 +27,9 @@ with the receiver holding qubit 3.
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from typing import Callable
 
@@ -42,16 +42,6 @@ _MAX = math.pi / 4
 _DEGENERATE_CUT = 1e-14
 
 PROTOCOL_NAMES = ("ghz-epr", "ghz-meas", "epr-via-ghz", "ghz-via-3epr", "w-channel")
-
-# Inputs used to certify correction lookups; both components nonzero and
-# phases generic so a candidate only scores 1 if it works for every input.
-_PROBE_PAIRS = (
-    (1 / math.sqrt(2), 1 / math.sqrt(2)),
-    (math.sqrt(0.3), math.sqrt(0.7)),
-    (math.sqrt(0.8), math.sqrt(0.2) * cmath.exp(0.9j)),
-    (0.6, 0.8j),
-    (math.sqrt(0.45), math.sqrt(0.55) * cmath.exp(-2.1j)),
-)
 
 
 @dataclass(frozen=True)
@@ -216,9 +206,9 @@ def _branch_factors(bundle: ProtocolBundle):
     )
     measured = tuple(q - n_in for q in bundle.meas_targets if q >= n_in)
     kept = tuple(q - n_in for q in range(n_in, bundle.n_total) if q not in bundle.meas_targets)
-    identity = np.eye(1 << len(kept), dtype=complex)
     fixes = [bundle.corrections.get(label) for label, _ in bundle.outcomes]
-    corrections = np.array([identity if fix is None else fix.matrix for fix in fixes])
+    dim = 1 << len(kept)
+    corrections = np.array([np.eye(dim, dtype=complex) if fix is None else fix.matrix for fix in fixes])
     return factor.reshape(len(bras), -1, 2), measured + kept, corrections
 
 
@@ -248,50 +238,6 @@ def _require_corrections(bundle: ProtocolBundle, probs: np.ndarray) -> None:
             raise InvariantViolation(
                 "correction-coverage", f"{bundle.name} has no correction for live outcome {label}"
             )
-
-
-# --- correction search -------------------------------------------------
-
-def _searched_corrections(bundle: ProtocolBundle) -> dict:
-    """Build the per-outcome lookup by probing a correction-free bundle.
-
-    Exhaustive search over the Pauli strings of the receiver width, scored
-    in one batch: a candidate's score for an outcome is its worst-case
-    fidelity across the probes for which that outcome is live. The first
-    candidate in (fewest non-identity factors, lexicographic) order whose
-    score is within 1e-12 of the best wins, so the lookup is deterministic.
-    Outcomes that no probe reaches get no entry. Raises
-    ``InvariantViolation("correction-certificate")`` if the best score of
-    a live outcome is below 1 - 1e-9, i.e. no Pauli string corrects it.
-    """
-    width = bundle.n_total - len(bundle.meas_targets)
-    candidates = sorted(
-        itertools.product("IXYZ", repeat=width),
-        key=lambda ls: (sum(ch != "I" for ch in ls), ls),
-    )
-    matrices = np.stack([_kron_letters(letters) for letters in candidates])
-    probes = np.array(_PROBE_PAIRS, dtype=complex)
-    residuals, probs = _residuals(_kraus_stack(bundle), probes)
-    targets = probes @ _columns(bundle.input_state).T
-    overlaps = np.einsum("ni,cij,nlj->cnl", targets.conj(), matrices, residuals, optimize=True)
-    live = probs > _DEGENERATE_CUT
-    scores = (overlaps.real**2 + overlaps.imag**2) / np.where(live, probs, 1.0)
-    worst = np.where(live, scores, np.inf).min(axis=1)
-    best = worst.max(axis=0)
-    chosen = (worst >= best - 1e-12).argmax(axis=0)
-    table = {}
-    for i, (label, _) in enumerate(bundle.outcomes):
-        if live[:, i].any():
-            if not best[i] >= 1 - 1e-9:
-                raise InvariantViolation(
-                    "correction-certificate",
-                    f"{bundle.name}: no Pauli correction is perfect for live outcome {label}"
-                    f" (best worst-probe fidelity {best[i]:.6g})",
-                )
-            letters = candidates[chosen[i]]
-            desc = letters[0] if width == 1 else "⊗".join(letters)
-            table[label] = _Correction(desc, matrices[chosen[i]])
-    return table
 
 
 # --- bundle builders ---------------------------------------------------
@@ -405,7 +351,20 @@ def _ghz_meas_corrections():
     return table
 
 
-def _epr_via_ghz_bundle(theta_channel: float, corrections=None) -> ProtocolBundle:
+def _pauli_fix(xs, z: int) -> _Correction:
+    """X on each receiver qubit whose bit in ``xs`` is set; for odd ``z``, one
+    Z on the last X-carrying qubit (making it Y), else on the last qubit. On
+    the repetition-code states these protocols deliver, every Z placement
+    acts alike; this is the one with the fewest non-identity factors, then
+    first in I < X < Y < Z order."""
+    letters = ["X" if x else "I" for x in xs]
+    if z:
+        q = max((i for i, ch in enumerate(letters) if ch == "X"), default=len(letters) - 1)
+        letters[q] = "Y" if letters[q] == "X" else "Z"
+    return _Correction("⊗".join(letters), _kron_letters(letters))
+
+
+def _epr_via_ghz_bundle(theta_channel: float) -> ProtocolBundle:
     return ProtocolBundle(
         name="epr-via-ghz",
         params={"theta_channel": theta_channel},
@@ -413,17 +372,19 @@ def _epr_via_ghz_bundle(theta_channel: float, corrections=None) -> ProtocolBundl
         resource=ghz_basis(theta_channel, (0, 0, 0)),
         meas_targets=(0, 1, 2),
         outcomes=_maximal_ghz_outcomes(),
-        corrections=corrections if corrections is not None else {},
+        corrections=_epr_via_ghz_corrections(),
         input_state=_pair_state,
     )
 
 
 @lru_cache(maxsize=1)
 def _epr_via_ghz_corrections():
-    return _searched_corrections(_epr_via_ghz_bundle(_MAX))
+    """X⊗X for omega = 1 and one Z for mu = 1 on outcome (mu, lam, omega);
+    the outcomes with lam = 1 are dead and have no entry."""
+    return {(mu, 0, om): _pauli_fix((om, om), mu) for mu in (0, 1) for om in (0, 1)}
 
 
-def _three_epr_bundle(thetas: tuple[float, float, float], corrections=None) -> ProtocolBundle:
+def _three_epr_bundle(thetas: tuple[float, float, float]) -> ProtocolBundle:
     resource = reduce(tensor, (bell2(t, (0, 0)) for t in thetas))
     return ProtocolBundle(
         name="ghz-via-3epr",
@@ -432,17 +393,22 @@ def _three_epr_bundle(thetas: tuple[float, float, float], corrections=None) -> P
         resource=resource,
         meas_targets=(0, 3, 1, 5, 2, 7),
         outcomes=_three_bell_outcomes(),
-        corrections=corrections if corrections is not None else {},
+        corrections=_three_epr_corrections(),
         input_state=_ghz_input_state,
     )
 
 
 @lru_cache(maxsize=1)
 def _three_epr_corrections():
-    return _searched_corrections(_three_epr_bundle((_MAX, _MAX, _MAX)))
+    """X on receiver i for n_i = 1 and one Z for odd m1 + m2 + m3 on
+    outcome (m1, n1, m2, n2, m3, n3)."""
+    return {
+        label: _pauli_fix(label[1::2], label[0] ^ label[2] ^ label[4])
+        for label in itertools.product((0, 1), repeat=6)
+    }
 
 
-def _w_channel_bundle(a: complex, b: complex, c: complex, corrections=None) -> ProtocolBundle:
+def _w_channel_bundle(a: complex, b: complex, c: complex) -> ProtocolBundle:
     return ProtocolBundle(
         name="w-channel",
         params={"a": a, "b": b, "c": c},
@@ -450,28 +416,20 @@ def _w_channel_bundle(a: complex, b: complex, c: complex, corrections=None) -> P
         resource=WChannelSpec(a, b, c).state(),
         meas_targets=(0, 1, 3),
         outcomes=_w_channel_outcomes(),
-        corrections=corrections if corrections is not None else {},
+        corrections=_w_channel_corrections(),
         input_state=_single_state,
     )
 
 
 @lru_cache(maxsize=1)
 def _w_channel_corrections():
-    """Success-branch lookup searched at the symmetric channel over the
-    outcomes where the last channel qubit reads 0; the others deliver
-    nothing and get no correction attempt."""
-    table = _searched_corrections(_w_channel_success_bundle())
+    """X^(1-n) Z^m, up to phase, on outcome (m, n, 0). Readout q = 1
+    delivers nothing, so it gets no correction attempt and fails."""
+    table = {}
     for m, n in itertools.product((0, 1), repeat=2):
+        table[(m, n, 0)] = _pauli_fix((1 - n,), m)
         table[(m, n, 1)] = _Correction("none", np.eye(2, dtype=complex), success=False)
     return table
-
-
-def _w_channel_success_bundle() -> ProtocolBundle:
-    """The symmetric w-channel bundle cut to its success outcomes (q = 0)."""
-    symmetric = 1 / math.sqrt(3)
-    full = _w_channel_bundle(symmetric, symmetric, symmetric)
-    success = tuple((label, bra) for label, bra in full.outcomes if label[2] == 0)
-    return replace(full, outcomes=success)
 
 
 def protocol_bundle(name: str, **params) -> ProtocolBundle:
@@ -507,15 +465,15 @@ def _new_bundle(name: str, params: dict) -> ProtocolBundle:
     if name == "epr-via-ghz":
         _allow(name, params, {"theta_channel"})
         theta = float(params.get("theta_channel", _MAX))
-        return _epr_via_ghz_bundle(theta, _epr_via_ghz_corrections())
+        return _epr_via_ghz_bundle(theta)
     if name == "ghz-via-3epr":
         _allow(name, params, {"theta1", "theta2", "theta3"})
         thetas = tuple(float(params.get(k, _MAX)) for k in ("theta1", "theta2", "theta3"))
-        return _three_epr_bundle(thetas, _three_epr_corrections())
+        return _three_epr_bundle(thetas)
     if name == "w-channel":
         _allow(name, params, {"a", "b", "c"})
         a, b, c = (complex(params.get(k, 1 / math.sqrt(3))) for k in "abc")
-        return _w_channel_bundle(a, b, c, _w_channel_corrections())
+        return _w_channel_bundle(a, b, c)
     raise ValueError(f"unknown protocol {name!r}")
 
 
@@ -594,16 +552,16 @@ def teleport_ghz_measurement(
 
 def teleport_epr_via_ghz(input_pair, theta_channel: float) -> TeleportReport:
     """Teleport an entangled pair a0|00> + a1|11> through a three-qubit
-    channel: maximal three-qubit measurement on (0,1,2), searched two-qubit
-    Pauli correction on the receiving pair."""
+    channel: maximal three-qubit measurement on (0,1,2), two-qubit Pauli
+    correction (:func:`_pauli_fix`) on the receiving pair."""
     bundle = protocol_bundle("epr-via-ghz", theta_channel=theta_channel)
     return enumerate_branches(bundle, *coerce_pair(input_pair))
 
 
 def teleport_ghz_via_3epr(input_ghz, channels: tuple[float, float, float]) -> TeleportReport:
     """Teleport a0|000> + a1|111> through three pair channels with Bell
-    measurements on (0,3), (1,5), (2,7); 64 branches, searched per-qubit
-    Pauli corrections on the receiving triple (4,6,8)."""
+    measurements on (0,3), (1,5), (2,7); 64 branches, per-qubit Pauli
+    corrections (:func:`_pauli_fix`) on the receiving triple (4,6,8)."""
     channels = tuple(channels)
     if len(channels) != 3:
         raise ValueError(f"ghz-via-3epr takes three channel angles, got {len(channels)}")

@@ -108,14 +108,12 @@ def gen_werner_3q(params: GenWerner3Q) -> DensityOp:
 
 def werner_invariant(rho: DensityOp) -> float:
     """tr(P- rho), the quantity preserved by correlated-unitary averaging."""
-    d = int(round(math.sqrt(rho.dim)))
-    return float(np.trace(antisymmetric_projector(d) @ rho.matrix).real)
+    return float(np.trace(antisymmetric_projector(_two_qudit_dim(rho)) @ rho.matrix).real)
 
 
 def isotropic_invariant(rho: DensityOp) -> float:
     """tr(P00 rho), the quantity preserved by unitary-conjugate averaging."""
-    d = int(round(math.sqrt(rho.dim)))
-    return float(np.trace(max_entangled_projector(d) @ rho.matrix).real)
+    return float(np.trace(max_entangled_projector(_two_qudit_dim(rho)) @ rho.matrix).real)
 
 
 def _two_qudit_dim(rho: DensityOp) -> int:

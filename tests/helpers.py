@@ -4,6 +4,7 @@ a looped correction search, a one-draw-at-a-time twirl and a projection
 oracle for the branch tables and per-reduction classification diagnostics
 (all deliberately not the library path)."""
 
+import cmath
 import itertools
 import math
 
@@ -15,7 +16,6 @@ from tripsim.core import DensityOp, InputQubit, StateVector, partial_inner, part
 from tripsim.teleport import (
     GHZ_EPR_CORRECTIONS,
     _DEGENERATE_CUT,
-    _PROBE_PAIRS,
     _Correction,
     _columns,
     _compose,
@@ -163,6 +163,17 @@ def average_fidelity_density(bundle, resource_rho: np.ndarray, c0, c1) -> float:
     return total
 
 
+# Inputs that certify a correction lookup; both components nonzero and
+# phases generic so a candidate only scores 1 if it works for every input.
+PROBE_PAIRS = (
+    (1 / math.sqrt(2), 1 / math.sqrt(2)),
+    (math.sqrt(0.3), math.sqrt(0.7)),
+    (math.sqrt(0.8), math.sqrt(0.2) * cmath.exp(0.9j)),
+    (0.6, 0.8j),
+    (math.sqrt(0.45), math.sqrt(0.55) * cmath.exp(-2.1j)),
+)
+
+
 def search_pauli_correction(samples, width: int) -> _Correction:
     """Exhaustive search over Pauli strings of the given width, one
     candidate at a time.
@@ -195,7 +206,7 @@ def looped_corrections(bundle) -> dict:
     """Per-outcome lookup of a correction-free bundle, searched outcome by
     outcome over the probe inputs for which the outcome is live."""
     width = bundle.n_total - len(bundle.meas_targets)
-    probes = np.array(_PROBE_PAIRS, dtype=complex)
+    probes = np.array(PROBE_PAIRS, dtype=complex)
     residuals, probs = _residuals(_kraus_stack(bundle), probes)
     targets = probes @ _columns(bundle.input_state).T
     per_label: dict[tuple, list] = {}

@@ -134,6 +134,29 @@ class TestCommands:
         assert len(lines) == 4
         assert abs(float(lines[1].split(",")[1]) - 1.0) < 1e-9
 
+    @pytest.mark.parametrize(
+        "grid, last",
+        [
+            ("0.3:1:0.1", 1.0),  # the last point rounds to 1.0000000000000002
+            ("0:1:0.15", 0.8999999999999999),  # 1.05 lies within half a step of stop
+            ("0:0.5:0.3", 0.3),  # 0.6 lies within half a step of stop
+            ("0:0.3:0.1", 0.3),  # the last point rounds to 0.30000000000000004
+        ],
+    )
+    def test_noise_sweep_grid_never_passes_stop(self, grid, last, capsys):
+        code, out = _run(
+            ["noise-sweep", "--protocol", "ghz-meas", "--target", "3", "--grid", grid, "--format", "csv"],
+            capsys,
+        )
+        assert code == 0
+        assert float(out.strip().split("\n")[-1].split(",")[0]) == last
+
+    def test_grid_point_cap_counts_emitted_points(self):
+        # 1000.6 steps: 1001 points are emitted, so the grid is allowed.
+        assert len(cli._parse_grid("0:1.0006:0.001")) == cli.MAX_SWEEP_POINTS
+        with pytest.raises(ValueError, match="more than the 1001 allowed"):
+            cli._parse_grid("0:1.001:0.001")
+
     def test_twirl_history(self, capsys):
         code, out = _run(["twirl", "--samples", "100", "--invariant", "0.7"], capsys)
         assert code == 0
@@ -544,6 +567,21 @@ def _requests(draw, state_dir: Path) -> list[str]:
         f"--grid={start!r}:{stop!r}:{step!r}",
         *angles,
     ]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    start=st.floats(-2.0, 2.0),
+    width=st.floats(0.0, 2.0),
+    step=st.floats(2.5e-3, 2.0),  # at most 801 points
+)
+def test_grid_points_lie_in_start_stop(start, width, step):
+    stop = start + width
+    grid = cli._parse_grid(f"{start!r}:{stop!r}:{step!r}")
+    assert grid[0] == start
+    assert start <= grid.min() and grid.max() <= stop
+    # No point that fits is dropped.
+    assert stop - grid[-1] < step
 
 
 @pytest.fixture(scope="module")

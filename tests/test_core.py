@@ -263,6 +263,10 @@ class TestApplyLocal:
         out = apply_local(LocalOperator(np.eye(2), (1,)), s)
         assert np.abs(out.amplitudes - s.amplitudes).max() < 1e-15
 
+    def test_non_integer_target_rejected_at_construction(self):
+        with pytest.raises(TypeError):
+            LocalOperator(PAULI_X, (0.0,))
+
     def test_non_unitary_rejected_at_construction(self):
         with pytest.raises(InvariantViolation, match="operator-unitarity"):
             LocalOperator(np.array([[1, 0], [0, 2]]), (0,))
@@ -343,6 +347,16 @@ class TestPartialTrace:
     def test_empty_keep_rejected(self):
         with pytest.raises(ValueError):
             partial_trace(DensityOp.from_pure(GHZ), ())
+
+    def test_non_integer_keep_rejected(self):
+        # int() would truncate 1.5 to qubit 1.
+        rho = DensityOp.from_pure(GHZ)
+        with pytest.raises(TypeError):
+            partial_trace(rho, [1.5])
+        with pytest.raises(IndexError):
+            partial_trace(rho, (1, 1))
+        with pytest.raises(IndexError):
+            partial_trace(rho, (3,))
 
     def test_reduction_is_valid_state(self):
         rng = np.random.default_rng(21)

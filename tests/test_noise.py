@@ -95,6 +95,11 @@ class TestApplyChannel:
         with pytest.raises(IndexError):
             apply_channel(rho, bit_flip(0.1), 3)
 
+    def test_non_integer_target_rejected(self):
+        rho = DensityOp.from_pure(ghz_basis(MAX, (0, 0, 0)))
+        with pytest.raises(TypeError):
+            apply_channel(rho, bit_flip(0.1), 1.0)
+
 
 def _full_space_oracle(bundle, resource_rho, c0, c1):
     """Recompute the branch-summed fidelity with dense full-register

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import chi_row, eta_row, looped_corrections, random_input
+from helpers import PROBE_PAIRS, chi_row, eta_row, looped_corrections, random_input
 from tripsim import teleport
 from tripsim.bases import bell2, bob_x_basis, ghz_basis
 from tripsim.core import InputQubit, InvariantViolation, StateVector, partial_inner, project, tensor
@@ -29,11 +29,6 @@ from tripsim.teleport import (
     teleport_ghz_via_3epr,
     teleport_w_channel,
     _compose,
-    _epr_via_ghz_bundle,
-    _searched_corrections,
-    _three_epr_bundle,
-    _w_channel_bundle,
-    _w_channel_success_bundle,
 )
 
 MAX = math.pi / 4
@@ -467,29 +462,32 @@ def test_nan_branch_weight_is_an_invariant_violation():
         enumerate_branches(broken, 0.6, 0.8)
 
 
-@pytest.mark.parametrize(
-    "bundle",
-    [
-        _epr_via_ghz_bundle(MAX),
-        _three_epr_bundle((MAX, MAX, MAX)),
-        _w_channel_success_bundle(),
-    ],
-    ids=["epr-via-ghz", "ghz-via-3epr", "w-channel"],
-)
-def test_batched_search_matches_looped_oracle(bundle):
-    batched = _searched_corrections(bundle)
-    looped = looped_corrections(bundle)
-    assert batched.keys() == looped.keys()
-    for label, corr in looped.items():
-        assert batched[label].desc == corr.desc
-        assert np.array_equal(batched[label].matrix, corr.matrix)
+@pytest.mark.parametrize("protocol", ["epr-via-ghz", "ghz-via-3epr", "w-channel"])
+def test_correction_rules_match_exhaustive_search(protocol):
+    # The stated rules (_pauli_fix) must give what an exhaustive search over
+    # Pauli strings picks on a correction-free copy of the bundle.
+    bundle = dataclasses.replace(protocol_bundle(protocol), corrections={})
+    if protocol == "w-channel":
+        # Readout q = 1 delivers nothing, so no Pauli string corrects it.
+        success = tuple(o for o in bundle.outcomes if o[0][2] == 0)
+        bundle = dataclasses.replace(bundle, outcomes=success)
+    searched = looped_corrections(bundle)
+    shipped = {label: c for label, c in protocol_bundle(protocol).corrections.items() if c.success}
+    assert shipped.keys() == searched.keys()
+    for label, corr in searched.items():
+        assert shipped[label].desc == corr.desc
+        assert shipped[label].matrix.tobytes() == corr.matrix.tobytes()
 
 
-def test_search_certifies_every_live_outcome():
-    # The lossy w-channel outcomes (m, n, 1) are live but deliver nothing,
-    # so no Pauli string corrects them: searching them must fail loudly.
-    with pytest.raises(InvariantViolation, match=r"correction-certificate.*\(0, 0, 1\)"):
-        _searched_corrections(_w_channel_bundle(*(3 * (1 / math.sqrt(3),))))
+@pytest.mark.parametrize("protocol", PROTOCOL_NAMES)
+def test_every_shipped_correction_is_perfect(protocol):
+    # At the default (maximal) resources, every live outcome that counts as
+    # a success delivers each probe input exactly.
+    bundle = protocol_bundle(protocol)
+    for c0, c1 in PROBE_PAIRS:
+        report = enumerate_branches(bundle, c0, c1)
+        live = [b for b in report.branches if b.fidelity is not None and b.success]
+        assert live and all(b.fidelity >= 1 - 1e-12 for b in live), (c0, c1)
 
 
 # Outcome bases that do not depend on a call's parameters are built once per
@@ -631,23 +629,11 @@ def test_replaced_bundles_build_their_own_factors(protocol):
     # The reversed outcomes give the reversed factors.
     built, flipped = teleport._branch_factors(bundle), teleport._branch_factors(reordered)
     assert _bits_equal(built[0][::-1], flipped[0]) and _bits_equal(built[2][::-1], flipped[2])
-    # A correction-free copy, as the search sees it: C is the identity.
+    # A correction-free copy: C is the identity.
     bare = dataclasses.replace(bundle, corrections={})
     assert bare.factors is None
     stack = teleport._branch_factors(bare)[2]
     assert _bits_equal(stack, np.broadcast_to(np.eye(stack.shape[1], dtype=complex), stack.shape))
-
-
-@pytest.mark.parametrize("protocol", _FIXED_OUTCOMES)
-def test_search_on_a_shipped_bundle_ignores_its_shared_factors(protocol):
-    bundle = dataclasses.replace(protocol_bundle(protocol), corrections={})
-    if protocol == "w-channel":
-        bundle = dataclasses.replace(bundle, outcomes=_w_channel_success_bundle().outcomes)
-    table = _searched_corrections(bundle)
-    shipped = protocol_bundle(protocol).corrections
-    assert table.keys() <= shipped.keys()
-    for label, corr in table.items():
-        assert corr.desc == shipped[label].desc
 
 
 def test_branch_sums_are_left_folds_on_every_python(monkeypatch):

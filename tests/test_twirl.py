@@ -114,6 +114,12 @@ class TestTwirl:
         out = twirl_uustar(rho, 2000, np.random.default_rng(0))
         assert trace_distance(out, rho) < 5e-2
 
+    @pytest.mark.parametrize("invariant", [werner_invariant, isotropic_invariant])
+    def test_invariant_needs_a_two_qudit_operator(self, invariant):
+        # d comes from the dimension check, not from a rounded square root.
+        with pytest.raises(ValueError, match="twirl needs a two-qudit operator, got dim 8"):
+            invariant(DensityOp(np.eye(8) / 8))
+
     def test_maximally_mixed_untouched_by_single_sample(self):
         rho = DensityOp(np.eye(4) / 4)
         out = twirl_uu(rho, 1, np.random.default_rng(3))
