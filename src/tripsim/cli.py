@@ -206,16 +206,19 @@ def _input_pair(params: dict, keys=("c0", "c1")) -> tuple[complex, complex]:
 
 
 def _cmd_teleport(params: dict, seed: int) -> dict:
-    # What is left after the amplitudes are popped goes to protocol_bundle,
-    # which refuses the parameters that do not belong to the protocol.
+    # A multi-qubit input takes --a0/--a1, and the complex parameters are
+    # channel amplitudes, normalized as one vector. What is left goes to
+    # protocol_bundle, which refuses the parameters that do not belong.
     params = dict(params)
-    protocol = params.pop("protocol", None)
-    keys = ("a0", "a1") if protocol in ("epr-via-ghz", "ghz-via-3epr") else ("c0", "c1")
-    c0, c1 = _input_pair(params, keys)
-    if protocol == "w-channel":
-        amps = (params.pop(k, 1 / math.sqrt(3)) for k in "abc")
-        params.update(zip("abc", _normalized_tuple(amps, "channel")))
-    report = teleport.enumerate_branches(teleport.protocol_bundle(protocol, **params), c0, c1)
+    name = params.pop("protocol", None)
+    protocol = teleport.PROTOCOLS.get(name)
+    if protocol is None:
+        raise ValueError(f"unknown protocol {name!r}")
+    c0, c1 = _input_pair(params, ("a0", "a1") if protocol.n_input > 1 else ("c0", "c1"))
+    amps = {k: params.pop(k, v) for k, v in protocol.params.items() if isinstance(v, complex)}
+    if amps:
+        params.update(zip(amps, _normalized_tuple(amps.values(), "channel")))
+    report = teleport.enumerate_branches(teleport.protocol_bundle(name, **params), c0, c1)
     return {"schema": SCHEMA_TAG, "command": "teleport", **report.to_dict()}
 
 
@@ -467,10 +470,12 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     common.add_argument("--out", default=argparse.SUPPRESS)
     common.add_argument("--format", choices=("json", "csv"), default=argparse.SUPPRESS)
-    # Protocol angles; teleport and noise-sweep hand them to protocol_bundle.
+    # Protocol angles, the float parameters of the protocol table; teleport
+    # and noise-sweep hand them to protocol_bundle.
     angles = argparse.ArgumentParser(add_help=False)
-    for flag in ("bob-theta", "theta-channel", "theta-meas", "theta1", "theta2", "theta3"):
-        angles.add_argument(f"--{flag}", type=float)
+    floats = (k for p in teleport.PROTOCOLS.values() for k, v in p.params.items() if isinstance(v, float))
+    for key in dict.fromkeys(floats):
+        angles.add_argument(f"--{key.replace('_', '-')}", type=float)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("paradox", parents=[common], allow_abbrev=False, help="three-party local-realism paradox report")

@@ -10,6 +10,7 @@ qubit, and reads the exact input-averaged fidelity off as sum(W * rho).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,8 +114,9 @@ def apply_channel(rho: DensityOp, ch: KrausChannel, target: int) -> DensityOp:
 
 
 def _resource_targets(bundle: ProtocolBundle, target) -> tuple[int, ...]:
-    """Validate full-register indices and map them to resource-local ones."""
-    targets = tuple(int(t) for t in np.atleast_1d(target))
+    """Validate full-register indices and map them to resource-local ones;
+    a non-integer index is a TypeError."""
+    targets = tuple(operator.index(t) for t in np.atleast_1d(target))
     lo, hi = bundle.n_input, bundle.n_total
     for t in targets:
         if not lo <= t < hi:

@@ -9,9 +9,10 @@ factor (:func:`_branch_factors`). On the bundle's own resource it gives the
 Kraus stack (:func:`_kraus_stack`) behind the per-input reports; on the
 resource basis, in closed form, it gives the resource response W behind
 the exact input averages and the noise sweeps.
-A fixed-outcome protocol's bundles (epr-via-ghz, ghz-via-3epr, w-channel)
-carry these factors, built once per process by :func:`protocol_bundle`;
-``dataclasses.replace`` drops them, so any other bundle builds its own.
+Each protocol is one entry of the table :data:`PROTOCOLS`. The bundles of
+an entry with fixed outcomes carry these factors, built once per process by
+:func:`protocol_bundle`; ``dataclasses.replace`` drops them, so any other
+bundle builds its own.
 Each correction lookup is a stated rule, built once per process.
 Branches are enumerated in lexicographic label order, with two fidelity
 accountings side by side that must coincide: the sum of ``tr(rho_in rho~_f)``
@@ -40,9 +41,6 @@ from .core import PAULIS, InputQubit, InvariantViolation, StateVector, clamp_uni
 
 _MAX = math.pi / 4
 _DEGENERATE_CUT = 1e-14
-
-PROTOCOL_NAMES = ("ghz-epr", "ghz-meas", "epr-via-ghz", "ghz-via-3epr", "w-channel")
-
 
 @dataclass(frozen=True)
 class BranchRecord:
@@ -143,22 +141,16 @@ def _kron_letters(letters) -> np.ndarray:
     return reduce(np.kron, (PAULIS[ch] for ch in letters))
 
 
-def _pair_state(c0: complex, c1: complex) -> StateVector:
-    amps = np.zeros(4, dtype=complex)
-    amps[0b00] = c0
-    amps[0b11] = c1
-    return StateVector(amps)
+@lru_cache(maxsize=None)
+def _repetition(n: int) -> Callable:
+    """The input encoding (c0, c1) -> c0|0...0> + c1|1...1> on n qubits."""
 
+    def encode(c0: complex, c1: complex) -> StateVector:
+        amps = np.zeros(1 << n, dtype=complex)
+        amps[0], amps[-1] = c0, c1
+        return StateVector(amps)
 
-def _ghz_input_state(c0: complex, c1: complex) -> StateVector:
-    amps = np.zeros(8, dtype=complex)
-    amps[0b000] = c0
-    amps[0b111] = c1
-    return StateVector(amps)
-
-
-def _single_state(c0: complex, c1: complex) -> StateVector:
-    return StateVector([c0, c1])
+    return encode
 
 
 def coerce_pair(pair) -> tuple[complex, complex]:
@@ -301,22 +293,13 @@ def _w_channel_outcomes():
     )
 
 
-def _ghz_epr_bundle(bob_theta: float) -> ProtocolBundle:
+def _ghz_epr_outcomes(bob_theta: float):
+    """A maximal Bell outcome times the receiver's rotated basis, labeled (m, n, j)."""
     x_pair = bob_x_basis(bob_theta)
-    outcomes = tuple(
+    return tuple(
         ((m, n, j), tensor(bell, x_pair[j]))
         for (m, n), bell in _bell_outcomes()
         for j in (0, 1)
-    )
-    return ProtocolBundle(
-        name="ghz-epr",
-        params={"bob_theta": bob_theta},
-        n_input=1,
-        resource=ghz_basis(_MAX, (0, 0, 0)),
-        meas_targets=(0, 1, 2),
-        outcomes=outcomes,
-        corrections=_ghz_epr_corrections(),
-        input_state=_single_state,
     )
 
 
@@ -326,19 +309,6 @@ def _ghz_epr_corrections():
         label: _Correction(desc, _compose(desc))
         for label, desc in GHZ_EPR_CORRECTIONS.items()
     }
-
-
-def _ghz_meas_bundle(theta_channel: float, theta_meas: float) -> ProtocolBundle:
-    return ProtocolBundle(
-        name="ghz-meas",
-        params={"theta_channel": theta_channel, "theta_meas": theta_meas},
-        n_input=1,
-        resource=ghz_basis(theta_channel, (0, 0, 0)),
-        meas_targets=(0, 1, 2),
-        outcomes=_ghz_outcomes(theta_meas),
-        corrections=_ghz_meas_corrections(),
-        input_state=_single_state,
-    )
 
 
 @lru_cache(maxsize=1)
@@ -364,38 +334,11 @@ def _pauli_fix(xs, z: int) -> _Correction:
     return _Correction("⊗".join(letters), _kron_letters(letters))
 
 
-def _epr_via_ghz_bundle(theta_channel: float) -> ProtocolBundle:
-    return ProtocolBundle(
-        name="epr-via-ghz",
-        params={"theta_channel": theta_channel},
-        n_input=2,
-        resource=ghz_basis(theta_channel, (0, 0, 0)),
-        meas_targets=(0, 1, 2),
-        outcomes=_maximal_ghz_outcomes(),
-        corrections=_epr_via_ghz_corrections(),
-        input_state=_pair_state,
-    )
-
-
 @lru_cache(maxsize=1)
 def _epr_via_ghz_corrections():
     """X⊗X for omega = 1 and one Z for mu = 1 on outcome (mu, lam, omega);
     the outcomes with lam = 1 are dead and have no entry."""
     return {(mu, 0, om): _pauli_fix((om, om), mu) for mu in (0, 1) for om in (0, 1)}
-
-
-def _three_epr_bundle(thetas: tuple[float, float, float]) -> ProtocolBundle:
-    resource = reduce(tensor, (bell2(t, (0, 0)) for t in thetas))
-    return ProtocolBundle(
-        name="ghz-via-3epr",
-        params={"thetas": thetas},
-        n_input=3,
-        resource=resource,
-        meas_targets=(0, 3, 1, 5, 2, 7),
-        outcomes=_three_bell_outcomes(),
-        corrections=_three_epr_corrections(),
-        input_state=_ghz_input_state,
-    )
 
 
 @lru_cache(maxsize=1)
@@ -406,19 +349,6 @@ def _three_epr_corrections():
         label: _pauli_fix(label[1::2], label[0] ^ label[2] ^ label[4])
         for label in itertools.product((0, 1), repeat=6)
     }
-
-
-def _w_channel_bundle(a: complex, b: complex, c: complex) -> ProtocolBundle:
-    return ProtocolBundle(
-        name="w-channel",
-        params={"a": a, "b": b, "c": c},
-        n_input=1,
-        resource=WChannelSpec(a, b, c).state(),
-        meas_targets=(0, 1, 3),
-        outcomes=_w_channel_outcomes(),
-        corrections=_w_channel_corrections(),
-        input_state=_single_state,
-    )
 
 
 @lru_cache(maxsize=1)
@@ -432,15 +362,76 @@ def _w_channel_corrections():
     return table
 
 
+@dataclass(frozen=True)
+class Protocol:
+    """What one protocol is made of: its parameters, each mapped to its
+    default, whose type is the parameter's type; its layout and input
+    encoding; builders of the resource and the outcomes from the resolved
+    parameters; and its correction table. ``fixed_outcomes`` says that the
+    outcomes are the same for every call."""
+
+    params: dict
+    n_input: int
+    meas_targets: tuple[int, ...]
+    input_state: Callable
+    resource: Callable[[dict], StateVector]
+    outcomes: Callable[[dict], tuple]
+    corrections: Callable[[], dict]
+    fixed_outcomes: bool = False
+
+    def bundle(self, name: str, params: dict) -> ProtocolBundle:
+        """The bundle of resolved ``params``, without shared factors."""
+        return ProtocolBundle(
+            name, params, self.n_input, self.resource(params), self.meas_targets,
+            self.outcomes(params), self.corrections(), self.input_state,
+        )
+
+
+PROTOCOLS: dict[str, Protocol] = {
+    "ghz-epr": Protocol(
+        {"bob_theta": _MAX}, 1, (0, 1, 2), _repetition(1), lambda p: ghz_basis(_MAX, (0, 0, 0)),
+        lambda p: _ghz_epr_outcomes(p["bob_theta"]), _ghz_epr_corrections,
+    ),
+    "ghz-meas": Protocol(
+        {"theta_channel": _MAX, "theta_meas": _MAX}, 1, (0, 1, 2), _repetition(1),
+        lambda p: ghz_basis(p["theta_channel"], (0, 0, 0)),
+        lambda p: _ghz_outcomes(p["theta_meas"]), _ghz_meas_corrections,
+    ),
+    "epr-via-ghz": Protocol(
+        {"theta_channel": _MAX}, 2, (0, 1, 2), _repetition(2),
+        lambda p: ghz_basis(p["theta_channel"], (0, 0, 0)),
+        lambda p: _maximal_ghz_outcomes(), _epr_via_ghz_corrections, fixed_outcomes=True,
+    ),
+    "ghz-via-3epr": Protocol(
+        {"theta1": _MAX, "theta2": _MAX, "theta3": _MAX}, 3, (0, 3, 1, 5, 2, 7), _repetition(3),
+        lambda p: reduce(tensor, (bell2(t, (0, 0)) for t in p.values())),
+        lambda p: _three_bell_outcomes(), _three_epr_corrections, fixed_outcomes=True,
+    ),
+    "w-channel": Protocol(
+        dict.fromkeys("abc", complex(1 / math.sqrt(3))), 1, (0, 1, 3), _repetition(1),
+        lambda p: WChannelSpec(**p).state(),
+        lambda p: _w_channel_outcomes(), _w_channel_corrections, fixed_outcomes=True,
+    ),
+}
+PROTOCOL_NAMES = tuple(PROTOCOLS)
+
+
 def protocol_bundle(name: str, **params) -> ProtocolBundle:
     """Registry entry point; unknown protocols or parameter keys are rejected.
 
-    The outcomes, corrections and layout of epr-via-ghz, ghz-via-3epr and
-    w-channel are the same for every call, so their bundles carry branch
-    factors built once per process.
+    A missing parameter takes its default, and each value is converted to
+    the type of its default. The bundles of a protocol with fixed outcomes
+    carry branch factors built once per process.
     """
-    bundle = _new_bundle(name, params)
-    if name in ("epr-via-ghz", "ghz-via-3epr", "w-channel"):
+    protocol = PROTOCOLS.get(name)
+    if protocol is None:
+        raise ValueError(f"unknown protocol {name!r}")
+    unknown = params.keys() - protocol.params.keys()
+    if unknown:
+        raise ValueError(f"parameters {sorted(unknown)} do not apply to {name}")
+    resolved = {k: type(v)(params.get(k, v)) for k, v in protocol.params.items()}
+    bundle = protocol.bundle(name, resolved)
+    if protocol.fixed_outcomes:
         object.__setattr__(bundle, "factors", _fixed_factors(name))
     return bundle
 
@@ -448,39 +439,11 @@ def protocol_bundle(name: str, **params) -> ProtocolBundle:
 @lru_cache(maxsize=None)
 def _fixed_factors(name: str) -> tuple:
     """Read-only branch factors of a fixed-outcome protocol's default bundle."""
-    factor, order, corrections = _branch_factors(_new_bundle(name, {}))
+    protocol = PROTOCOLS[name]
+    factor, order, corrections = _branch_factors(protocol.bundle(name, protocol.params))
     factor.setflags(write=False)
     corrections.setflags(write=False)
     return factor, order, corrections
-
-
-def _new_bundle(name: str, params: dict) -> ProtocolBundle:
-    if name == "ghz-epr":
-        _allow(name, params, {"bob_theta"})
-        return _ghz_epr_bundle(float(params.get("bob_theta", _MAX)))
-    if name == "ghz-meas":
-        _allow(name, params, {"theta_channel", "theta_meas"})
-        angles = (float(params.get(k, _MAX)) for k in ("theta_channel", "theta_meas"))
-        return _ghz_meas_bundle(*angles)
-    if name == "epr-via-ghz":
-        _allow(name, params, {"theta_channel"})
-        theta = float(params.get("theta_channel", _MAX))
-        return _epr_via_ghz_bundle(theta)
-    if name == "ghz-via-3epr":
-        _allow(name, params, {"theta1", "theta2", "theta3"})
-        thetas = tuple(float(params.get(k, _MAX)) for k in ("theta1", "theta2", "theta3"))
-        return _three_epr_bundle(thetas)
-    if name == "w-channel":
-        _allow(name, params, {"a", "b", "c"})
-        a, b, c = (complex(params.get(k, 1 / math.sqrt(3))) for k in "abc")
-        return _w_channel_bundle(a, b, c)
-    raise ValueError(f"unknown protocol {name!r}")
-
-
-def _allow(name: str, params: dict, keys: set):
-    unknown = set(params) - keys
-    if unknown:
-        raise ValueError(f"parameters {sorted(unknown)} do not apply to {name}")
 
 
 # --- enumeration -------------------------------------------------------
@@ -632,7 +595,8 @@ def average_fidelity(bundle: ProtocolBundle, rho=None) -> float:
 
 def average_fidelity_ghz_meas(theta_channel: float, theta_meas: float) -> float:
     """Exact input-averaged fidelity of the measurement protocol."""
-    return average_fidelity(_ghz_meas_bundle(theta_channel, theta_meas))
+    bundle = protocol_bundle("ghz-meas", theta_channel=theta_channel, theta_meas=theta_meas)
+    return average_fidelity(bundle)
 
 
 def closed_form_avg_fidelity(theta_channel: float, theta_meas: float) -> float:
@@ -653,6 +617,7 @@ def avg_fidelity_surface(theta_grid, phi_grid=None) -> FidelitySurface:
         if grid.min() < 0.0 or grid.max() > math.pi / 2 + 1e-12:
             raise ValueError("grid angles must lie in [0, pi/2]")
     channels = np.stack([ghz_basis(th, (0, 0, 0)).amplitudes for th in theta_grid])
-    responses = np.stack([resource_response(_ghz_meas_bundle(_MAX, ph)) for ph in phi_grid])
+    bundles = (protocol_bundle("ghz-meas", theta_meas=ph) for ph in phi_grid)
+    responses = np.stack([resource_response(bundle) for bundle in bundles])
     values = np.einsum("ir,jrs,is->ij", channels, responses, channels.conj()).real
     return FidelitySurface(theta_grid, phi_grid, clamp_unit(values, "surface fidelity"))

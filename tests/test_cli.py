@@ -212,6 +212,42 @@ class TestDeterminismAndConfig:
     def test_bad_protocol_exits_2(self, capsys):
         assert main(["teleport", "--protocol", "swap"]) == 2
 
+    @pytest.mark.parametrize(
+        "protocol, flags, params",
+        [
+            ("ghz-epr", ["--c0", "0.6", "--c1", "0.8j", "--bob-theta", "0.3"], {"bob_theta": 0.3}),
+            (
+                "ghz-meas",
+                ["--c0", "0.6", "--c1", "0.8j", "--theta-channel", "0.2", "--theta-meas", "1.1"],
+                {"theta_channel": 0.2, "theta_meas": 1.1},
+            ),
+            (
+                "epr-via-ghz",
+                ["--a0", "0.6", "--a1", "0.8j", "--theta-channel", "0.4"],
+                {"theta_channel": 0.4},
+            ),
+            (
+                "ghz-via-3epr",
+                ["--a0", "0.6", "--a1", "0.8j", "--theta1", "0.3", "--theta2", "0.5", "--theta3", "0.7"],
+                {"theta1": 0.3, "theta2": 0.5, "theta3": 0.7},
+            ),
+            (
+                "w-channel",
+                ["--c0", "0.6", "--c1", "0.8j", "--a", "0.8", "--b", "0.6j", "--c", "0"],
+                {"a": 0.8, "b": 0.6j, "c": 0.0},
+            ),
+        ],
+        ids=["ghz-epr", "ghz-meas", "epr-via-ghz", "ghz-via-3epr", "w-channel"],
+    )
+    def test_each_protocol_takes_its_own_flags(self, protocol, flags, params, capsys):
+        # Unit-norm amplitudes pass normalization unchanged, so the payload
+        # is the library report of the same input and parameters.
+        code, out = _run(["teleport", "--protocol", protocol, *flags], capsys)
+        assert code == 0
+        report = teleport.enumerate_branches(teleport.protocol_bundle(protocol, **params), 0.6, 0.8j)
+        expected = {"schema": cli.SCHEMA_TAG, "command": "teleport", **report.to_dict()}
+        assert json.loads(out) == json.loads(json.dumps(expected))
+
     def test_duplicate_noise_target_exits_2(self, capsys):
         assert main(["noise-sweep", "--protocol", "ghz-epr", "--target", "2,2"]) == 2
         assert "distinct" in capsys.readouterr().err
@@ -310,12 +346,15 @@ class TestNoSilentClamp:
     def test_scaled_correction_exits_1(self, argv, monkeypatch, capsys):
         # Scaling every ghz-meas correction by 1.1 scales the maximal
         # fidelity to 1.21; it must not be clamped to 1. The table is built
-        # once per process, so the scaled copy replaces the cached one.
+        # once per process, so the protocol entry gets the scaled copy.
+        entry = teleport.PROTOCOLS["ghz-meas"]
         scaled = {
             label: dataclasses.replace(fix, matrix=1.1 * fix.matrix)
-            for label, fix in teleport._ghz_meas_corrections().items()
+            for label, fix in entry.corrections().items()
         }
-        monkeypatch.setattr(teleport, "_ghz_meas_corrections", lambda: scaled)
+        monkeypatch.setitem(
+            teleport.PROTOCOLS, "ghz-meas", dataclasses.replace(entry, corrections=lambda: scaled)
+        )
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -257,3 +257,13 @@ class TestSweep:
         for target in (0, 4, [3, 3]):
             with pytest.raises(ValueError):
                 noisy_teleport_sweep("ghz-meas", "bitflip", target, [0.0])
+
+    @pytest.mark.parametrize("target", [3.7, 3 + 0j, [3, 2.5]], ids=["float", "complex", "list"])
+    def test_non_integer_target_rejected(self, target):
+        # 3.7 must not be read as qubit 3.
+        with pytest.raises(TypeError):
+            noisy_teleport_sweep("ghz-meas", "bitflip", target, [0.3])
+
+    def test_numpy_integer_target_accepted(self):
+        rows = noisy_teleport_sweep("ghz-meas", "bitflip", np.int64(3), [0.3])
+        assert rows == noisy_teleport_sweep("ghz-meas", "bitflip", 3, [0.3])

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import PROBE_PAIRS, chi_row, eta_row, looped_corrections, random_input
 from tripsim import teleport
@@ -557,6 +559,10 @@ def _report_bytes(protocol: str, args: tuple) -> bytes:
         report = teleport_ghz_via_3epr((c0, c1), *args)
     else:
         report = teleport_w_channel(InputQubit(c0, c1), *args)
+    return _bytes_of(report)
+
+
+def _bytes_of(report) -> bytes:
     states = b"".join(b.post_state.amplitudes.tobytes() for b in report.branches if b.post_state)
     traced = repr(report.avg_fidelity_traced).encode()
     return json.dumps(report.to_dict()).encode() + traced + states
@@ -659,3 +665,87 @@ def test_branch_sums_are_left_folds_on_every_python(monkeypatch):
     assert report.avg_fidelity == left(terms)
     assert report.success_probability == left(b.probability for b in live if b.success)
     assert report.total_probability == left(b.probability for b in report.branches)
+
+
+# --- random parameters of all five protocols ----------------------------------
+
+_PARAM_KEYS = {
+    "ghz-epr": ("bob_theta",),
+    "ghz-meas": ("theta_channel", "theta_meas"),
+    "epr-via-ghz": ("theta_channel",),
+    "ghz-via-3epr": ("theta1", "theta2", "theta3"),
+    "w-channel": ("a", "b", "c"),
+}
+_PUBLIC_CALLS = {
+    "ghz-epr": lambda c, p: teleport_ghz_epr(InputQubit(*c), p["bob_theta"]),
+    "ghz-meas": lambda c, p: teleport_ghz_measurement(InputQubit(*c), p["theta_channel"], p["theta_meas"]),
+    "epr-via-ghz": lambda c, p: teleport_epr_via_ghz(c, p["theta_channel"]),
+    "ghz-via-3epr": lambda c, p: teleport_ghz_via_3epr(c, (p["theta1"], p["theta2"], p["theta3"])),
+    "w-channel": lambda c, p: teleport_w_channel(InputQubit(*c), (p["a"], p["b"], p["c"])),
+}
+_angles = st.one_of(
+    st.sampled_from((0.0, MAX, math.pi / 2, 1e-9, math.pi / 2 - 1e-9)), st.floats(0.0, math.pi / 2)
+)
+_parts = st.one_of(st.just(0.0), st.floats(-1.0, 1.0))
+
+
+def _normalized(values) -> tuple:
+    norm = math.sqrt(sum(abs(v) ** 2 for v in values))
+    return tuple(v / norm for v in values)
+
+
+_amplitudes = st.lists(st.builds(complex, _parts, _parts), min_size=3, max_size=3).filter(
+    lambda v: sum(abs(x) ** 2 for x in v) > 1e-6
+).map(_normalized)
+_inputs = st.one_of(
+    st.sampled_from(((1.0, 0.0), (0.0, 1.0))),
+    st.tuples(st.builds(complex, _parts, _parts), st.builds(complex, _parts, _parts))
+    .filter(lambda v: abs(v[0]) ** 2 + abs(v[1]) ** 2 > 1e-6)
+    .map(_normalized),
+)
+
+
+@st.composite
+def _protocol_params(draw) -> tuple[str, dict]:
+    """A protocol and a value for each of its parameters."""
+    protocol = draw(st.sampled_from(PROTOCOL_NAMES))
+    if protocol == "w-channel":
+        return protocol, dict(zip("abc", draw(_amplitudes)))
+    return protocol, {k: draw(_angles) for k in _PARAM_KEYS[protocol]}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(request=_protocol_params(), pair=_inputs)
+def test_report_params_rebuild_the_same_report(request, pair):
+    # A report's params are what protocol_bundle takes: they rebuild a
+    # bundle whose report has the same bytes.
+    protocol, params = request
+    report = _PUBLIC_CALLS[protocol](pair, params)
+    rebuilt = enumerate_branches(protocol_bundle(report.protocol, **report.params), *coerce_pair(pair))
+    assert _bytes_of(rebuilt) == _bytes_of(report)
+
+
+def _nielsen_average(bundle) -> float:
+    """Nielsen's average fidelity sum_l (|Tr A_l|^2 + ||A_l||_F^2) / 6 with
+    A_l = T^dagger K_l (Phys. Lett. A 303, 249 (2002)). T is the input
+    encoding; each K_l is projected out of the full register state."""
+    n, k = bundle.n_total, len(bundle.meas_targets)
+    encoding = np.stack([bundle.input_state(1, 0).amplitudes, bundle.input_state(0, 1).amplitudes], axis=1)
+    registers = [np.kron(column, bundle.resource.amplitudes).reshape((2,) * n) for column in encoding.T]
+    total = 0.0
+    for label, bra in bundle.outcomes:
+        bra = bra.amplitudes.conj().reshape((2,) * k)
+        axes = (list(range(k)), list(bundle.meas_targets))
+        residual = np.stack([np.tensordot(bra, psi, axes=axes).reshape(-1) for psi in registers], axis=1)
+        corr = bundle.corrections.get(label)
+        a = encoding.conj().T @ (residual if corr is None else corr.matrix @ residual)
+        total += (abs(np.trace(a)) ** 2 + np.vdot(a, a).real) / 6
+    return total
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(request=_protocol_params())
+def test_average_fidelity_matches_nielsen_formula(request):
+    protocol, params = request
+    bundle = protocol_bundle(protocol, **params)
+    assert abs(average_fidelity(bundle) - _nielsen_average(bundle)) <= 1e-13
