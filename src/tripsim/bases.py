@@ -124,22 +124,34 @@ def general_bell(spec: GeneralBellSpec, label: BellLabel) -> np.ndarray:
     return amps
 
 
+# Each family member below is linear in the coordinates b = (cos theta,
+# sin theta) of its angle; the ``_*_member`` forms take b itself, so that
+# b can also be an exact unit vector (cos(pi/2) is 6.1e-17, not 0).
+
 def bell2(theta: float, label: BellLabel | tuple[int, int]) -> StateVector:
     """The four two-qubit states of the theta-parametrized pair basis."""
     _check_angle("theta", theta)
+    return _bell2_member((math.cos(theta), math.sin(theta)), label)
+
+
+def _bell2_member(b, label: BellLabel | tuple[int, int]) -> StateVector:
     if isinstance(label, tuple):
         label = BellLabel(*label)
     if label.m not in (0, 1) or label.n not in (0, 1):
         raise ValueError(f"two-qubit labels must be bits, got {label}")
-    return StateVector(general_bell(GeneralBellSpec.two_qubit(theta), label))
+    c, s = b
+    return StateVector(general_bell(GeneralBellSpec(2, np.array([[c, s], [s, c]])), label))
 
 
 def ghz_basis(theta: float, label: GhzLabel | tuple[int, int, int]) -> StateVector:
     """Three-qubit basis member sum_j (-1)^{mu j} b_{mu+j} |j, j+lam, j+omega>."""
     _check_angle("theta", theta)
+    return _ghz_member((math.cos(theta), math.sin(theta)), label)
+
+
+def _ghz_member(b, label: GhzLabel | tuple[int, int, int]) -> StateVector:
     if isinstance(label, tuple):
         label = GhzLabel(*label)
-    b = (math.cos(theta), math.sin(theta))
     amps = np.zeros(8, dtype=complex)
     for j in (0, 1):
         idx = (j << 2) | ((j ^ label.lam) << 1) | (j ^ label.omega)
@@ -199,7 +211,11 @@ def bob_x_basis(theta: float) -> tuple[StateVector, StateVector]:
     """Single-qubit pair (|x0>, |x1>) defined by |0> = sin t|x0> + cos t|x1>,
     |1> = cos t|x0> - sin t|x1>; the relation is its own inverse."""
     _check_angle("theta", theta)
-    s, c = math.sin(theta), math.cos(theta)
+    return _bob_x_member((math.cos(theta), math.sin(theta)))
+
+
+def _bob_x_member(b) -> tuple[StateVector, StateVector]:
+    c, s = b
     return StateVector([s, c]), StateVector([c, -s])
 
 

@@ -205,19 +205,29 @@ def _input_pair(params: dict, keys=("c0", "c1")) -> tuple[complex, complex]:
     return teleport.coerce_pair(_normalized_tuple(amps, "input"))
 
 
-def _cmd_teleport(params: dict, seed: int) -> dict:
-    # A multi-qubit input takes --a0/--a1, and the complex parameters are
-    # channel amplitudes, normalized as one vector. What is left goes to
-    # protocol_bundle, which refuses the parameters that do not belong.
-    params = dict(params)
-    name = params.pop("protocol", None)
+def _protocol_entry(name) -> teleport.Protocol:
     protocol = teleport.PROTOCOLS.get(name)
     if protocol is None:
         raise ValueError(f"unknown protocol {name!r}")
-    c0, c1 = _input_pair(params, ("a0", "a1") if protocol.n_input > 1 else ("c0", "c1"))
+    return protocol
+
+
+def _normalize_channel(protocol: teleport.Protocol, params: dict) -> None:
+    """Normalize the protocol's complex parameters, its channel amplitudes,
+    in ``params`` as one vector; a missing one takes its default."""
     amps = {k: params.pop(k, v) for k, v in protocol.params.items() if isinstance(v, complex)}
     if amps:
         params.update(zip(amps, _normalized_tuple(amps.values(), "channel")))
+
+
+def _cmd_teleport(params: dict, seed: int) -> dict:
+    # A multi-qubit input takes --a0/--a1. What is left goes to
+    # protocol_bundle, which refuses the parameters that do not belong.
+    params = dict(params)
+    name = params.pop("protocol", None)
+    protocol = _protocol_entry(name)
+    c0, c1 = _input_pair(params, ("a0", "a1") if protocol.n_input > 1 else ("c0", "c1"))
+    _normalize_channel(protocol, params)
     report = teleport.enumerate_branches(teleport.protocol_bundle(name, **params), c0, c1)
     return {"schema": SCHEMA_TAG, "command": "teleport", **report.to_dict()}
 
@@ -315,14 +325,15 @@ def _parse_grid(text: str) -> np.ndarray:
 
 
 def _cmd_noise_sweep(params: dict, seed: int) -> dict:
-    protocol, channel = params.get("protocol"), params.get("channel", "bitflip")
-    target = [int(t) for t in str(params.get("target", "")).split(",") if t != ""]
+    # Every flag but these four is a protocol parameter; protocol_bundle checks it.
+    params = dict(params)
+    protocol, channel = params.pop("protocol", None), params.pop("channel", "bitflip")
+    target = [int(t) for t in str(params.pop("target", "")).split(",") if t != ""]
     if not target:
         raise ValueError("noise-sweep requires --target INDEX[,INDEX...]")
-    grid = _parse_grid(params.get("grid", "0:1:0.05"))
-    # Every other flag is a protocol parameter; protocol_bundle checks it.
-    angles = {k: v for k, v in params.items() if k not in ("protocol", "channel", "target", "grid")}
-    rows = noise.noisy_teleport_sweep(protocol, channel, target, grid, params=angles)
+    grid = _parse_grid(params.pop("grid", "0:1:0.05"))
+    _normalize_channel(_protocol_entry(protocol), params)
+    rows = noise.noisy_teleport_sweep(protocol, channel, target, grid, params=params)
     return {
         "schema": SCHEMA_TAG,
         "command": "noise-sweep",
@@ -470,26 +481,25 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     common.add_argument("--out", default=argparse.SUPPRESS)
     common.add_argument("--format", choices=("json", "csv"), default=argparse.SUPPRESS)
-    # Protocol angles, the float parameters of the protocol table; teleport
-    # and noise-sweep hand them to protocol_bundle.
-    angles = argparse.ArgumentParser(add_help=False)
-    floats = (k for p in teleport.PROTOCOLS.values() for k, v in p.params.items() if isinstance(v, float))
-    for key in dict.fromkeys(floats):
-        angles.add_argument(f"--{key.replace('_', '-')}", type=float)
+    # The parameters of the protocol table, each read as the type of its
+    # default: angles are floats, channel amplitudes complex. teleport and
+    # noise-sweep hand them to protocol_bundle.
+    table = argparse.ArgumentParser(add_help=False)
+    defaults = {k: v for p in teleport.PROTOCOLS.values() for k, v in p.params.items()}
+    for key, default in defaults.items():
+        kind = "channel amplitude (normalized with the others)" if isinstance(default, complex) else "angle in [0, pi/2]"
+        table.add_argument(f"--{key.replace('_', '-')}", type=type(default), help=kind)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("paradox", parents=[common], allow_abbrev=False, help="three-party local-realism paradox report")
     p.add_argument("--theta", type=float, default=math.pi / 4)
 
-    p = sub.add_parser("teleport", parents=[common, angles], allow_abbrev=False, help="run one protocol, emit the branch report")
+    p = sub.add_parser("teleport", parents=[common, table], allow_abbrev=False, help="run one protocol, emit the branch report")
     p.add_argument("--protocol", required=True, choices=teleport.PROTOCOL_NAMES)
     p.add_argument("--c0", type=complex, help="input amplitude (normalized with --c1)")
     p.add_argument("--c1", type=complex)
     p.add_argument("--a0", type=complex, help="pair/triple input amplitude")
     p.add_argument("--a1", type=complex)
-    p.add_argument("--a", type=complex, help="single-excitation channel amplitudes")
-    p.add_argument("--b", type=complex)
-    p.add_argument("--c", type=complex)
 
     p = sub.add_parser("fidelity-surface", parents=[common], allow_abbrev=False, help="input-averaged fidelity grid")
     p.add_argument("--grid", type=int, default=21)
@@ -503,7 +513,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", parents=[common], allow_abbrev=False, help="classify a three-qubit pure state")
     p.add_argument("--state", required=True, help="JSON file with [re,im] amplitude pairs")
 
-    p = sub.add_parser("noise-sweep", parents=[common, angles], allow_abbrev=False, help="fidelity versus channel parameter")
+    p = sub.add_parser("noise-sweep", parents=[common, table], allow_abbrev=False, help="fidelity versus channel parameter")
     p.add_argument("--protocol", required=True, choices=teleport.PROTOCOL_NAMES)
     p.add_argument("--channel", choices=sorted(noise.CHANNELS), default="bitflip")
     p.add_argument("--target", required=True, help="resource qubit index (comma list allowed)")

@@ -5,13 +5,15 @@ measurement. A sweep builds the protocol's resource response W once
 (:func:`tripsim.teleport.resource_response`); per channel parameter it
 applies the channel to the resource density, target qubit by target
 qubit, and reads the exact input-averaged fidelity off as sum(W * rho).
+Each channel is applied as one linear map on the target qubit's row and
+column index pair: its 4 x 4 transfer matrix, built with the channel.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,11 +25,13 @@ _COMPLETENESS_ATOL = 1e-12
 
 @dataclass(frozen=True)
 class KrausChannel:
-    """A completeness-satisfying set of Kraus matrices."""
+    """A completeness-satisfying set of Kraus matrices, with its read-only
+    transfer matrix S[(a, d), (b, c)] = sum_k K_k[a, b] conj(K_k[d, c])."""
 
     kind: str
     parameter: float
     kraus: tuple[np.ndarray, ...]
+    transfer: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mats = tuple(np.asarray(k, dtype=complex) for k in self.kraus)
@@ -38,6 +42,10 @@ class KrausChannel:
             raise InvariantViolation(
                 "kraus-completeness", "sum K†K differs from identity beyond 1e-12"
             )
+        stack = np.array(mats)
+        transfer = np.einsum("kab,kdc->adbc", stack, stack.conj()).reshape(dim * dim, dim * dim)
+        transfer.setflags(write=False)
+        object.__setattr__(self, "transfer", transfer)
 
 
 def _check_param(name: str, value: float) -> float:
@@ -96,13 +104,13 @@ def make_channel(kind: str, parameter: float) -> KrausChannel:
     return CHANNELS[kind](parameter)
 
 
-def _apply_kraus_1q(mat: np.ndarray, n: int, kraus, q: int) -> np.ndarray:
-    """sum_i K_i rho K_i† with each K acting on qubit q of an n-qubit rho."""
-    t = mat.reshape([2] * (2 * n))
-    out = np.zeros_like(t)
-    for k in kraus:
-        left = np.moveaxis(np.tensordot(k, t, axes=([1], [q])), 0, q)
-        out += np.moveaxis(np.tensordot(left, k.conj(), axes=([n + q], [1])), -1, n + q)
+def _apply_kraus_1q(mat: np.ndarray, n: int, transfer: np.ndarray, q: int) -> np.ndarray:
+    """sum_i K_i rho K_i† with each K acting on qubit q of an n-qubit rho,
+    as one product of the channel's transfer matrix with the (row q,
+    column q) index pair of rho."""
+    order = (q, n + q) + tuple(i for i in range(2 * n) if i not in (q, n + q))
+    t = mat.reshape((2,) * (2 * n)).transpose(order).reshape(4, -1)
+    out = (transfer @ t).reshape((2,) * (2 * n)).transpose(np.argsort(order))
     return out.reshape(mat.shape)
 
 
@@ -110,7 +118,7 @@ def apply_channel(rho: DensityOp, ch: KrausChannel, target: int) -> DensityOp:
     """Apply a single-qubit channel to one qubit of a register state."""
     n = rho.num_qubits
     (target,) = _check_targets(n, (target,))
-    return DensityOp(_apply_kraus_1q(rho.matrix, n, ch.kraus, target))
+    return DensityOp(_apply_kraus_1q(rho.matrix, n, ch.transfer, target))
 
 
 def _resource_targets(bundle: ProtocolBundle, target) -> tuple[int, ...]:
@@ -144,9 +152,9 @@ def noisy_teleport_sweep(
     n, amps = bundle.resource.num_qubits, bundle.resource.amplitudes
     rows: list[tuple[float, float]] = []
     for p in np.asarray(p_grid, dtype=float):
-        kraus = make_channel(channel_kind, float(p)).kraus
+        transfer = make_channel(channel_kind, float(p)).transfer
         rho = np.outer(amps, amps.conj())
         for q in local_targets:
-            rho = _apply_kraus_1q(rho, n, kraus, q)
+            rho = _apply_kraus_1q(rho, n, transfer, q)
         rows.append((float(p), float((response * rho).sum().real)))
     return rows

@@ -9,10 +9,18 @@ factor (:func:`_branch_factors`). On the bundle's own resource it gives the
 Kraus stack (:func:`_kraus_stack`) behind the per-input reports; on the
 resource basis, in closed form, it gives the resource response W behind
 the exact input averages and the noise sweeps.
-Each protocol is one entry of the table :data:`PROTOCOLS`. The bundles of
-an entry with fixed outcomes carry these factors, built once per process by
-:func:`protocol_bundle`; ``dataclasses.replace`` drops them, so any other
-bundle builds its own.
+Each protocol is one entry of the table :data:`PROTOCOLS`. Its coordinate
+map takes the parameters to coordinate vectors, (cos theta, sin theta) per
+angle or the channel amplitudes (a, b, c), in each of which the resource
+and the outcome bras are linear. So the Kraus stack is a weighted sum of
+the stacks at the corners, the combinations of exact unit coordinate
+vectors, which each entry builds once per process
+(:attr:`Protocol.corners`). Every bundle of :func:`protocol_bundle` and
+every ``teleport_*`` call takes its stack as one product of the corner
+weights with the corners; a ``teleport_*`` call builds no resource or
+outcome state. The bundles of an entry with fixed outcomes also carry the
+branch factors, built once per process, for W. ``dataclasses.replace``
+drops both, so any other bundle builds its own.
 Each correction lookup is a stated rule, built once per process.
 Branches are enumerated in lexicographic label order, with two fidelity
 accountings side by side that must coincide: the sum of ``tr(rho_in rho~_f)``
@@ -31,12 +39,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from typing import Callable
 
 import numpy as np
 
-from .bases import WChannelSpec, bell2, bob_x_basis, ghz_basis
+from .bases import WChannelSpec, _bell2_member, _bob_x_member, _check_angle, _ghz_member, bell2, ghz_basis
 from .core import PAULIS, InputQubit, InvariantViolation, StateVector, clamp_unit, tensor
 
 _MAX = math.pi / 4
@@ -124,6 +132,7 @@ class ProtocolBundle:
     corrections: dict
     input_state: Callable
     factors: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    kraus: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n_total(self) -> int:
@@ -209,26 +218,24 @@ def _kraus_stack(bundle: ProtocolBundle) -> np.ndarray:
     own resource R, shape (outcomes, 2^(n - k), 2), so the corrected
     residual of outcome l for input c is ``K[l] @ c``. A live outcome
     without a correction is for :func:`_require_corrections` to reject.
+    A stack the bundle carries (see :func:`protocol_bundle`) is returned as it is.
     """
+    if bundle.kraus is not None:
+        return bundle.kraus
     factor, order, corrections = _branch_factors(bundle)
     resource = bundle.resource.amplitudes.reshape((2,) * len(order))
     resource = resource.transpose(order).reshape(factor.shape[1], -1)
     return corrections @ np.einsum("lmc,mu->luc", factor, resource)
 
 
-def _residuals(stack: np.ndarray, inputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Residuals K c of shape (inputs, outcomes, dim) and the outcome
-    probabilities p[input, outcome]."""
-    residuals = np.einsum("ldc,nc->nld", stack, inputs)
-    probs = (residuals.real**2 + residuals.imag**2).sum(axis=2)
-    return residuals, probs
-
-
-def _require_corrections(bundle: ProtocolBundle, probs: np.ndarray) -> None:
-    for i, (label, _) in enumerate(bundle.outcomes):
-        if label not in bundle.corrections and probs[:, i].max() >= _DEGENERATE_CUT:
+def _require_corrections(name: str, labels, corrections: dict, probs: np.ndarray) -> None:
+    missing = [i for i, label in enumerate(labels) if label not in corrections]
+    if missing:
+        live = probs[:, missing].max(axis=0) >= _DEGENERATE_CUT
+        if live.any():
+            label = labels[missing[live.argmax()]]
             raise InvariantViolation(
-                "correction-coverage", f"{bundle.name} has no correction for live outcome {label}"
+                "correction-coverage", f"{name} has no correction for live outcome {label}"
             )
 
 
@@ -248,6 +255,12 @@ GHZ_EPR_CORRECTIONS = {
 }
 
 
+def _cos_sin(theta: float) -> tuple[float, float]:
+    """The coordinates (cos theta, sin theta) of an angle in [0, pi/2]."""
+    theta = _check_angle("theta", theta)
+    return math.cos(theta), math.sin(theta)
+
+
 # Outcome bases that do not depend on a call's parameters are built once
 # per process and shared; their amplitudes are read-only.
 
@@ -257,9 +270,9 @@ def _bell_outcomes():
     return tuple(((m, n), bell2(_MAX, (m, n))) for m in (0, 1) for n in (0, 1))
 
 
-def _ghz_outcomes(theta: float):
+def _ghz_outcomes(b):
     return tuple(
-        ((mu, lam, om), ghz_basis(theta, (mu, lam, om)))
+        ((mu, lam, om), _ghz_member(b, (mu, lam, om)))
         for mu in (0, 1)
         for lam in (0, 1)
         for om in (0, 1)
@@ -268,7 +281,7 @@ def _ghz_outcomes(theta: float):
 
 @lru_cache(maxsize=1)
 def _maximal_ghz_outcomes():
-    return _ghz_outcomes(_MAX)
+    return _ghz_outcomes(_cos_sin(_MAX))
 
 
 @lru_cache(maxsize=1)
@@ -293,9 +306,9 @@ def _w_channel_outcomes():
     )
 
 
-def _ghz_epr_outcomes(bob_theta: float):
+def _ghz_epr_outcomes(b):
     """A maximal Bell outcome times the receiver's rotated basis, labeled (m, n, j)."""
-    x_pair = bob_x_basis(bob_theta)
+    x_pair = _bob_x_member(b)
     return tuple(
         ((m, n, j), tensor(bell, x_pair[j]))
         for (m, n), bell in _bell_outcomes()
@@ -366,73 +379,125 @@ def _w_channel_corrections():
 class Protocol:
     """What one protocol is made of: its parameters, each mapped to its
     default, whose type is the parameter's type; its layout and input
-    encoding; builders of the resource and the outcomes from the resolved
-    parameters; and its correction table. ``fixed_outcomes`` says that the
-    outcomes are the same for every call."""
+    encoding; its coordinate map; builders of the resource and the outcomes
+    from the coordinates; and its correction table. ``fixed_outcomes`` says
+    that the outcomes are the same for every call.
+
+    The coordinate map checks the resolved parameters and maps them to
+    coordinate vectors: (cos theta, sin theta) per angle, or the channel
+    amplitudes (a, b, c). The resource and the outcome bras are linear in
+    each vector, so the Kraus stack is a sum of the :attr:`corners` weighted
+    by products of coordinates, one from each vector (:meth:`kraus`).
+    """
 
     params: dict
     n_input: int
     meas_targets: tuple[int, ...]
     input_state: Callable
+    coordinates: Callable[[dict], dict]
     resource: Callable[[dict], StateVector]
     outcomes: Callable[[dict], tuple]
     corrections: Callable[[], dict]
     fixed_outcomes: bool = False
 
-    def bundle(self, name: str, params: dict) -> ProtocolBundle:
-        """The bundle of resolved ``params``, without shared factors."""
+    def bundle(self, name: str, params: dict, coords: dict) -> ProtocolBundle:
+        """The bundle of resolved ``params`` with its states built at
+        ``coords``, without shared factors or stack."""
         return ProtocolBundle(
-            name, params, self.n_input, self.resource(params), self.meas_targets,
-            self.outcomes(params), self.corrections(), self.input_state,
+            name, params, self.n_input, self.resource(coords), self.meas_targets,
+            self.outcomes(coords), self.corrections(), self.input_state,
         )
+
+    @cached_property
+    def corners(self) -> tuple[tuple, np.ndarray]:
+        """The outcome labels, and the Kraus stacks at every combination of
+        unit coordinate vectors as one read-only (corners, outcomes, dim, 2)
+        array. Built once per protocol, from exact unit vectors."""
+        vectors = self.coordinates(self.params)
+        units = itertools.product(*(np.eye(len(v)).tolist() for v in vectors.values()))
+        bundles = [self.bundle("", self.params, dict(zip(vectors, unit))) for unit in units]
+        if self.fixed_outcomes:
+            factors = _branch_factors(bundles[0])
+            for bundle in bundles:
+                object.__setattr__(bundle, "factors", factors)
+        stacks = np.stack([_kraus_stack(bundle) for bundle in bundles])
+        stacks.setflags(write=False)
+        return tuple(label for label, _ in bundles[0].outcomes), stacks
+
+    def kraus(self, coords: dict) -> np.ndarray:
+        """The Kraus stack at ``coords``: one product of the corner weights
+        with the corner stacks."""
+        weights = np.array([math.prod(w) for w in itertools.product(*coords.values())])
+        corners = self.corners[1]
+        return (weights @ corners.reshape(len(weights), -1)).reshape(corners.shape[1:])
+
+
+def _angles(params: dict) -> dict:
+    return {k: _cos_sin(v) for k, v in params.items()}
+
+
+def _w_amplitudes(params: dict) -> dict:
+    spec = WChannelSpec(**params)
+    return {"w": (spec.a, spec.b, spec.c)}
 
 
 PROTOCOLS: dict[str, Protocol] = {
     "ghz-epr": Protocol(
-        {"bob_theta": _MAX}, 1, (0, 1, 2), _repetition(1), lambda p: ghz_basis(_MAX, (0, 0, 0)),
-        lambda p: _ghz_epr_outcomes(p["bob_theta"]), _ghz_epr_corrections,
+        {"bob_theta": _MAX}, 1, (0, 1, 2), _repetition(1), _angles,
+        lambda x: ghz_basis(_MAX, (0, 0, 0)),
+        lambda x: _ghz_epr_outcomes(x["bob_theta"]), _ghz_epr_corrections,
     ),
     "ghz-meas": Protocol(
-        {"theta_channel": _MAX, "theta_meas": _MAX}, 1, (0, 1, 2), _repetition(1),
-        lambda p: ghz_basis(p["theta_channel"], (0, 0, 0)),
-        lambda p: _ghz_outcomes(p["theta_meas"]), _ghz_meas_corrections,
+        {"theta_channel": _MAX, "theta_meas": _MAX}, 1, (0, 1, 2), _repetition(1), _angles,
+        lambda x: _ghz_member(x["theta_channel"], (0, 0, 0)),
+        lambda x: _ghz_outcomes(x["theta_meas"]), _ghz_meas_corrections,
     ),
     "epr-via-ghz": Protocol(
-        {"theta_channel": _MAX}, 2, (0, 1, 2), _repetition(2),
-        lambda p: ghz_basis(p["theta_channel"], (0, 0, 0)),
-        lambda p: _maximal_ghz_outcomes(), _epr_via_ghz_corrections, fixed_outcomes=True,
+        {"theta_channel": _MAX}, 2, (0, 1, 2), _repetition(2), _angles,
+        lambda x: _ghz_member(x["theta_channel"], (0, 0, 0)),
+        lambda x: _maximal_ghz_outcomes(), _epr_via_ghz_corrections, fixed_outcomes=True,
     ),
     "ghz-via-3epr": Protocol(
         {"theta1": _MAX, "theta2": _MAX, "theta3": _MAX}, 3, (0, 3, 1, 5, 2, 7), _repetition(3),
-        lambda p: reduce(tensor, (bell2(t, (0, 0)) for t in p.values())),
-        lambda p: _three_bell_outcomes(), _three_epr_corrections, fixed_outcomes=True,
+        _angles, lambda x: reduce(tensor, (_bell2_member(b, (0, 0)) for b in x.values())),
+        lambda x: _three_bell_outcomes(), _three_epr_corrections, fixed_outcomes=True,
     ),
     "w-channel": Protocol(
         dict.fromkeys("abc", complex(1 / math.sqrt(3))), 1, (0, 1, 3), _repetition(1),
-        lambda p: WChannelSpec(**p).state(),
-        lambda p: _w_channel_outcomes(), _w_channel_corrections, fixed_outcomes=True,
+        _w_amplitudes, lambda x: WChannelSpec(*x["w"]).state(),
+        lambda x: _w_channel_outcomes(), _w_channel_corrections, fixed_outcomes=True,
     ),
 }
 PROTOCOL_NAMES = tuple(PROTOCOLS)
 
 
-def protocol_bundle(name: str, **params) -> ProtocolBundle:
-    """Registry entry point; unknown protocols or parameter keys are rejected.
-
-    A missing parameter takes its default, and each value is converted to
-    the type of its default. The bundles of a protocol with fixed outcomes
-    carry branch factors built once per process.
-    """
+def _resolve(name: str, params: dict) -> tuple[Protocol, dict]:
+    """The table entry of ``name`` and its parameters, each missing one at
+    its default and each converted to the type of its default; unknown
+    protocols or parameter keys are rejected."""
     protocol = PROTOCOLS.get(name)
     if protocol is None:
         raise ValueError(f"unknown protocol {name!r}")
     unknown = params.keys() - protocol.params.keys()
     if unknown:
         raise ValueError(f"parameters {sorted(unknown)} do not apply to {name}")
-    resolved = {k: type(v)(params.get(k, v)) for k, v in protocol.params.items()}
-    bundle = protocol.bundle(name, resolved)
+    return protocol, {k: type(v)(params.get(k, v)) for k, v in protocol.params.items()}
+
+
+def protocol_bundle(name: str, **params) -> ProtocolBundle:
+    """Registry entry point; unknown protocols or parameter keys are rejected.
+
+    A missing parameter takes its default, and each value is converted to
+    the type of its default. Every bundle carries its Kraus stack from the
+    protocol's corners (:meth:`Protocol.kraus`), and the bundles of a
+    protocol with fixed outcomes carry branch factors built once per process.
+    """
+    protocol, resolved = _resolve(name, params)
+    coords = protocol.coordinates(resolved)
+    bundle = protocol.bundle(name, resolved, coords)
     if protocol.fixed_outcomes:
         object.__setattr__(bundle, "factors", _fixed_factors(name))
+    object.__setattr__(bundle, "kraus", protocol.kraus(coords))
     return bundle
 
 
@@ -440,7 +505,8 @@ def protocol_bundle(name: str, **params) -> ProtocolBundle:
 def _fixed_factors(name: str) -> tuple:
     """Read-only branch factors of a fixed-outcome protocol's default bundle."""
     protocol = PROTOCOLS[name]
-    factor, order, corrections = _branch_factors(protocol.bundle(name, protocol.params))
+    bundle = protocol.bundle(name, protocol.params, protocol.coordinates(protocol.params))
+    factor, order, corrections = _branch_factors(bundle)
     factor.setflags(write=False)
     corrections.setflags(write=False)
     return factor, order, corrections
@@ -459,35 +525,54 @@ def _left_fold(values) -> float:
 
 
 def enumerate_branches(bundle: ProtocolBundle, c0: complex, c1: complex) -> TeleportReport:
-    """Every branch of a bundle for the normalized input (c0, c1), in outcome order.
+    """Every branch of a bundle for the normalized input (c0, c1), in outcome order."""
+    labels = [label for label, _ in bundle.outcomes]
+    return _enumerate(
+        bundle.name, bundle.params, labels, bundle.corrections, bundle.input_state,
+        _kraus_stack(bundle), c0, c1,
+    )
+
+
+def _teleport(name: str, c0: complex, c1: complex, **params) -> TeleportReport:
+    """``enumerate_branches(protocol_bundle(name, **params), c0, c1)``,
+    without building the bundle's resource and outcome states."""
+    protocol, resolved = _resolve(name, params)
+    kraus = protocol.kraus(protocol.coordinates(resolved))
+    labels = protocol.corners[0]
+    return _enumerate(name, resolved, labels, protocol.corrections(), protocol.input_state, kraus, c0, c1)
+
+
+def _enumerate(name, params, labels, corrections, input_state, kraus, c0, c1) -> TeleportReport:
+    """The branches of the Kraus stack ``kraus`` for the input (c0, c1).
 
     The live residuals are normalized in one division and checked as one
     :meth:`StateVector.stack`; a NaN weight counts as live, so it reaches
-    that check and raises ``state-normalization``. Each branch fidelity is
-    ``abs(np.vdot(target, post)) ** 2`` on its own row: batched products,
-    and even the array forms of ``abs`` and ``** 2``, change its last bits.
+    that check and raises ``state-normalization``. The branch fidelities
+    are one product of the normalized rows with the target, and
+    ``avg_fidelity_traced`` comes from the unnormalized rows.
     """
-    target = bundle.input_state(c0, c1).amplitudes
-    residuals, probs = _residuals(_kraus_stack(bundle), np.array([[c0, c1]], dtype=complex))
-    _require_corrections(bundle, probs)
-    residuals, probs = residuals[0], probs[0]
+    target = input_state(c0, c1).amplitudes
+    residuals = kraus @ np.array([c0, c1], dtype=complex)
+    probs = (residuals.real**2 + residuals.imag**2).sum(axis=1)
+    _require_corrections(name, labels, corrections, probs[None])
     live = ~(probs < _DEGENERATE_CUT)
     rows = residuals[live]
-    posts = StateVector.stack(rows / np.sqrt(probs[live])[:, None])
-    fids = [abs(np.vdot(target, post.amplitudes)) ** 2 for post in posts]
-    fids = clamp_unit(np.array(fids, dtype=float), "branch fidelity").tolist()
+    normalized = rows / np.sqrt(probs[live])[:, None]
+    posts = StateVector.stack(normalized)
+    amplitudes = normalized @ target.conj()
+    fids = clamp_unit(amplitudes.real**2 + amplitudes.imag**2, "branch fidelity").tolist()
     delivered = iter(zip(posts, fids))
     records = []
-    for (label, _), p, is_live in zip(bundle.outcomes, probs.tolist(), live.tolist()):
-        corr = bundle.corrections.get(label)
+    for label, p, is_live in zip(labels, probs.tolist(), live.tolist()):
+        corr = corrections.get(label)
         post, fid = next(delivered) if is_live else (None, None)
         desc, success = (corr.desc, corr.success) if corr else ("n/a", True)
         records.append(BranchRecord(label, p, desc, post, fid, success))
     kept = [b for b in records if b.fidelity is not None]
     overlaps = rows @ target.conj()
     return TeleportReport(
-        protocol=bundle.name,
-        params=bundle.params,
+        protocol=name,
+        params=params,
         branches=tuple(records),
         avg_fidelity=_left_fold(b.probability * b.fidelity for b in kept),
         avg_fidelity_traced=float(np.vdot(overlaps, overlaps).real),
@@ -499,8 +584,7 @@ def teleport_ghz_epr(input_qubit: InputQubit, bob_theta: float) -> TeleportRepor
     """Maximal three-qubit channel, Bell measurement by the sender, rotated
     single-qubit measurement by the intermediary, lookup correction by the
     receiver; eight branches labeled (m, n, j)."""
-    bundle = protocol_bundle("ghz-epr", bob_theta=bob_theta)
-    return enumerate_branches(bundle, input_qubit.c0, input_qubit.c1)
+    return _teleport("ghz-epr", input_qubit.c0, input_qubit.c1, bob_theta=bob_theta)
 
 
 def teleport_ghz_measurement(
@@ -509,16 +593,16 @@ def teleport_ghz_measurement(
     """Three-qubit channel at theta_channel, joint three-qubit measurement at
     theta_meas, correction Z^mu X^lam; outcomes with lam != omega carry zero
     probability and are recorded as degenerate."""
-    bundle = protocol_bundle("ghz-meas", theta_channel=theta_channel, theta_meas=theta_meas)
-    return enumerate_branches(bundle, input_qubit.c0, input_qubit.c1)
+    return _teleport(
+        "ghz-meas", input_qubit.c0, input_qubit.c1, theta_channel=theta_channel, theta_meas=theta_meas
+    )
 
 
 def teleport_epr_via_ghz(input_pair, theta_channel: float) -> TeleportReport:
     """Teleport an entangled pair a0|00> + a1|11> through a three-qubit
     channel: maximal three-qubit measurement on (0,1,2), two-qubit Pauli
     correction (:func:`_pauli_fix`) on the receiving pair."""
-    bundle = protocol_bundle("epr-via-ghz", theta_channel=theta_channel)
-    return enumerate_branches(bundle, *coerce_pair(input_pair))
+    return _teleport("epr-via-ghz", *coerce_pair(input_pair), theta_channel=theta_channel)
 
 
 def teleport_ghz_via_3epr(input_ghz, channels: tuple[float, float, float]) -> TeleportReport:
@@ -528,8 +612,7 @@ def teleport_ghz_via_3epr(input_ghz, channels: tuple[float, float, float]) -> Te
     channels = tuple(channels)
     if len(channels) != 3:
         raise ValueError(f"ghz-via-3epr takes three channel angles, got {len(channels)}")
-    bundle = protocol_bundle("ghz-via-3epr", **dict(zip(("theta1", "theta2", "theta3"), channels)))
-    return enumerate_branches(bundle, *coerce_pair(input_ghz))
+    return _teleport("ghz-via-3epr", *coerce_pair(input_ghz), **dict(zip(("theta1", "theta2", "theta3"), channels)))
 
 
 def teleport_w_channel(input_qubit: InputQubit, w) -> TeleportReport:
@@ -537,8 +620,7 @@ def teleport_w_channel(input_qubit: InputQubit, w) -> TeleportReport:
     channel: Bell measurement on (0,1), computational readout of the last
     channel qubit; readout 1 means no teleport (success=False)."""
     a, b, c = (w.a, w.b, w.c) if isinstance(w, WChannelSpec) else w
-    bundle = protocol_bundle("w-channel", a=a, b=b, c=c)
-    return enumerate_branches(bundle, input_qubit.c0, input_qubit.c1)
+    return _teleport("w-channel", input_qubit.c0, input_qubit.c1, a=a, b=b, c=c)
 
 
 # --- input averaging ---------------------------------------------------
@@ -573,7 +655,8 @@ def resource_response(bundle: ProtocolBundle) -> np.ndarray:
     inputs = np.array(_OCTAHEDRON, dtype=complex)
     factor, order, corrections = _branch_factors(bundle)
     fed = np.einsum("lmc,nc->nlm", factor, inputs)
-    _require_corrections(bundle, (fed.real**2 + fed.imag**2).sum(axis=2) * len(corrections[0]))
+    labels = [label for label, _ in bundle.outcomes]
+    _require_corrections(bundle.name, labels, bundle.corrections, (fed.real**2 + fed.imag**2).sum(axis=2) * len(corrections[0]))
     targets = inputs @ _columns(bundle.input_state).T
     delivered = np.einsum("nd,ldu->nlu", targets.conj(), corrections)
     a = np.einsum("nlm,nlu->munl", fed, delivered).reshape((2,) * len(order) + (len(inputs), -1))

@@ -21,7 +21,6 @@ from tripsim.teleport import (
     _compose,
     _kraus_stack,
     _kron_letters,
-    _residuals,
 )
 
 
@@ -118,6 +117,74 @@ def lift_operator(op: np.ndarray, targets, n: int) -> np.ndarray:
     return out
 
 
+def _dense_layout(protocol: str, params: dict):
+    """Input qubit count, the resource amplitudes (qubits after the input),
+    the receiving qubits, and each outcome as its label and the (bra,
+    full-register qubits) factors of its measurement, built from the bases."""
+    bell = {(m, n): bell2(math.pi / 4, (m, n)).amplitudes for m in (0, 1) for n in (0, 1)}
+    bits = lambda k: itertools.product((0, 1), repeat=k)
+    if protocol == "ghz-epr":
+        x_pair = [x.amplitudes for x in bob_x_basis(params["bob_theta"])]
+        outcomes = [((m, n, j), [(bell[m, n], (0, 1)), (x_pair[j], (2,))]) for m, n, j in bits(3)]
+        return 1, ghz_basis(math.pi / 4, (0, 0, 0)).amplitudes, (3,), outcomes
+    if protocol == "ghz-meas":
+        outcomes = [(lab, [(ghz_basis(params["theta_meas"], lab).amplitudes, (0, 1, 2))]) for lab in bits(3)]
+        return 1, ghz_basis(params["theta_channel"], (0, 0, 0)).amplitudes, (3,), outcomes
+    if protocol == "epr-via-ghz":
+        outcomes = [(lab, [(ghz_basis(math.pi / 4, lab).amplitudes, (0, 1, 2))]) for lab in bits(3)]
+        return 2, ghz_basis(params["theta_channel"], (0, 0, 0)).amplitudes, (3, 4), outcomes
+    if protocol == "ghz-via-3epr":
+        resource = np.array([1.0 + 0j])
+        for key in ("theta1", "theta2", "theta3"):
+            resource = np.kron(resource, bell2(params[key], (0, 0)).amplitudes)
+        pairs = ((0, 3), (1, 5), (2, 7))
+        outcomes = [
+            (lab, [(bell[lab[2 * i : 2 * i + 2]], pairs[i]) for i in range(3)]) for lab in bits(6)
+        ]
+        return 3, resource, (4, 6, 8), outcomes
+    if protocol == "w-channel":
+        resource = np.zeros(8, dtype=complex)
+        resource[[0b100, 0b010, 0b001]] = params["a"], params["b"], params["c"]
+        kets = np.eye(2, dtype=complex)
+        outcomes = [((m, n, q), [(bell[m, n], (0, 1)), (kets[q], (3,))]) for m, n, q in bits(3)]
+        return 1, resource, (2,), outcomes
+    raise ValueError(protocol)
+
+
+def dense_branches(protocol: str, params: dict, corrections: dict, a0, a1) -> dict:
+    """Probability and fidelity of every outcome of a protocol for the input
+    a0|0...0> + a1|1...1>, on the full register: each measured bra's
+    projector, each correction and the target projector are lifted with
+    :func:`lift_operator`. Outcomes without a correction keep the identity."""
+    n_in, resource, kept, outcomes = _dense_layout(protocol, params)
+    encoding = np.zeros(1 << n_in, dtype=complex)
+    encoding[0], encoding[-1] = a0, a1
+    psi = np.kron(encoding, resource)
+    n = n_in + int(resource.size).bit_length() - 1
+    target = np.zeros(1 << len(kept), dtype=complex)
+    target[0], target[-1] = a0, a1
+    lifted = {}
+
+    def lift(op, qubits):
+        key = (op.tobytes(), qubits)
+        if key not in lifted:
+            lifted[key] = lift_operator(op, qubits, n)
+        return lifted[key]
+
+    on_target = lift(np.outer(target, target.conj()), kept)
+    branches = {}
+    for label, factors in outcomes:
+        phi = psi
+        for bra, qubits in factors:
+            phi = lift(np.outer(bra, bra.conj()), qubits) @ phi
+        fix = corrections.get(label)
+        if fix is not None:
+            phi = lift(fix.matrix, kept) @ phi
+        p = float(np.vdot(phi, phi).real)
+        branches[label] = (p, float(np.vdot(phi, on_target @ phi).real) / p if p > 0 else None)
+    return branches
+
+
 # The six octahedron inputs +-z, +-x, +-y; their mean of any degree-(2, 2)
 # polynomial in (c, c*) is its Haar average.
 OCTAHEDRON = (
@@ -161,6 +228,14 @@ def average_fidelity_density(bundle, resource_rho: np.ndarray, c0, c1) -> float:
         corrected = corr.matrix @ branch_op @ corr.matrix.conj().T
         total += float(np.vdot(target, corrected @ target).real)
     return total
+
+
+def _residuals(stack: np.ndarray, inputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Residuals K c of shape (inputs, outcomes, dim) and the outcome
+    probabilities p[input, outcome]."""
+    residuals = np.einsum("ldc,nc->nld", stack, inputs)
+    probs = (residuals.real**2 + residuals.imag**2).sum(axis=2)
+    return residuals, probs
 
 
 # Inputs that certify a correction lookup; both components nonzero and

@@ -1,29 +1,32 @@
-"""Output digests of one tripsim source tree, for comparing two trees.
+"""How far the outputs of one tripsim source tree lie from another's.
 
-    python tests/identity.py SRC > digests.txt
+    python tests/identity.py PARENT_SRC CHILD_SRC
 
-SRC is the ``src`` directory of the tree to hash. The requests run in a
-fresh interpreter with ``OPENBLAS_NUM_THREADS=1``, and each prints one line
-``name sha256``; ``diff`` two such files to see which outputs a change
-moved. A report's ``params`` are hashed apart from the rest of it
-(``*-params/...``), so a renamed parameter shows up on its own line.
+Each argument is the ``src`` directory of a tree. The requests run once per
+tree, each in a fresh interpreter with ``OPENBLAS_NUM_THREADS=1``; then
+every request prints one line: ``identical``, the largest absolute
+difference of its numbers, or ``differs`` when anything but a number
+differs (a label, a message, an exit status, a shape). A report's
+``params`` are compared apart from the rest of it (``*-params/...``), so a
+renamed parameter shows up on its own line.
 
 The requests: seeded reports of all five protocols through the library
 and through ``tripsim teleport``, with edge angles, the inputs |0> and |1>
 and w-channel amplitudes with zeros mixed in; the branch factors, the
 resource response W and ``average_fidelity`` at default and other
-parameters; a fidelity surface; and noise sweeps of every protocol and
-channel. This file is not a test module, so pytest does not collect it.
+parameters; a fidelity surface; noise sweeps of every protocol and
+channel; and ``tripsim noise-sweep`` of every protocol with its own flags.
+This file is not a test module, so pytest does not collect it.
 """
 
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import io
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
 
@@ -39,13 +42,11 @@ OTHER_PARAMS = {
     "epr-via-ghz": {"theta_channel": 0.4}, "ghz-via-3epr": {"theta1": 0.3, "theta3": 0.7},
     "w-channel": {"a": 0.8, "b": 0.6j, "c": 0.0},
 }
-
-
-def _digest(*parts) -> str:
-    h = hashlib.sha256()
-    for part in parts:
-        h.update(part if isinstance(part, bytes) else repr(part).encode())
-    return h.hexdigest()
+CLI_FLAGS = {
+    "ghz-epr": ["--bob-theta", "0.3"], "ghz-meas": ["--theta-channel", "0.2", "--theta-meas", "1.1"],
+    "epr-via-ghz": ["--theta-channel", "0.4"], "ghz-via-3epr": ["--theta1", "0.3", "--theta3", "0.7"],
+    "w-channel": ["--a", "2", "--b", "1j", "--c", "2"],
+}
 
 
 def _guarded(fn):
@@ -73,18 +74,18 @@ def _amps(rng, n: int) -> tuple:
     return tuple(complex(x) for x in v)
 
 
-def _report_parts(report) -> tuple[tuple, dict]:
+def _report_parts(report) -> tuple:
     if isinstance(report, str):
-        return (report,), {}
+        return report, {}
     payload = report.to_dict()
     params = payload.pop("params")
     branches = [
-        (b.outcome, repr(b.probability), repr(b.fidelity), b.correction, b.success,
-         None if b.post_state is None else b.post_state.amplitudes.tobytes())
+        (b.outcome, b.probability, b.fidelity, b.correction, b.success,
+         None if b.post_state is None else b.post_state.amplitudes)
         for b in report.branches
     ]
     sums = (report.avg_fidelity, report.avg_fidelity_traced, report.success_probability)
-    return (json.dumps(payload), repr(sums), branches), params
+    return (payload, sums, branches), params
 
 
 def _library_reports(teleport, InputQubit, protocol: str, rng):
@@ -116,17 +117,19 @@ def _cli_argv(protocol: str, rng) -> list[str]:
 
 
 def _cli_run(main, argv) -> tuple[tuple, object]:
+    """(exit status, payload or stdout, stderr) and the payload's params."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     if code != 0:
         return (code, out.getvalue(), err.getvalue()), None
     payload = json.loads(out.getvalue())
-    params = payload.pop("params")
-    return (code, json.dumps(payload), err.getvalue()), params
+    params = payload.pop("params", None)
+    return (code, payload, err.getvalue()), params
 
 
-def worker(src: str) -> None:
+def worker(src: str) -> dict:
+    """Every request's output on the tree at ``src``, by request name."""
     sys.path.insert(0, src)
     import numpy as np
 
@@ -134,45 +137,108 @@ def worker(src: str) -> None:
     from tripsim.cli import main
     from tripsim.core import InputQubit
 
-    lines = []
-    emit = lambda name, *parts: lines.append(f"{name} {_digest(*parts)}")
+    outputs = {}
     for k, protocol in enumerate(teleport.PROTOCOL_NAMES):
         rng = np.random.default_rng(1000 + k)
         parts = [_report_parts(r) for r in _library_reports(teleport, InputQubit, protocol, rng)]
-        emit(f"reports/{protocol}", [p[0] for p in parts])
-        emit(f"report-params/{protocol}", json.dumps([p[1] for p in parts], default=repr))
+        outputs[f"reports/{protocol}"] = [p[0] for p in parts]
+        outputs[f"report-params/{protocol}"] = [p[1] for p in parts]
         runs = [_cli_run(main, _cli_argv(protocol, rng)) for _ in range(20)]
-        emit(f"cli-teleport/{protocol}", [r[0] for r in runs])
-        emit(f"cli-teleport-params/{protocol}", json.dumps([r[1] for r in runs]))
+        outputs[f"cli-teleport/{protocol}"] = [r[0] for r in runs]
+        outputs[f"cli-teleport-params/{protocol}"] = [r[1] for r in runs]
         for which, params in (("default", {}), ("other", OTHER_PARAMS[protocol])):
             bundle = teleport.protocol_bundle(protocol, **params)
-            factor, order, corrections = teleport._branch_factors(bundle)
-            emit(f"factors/{protocol}/{which}", factor.tobytes(), order, corrections.tobytes())
-            emit(f"response/{protocol}/{which}", teleport.resource_response(bundle).tobytes(),
-                 repr(teleport.average_fidelity(bundle)))
+            outputs[f"factors/{protocol}/{which}"] = teleport._branch_factors(bundle)
+            outputs[f"response/{protocol}/{which}"] = (
+                teleport.resource_response(bundle), teleport.average_fidelity(bundle)
+            )
         grid = np.linspace(0.0, 1.0, 11)
         targets = list(RESOURCE_QUBITS[protocol])
         for channel in sorted(noise.CHANNELS):
             for name, target in (("first", targets[0]), ("all", targets)):
                 rows = _guarded(lambda: noise.noisy_teleport_sweep(protocol, channel, target, grid))
-                emit(f"sweep/{protocol}/{channel}/{name}", rows)
+                outputs[f"sweep/{protocol}/{channel}/{name}"] = rows
+        argv = ["noise-sweep", "--protocol", protocol, "--channel", "depolarizing",
+                "--target", ",".join(map(str, targets)), "--grid", "0:1:0.1", *CLI_FLAGS[protocol]]
+        outputs[f"cli-noise-sweep/{protocol}"] = _cli_run(main, argv)[0]
     angles = np.linspace(0.0, math.pi / 2, 16)
-    emit("surface", teleport.avg_fidelity_surface(angles).values.tobytes())
-    emit("average-fidelity-ghz-meas",
-         [repr(teleport.average_fidelity_ghz_meas(t, p)) for t in angles for p in angles[::5]])
-    print("\n".join(lines))
+    outputs["surface"] = teleport.avg_fidelity_surface(angles).values
+    outputs["average-fidelity-ghz-meas"] = [
+        teleport.average_fidelity_ghz_meas(t, p) for t in angles for p in angles[::5]
+    ]
+    return outputs
+
+
+def _flatten(value, numbers: list, shape: list) -> None:
+    """Split ``value`` into its floats, appended to ``numbers``, and the rest
+    of it, appended to ``shape``."""
+    import numpy as np
+
+    if isinstance(value, np.ndarray):
+        shape.append(("array", value.dtype.str, value.shape))
+        numbers.extend(value.view(float).ravel().tolist() if value.dtype.kind == "c" else value.ravel().tolist())
+    elif isinstance(value, (float, np.floating)):
+        shape.append("float")
+        numbers.append(float(value))
+    elif isinstance(value, complex):
+        shape.append("complex")
+        numbers.extend((value.real, value.imag))
+    elif isinstance(value, dict):
+        shape.append(("dict", tuple(value)))
+        for item in value.values():
+            _flatten(item, numbers, shape)
+    elif isinstance(value, (list, tuple)):
+        shape.append((type(value).__name__, len(value)))
+        for item in value:
+            _flatten(item, numbers, shape)
+    else:
+        shape.append(value)
+
+
+def distance(before, after) -> str:
+    """``identical``, ``differs``, or the largest absolute difference."""
+    import numpy as np
+
+    parts = []
+    for value in (before, after):
+        numbers, shape = [], []
+        _flatten(value, numbers, shape)
+        parts.append((np.array(numbers, dtype=float), shape))
+    (a, shape_a), (b, shape_b) = parts
+    if shape_a != shape_b:
+        return "differs"
+    if a.tobytes() == b.tobytes():
+        return "identical"
+    both_nan = np.isnan(a) & np.isnan(b)
+    with np.errstate(invalid="ignore"):
+        gap = np.where(both_nan | (a == b), 0.0, np.abs(a - b))
+    return f"max |diff| {gap.max():.2g}"
 
 
 def main() -> int:
     if len(sys.argv) == 3 and sys.argv[1] == "--worker":
-        worker(sys.argv[2])
+        sys.stdout.buffer.write(pickle.dumps(worker(sys.argv[2])))
         return 0
-    if len(sys.argv) != 2:
+    if len(sys.argv) != 3:
         print(__doc__, file=sys.stderr)
         return 2
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
-    src = os.path.abspath(sys.argv[1])
-    return subprocess.run([sys.executable, __file__, "--worker", src], env=env).returncode
+    outputs = []
+    for src in sys.argv[1:]:
+        run = subprocess.run(
+            [sys.executable, __file__, "--worker", os.path.abspath(src)], env=env, capture_output=True
+        )
+        if run.returncode != 0:
+            sys.stderr.write(run.stderr.decode())
+            return run.returncode
+        outputs.append(pickle.loads(run.stdout))
+    before, after = outputs
+    for name in dict.fromkeys([*before, *after]):
+        if name not in before or name not in after:
+            print(f"{name} only in {'CHILD' if name in after else 'PARENT'}")
+        else:
+            print(f"{name} {distance(before[name], after[name])}")
+    return 0
 
 
 if __name__ == "__main__":

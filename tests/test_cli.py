@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from helpers import chi_row, eta_row, tables_oracle
-from tripsim import cli, teleport
+from tripsim import cli, noise, teleport
 from tripsim.cli import ExperimentConfig, main, run
 from tripsim.core import InvariantViolation
 from tripsim.noise import CHANNELS
@@ -150,6 +150,23 @@ class TestCommands:
         )
         assert code == 0
         assert float(out.strip().split("\n")[-1].split(",")[0]) == last
+
+    @pytest.mark.parametrize(
+        "flags, amplitudes",
+        [(["0.8", "0.6", "0"], (0.8, 0.6, 0.0)), (["2", "1j", "2"], np.array([2, 1j, 2]) / 3.0)],
+        ids=["unit", "scaled"],
+    )
+    def test_noise_sweep_takes_channel_amplitudes(self, flags, amplitudes, capsys):
+        # The w-channel amplitudes are normalized as one vector, as teleport does.
+        amps = [f"--{k}={v}" for k, v in zip("abc", flags)]
+        argv = ["noise-sweep", "--protocol", "w-channel", "--target", "2", "--grid", "0:1:0.25", *amps]
+        code, out = _run(argv, capsys)
+        assert code == 0
+        params = dict(zip("abc", (complex(v) for v in amplitudes)))
+        rows = noise.noisy_teleport_sweep("w-channel", "bitflip", 2, np.linspace(0, 1, 5), params=params)
+        assert json.loads(out)["rows"] == [list(row) for row in rows]
+        # Not the sweep of the default, equal amplitudes.
+        assert rows != noise.noisy_teleport_sweep("w-channel", "bitflip", 2, np.linspace(0, 1, 5))
 
     def test_grid_point_cap_counts_emitted_points(self):
         # 1000.6 steps: 1001 points are emitted, so the grid is allowed.
@@ -605,6 +622,7 @@ def _requests(draw, state_dir: Path) -> list[str]:
         f"--target={','.join(map(str, target))}",
         f"--grid={start!r}:{stop!r}:{step!r}",
         *angles,
+        *_flags(draw, ["a", "b", "c"] if protocol == "w-channel" else [], _amp),
     ]
 
 

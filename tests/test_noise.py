@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     OCTAHEDRON,
@@ -47,6 +49,12 @@ class TestKraus:
         with pytest.raises(ValueError):
             bit_flip(1.5)
 
+    def test_transfer_matrix_is_read_only_and_rebuilt_by_replace(self):
+        ch = depolarizing(0.3)
+        assert not ch.transfer.flags.writeable
+        flipped = dataclasses.replace(ch, kraus=bit_flip(0.4).kraus)
+        np.testing.assert_array_equal(flipped.transfer, bit_flip(0.4).transfer)
+
 
 class TestApplyChannel:
     def test_parameter_zero_is_identity(self):
@@ -89,6 +97,23 @@ class TestApplyChannel:
         twice = apply_channel(apply_channel(rho, bit_flip(p1), 0), bit_flip(p2), 0)
         once = apply_channel(rho, bit_flip(p1 + p2 - 2 * p1 * p2), 0)
         np.testing.assert_allclose(twice.matrix, once.matrix, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", sorted(CHANNELS))
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 4), parameter=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+    def test_matches_dense_lifted_kraus_sum(self, kind, n, parameter, seed):
+        # sum_k K rho K† with each Kraus matrix lifted to the full register,
+        # on every target of a random mixed density.
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((1 << n, 1 << n)) + 1j * rng.standard_normal((1 << n, 1 << n))
+        rho = g @ g.conj().T
+        rho /= np.trace(rho).real
+        ch = make_channel(kind, parameter)
+        for target in range(n):
+            lifted = [lift_operator(k, (target,), n) for k in ch.kraus]
+            expected = sum(k @ rho @ k.conj().T for k in lifted)
+            got = apply_channel(DensityOp(rho), ch, target).matrix
+            assert np.abs(got - expected).max() <= 1e-14
 
     def test_target_out_of_range(self):
         rho = DensityOp.from_pure(ghz_basis(MAX, (0, 0, 0)))

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import PROBE_PAIRS, chi_row, eta_row, looped_corrections, random_input
+from helpers import PROBE_PAIRS, chi_row, dense_branches, eta_row, looped_corrections, random_input
 from tripsim import teleport
 from tripsim.bases import bell2, bob_x_basis, ghz_basis
 from tripsim.core import InputQubit, InvariantViolation, StateVector, partial_inner, project, tensor
@@ -749,3 +749,60 @@ def test_average_fidelity_matches_nielsen_formula(request):
     protocol, params = request
     bundle = protocol_bundle(protocol, **params)
     assert abs(average_fidelity(bundle) - _nielsen_average(bundle)) <= 1e-13
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(request=_protocol_params(), pair=_inputs)
+def test_branches_match_dense_full_register_lifting(request, pair):
+    # The public calls against the dense oracle of tests/helpers.py, which
+    # lifts every projector and correction to the full register and never
+    # touches the corner stacks.
+    protocol, params = request
+    report = _PUBLIC_CALLS[protocol](pair, params)
+    dense = dense_branches(protocol, params, teleport.PROTOCOLS[protocol].corrections(), *pair)
+    assert [b.outcome for b in report.branches] == list(dense)
+    for b in report.branches:
+        p, fidelity = dense[b.outcome]
+        assert abs(b.probability - p) <= 1e-12
+        if p > 1e-12:
+            assert b.fidelity is not None
+        if p < 1e-16:
+            assert b.fidelity is None
+        # Below 1e-6 a normalized branch amplifies rounding beyond 1e-12.
+        if p > 1e-6:
+            assert abs(b.fidelity - fidelity) <= 1e-12
+
+
+_CORNERS = {"ghz-epr": 2, "ghz-meas": 4, "epr-via-ghz": 2, "ghz-via-3epr": 8, "w-channel": 3}
+
+
+@pytest.mark.parametrize("protocol", PROTOCOL_NAMES)
+def test_corner_stacks_are_read_only_exact_and_built_once(protocol, monkeypatch):
+    # A fresh copy of the table entry builds one Kraus stack per corner on
+    # its first call and none after, whatever the angles and inputs.
+    entry = dataclasses.replace(teleport.PROTOCOLS[protocol])
+    monkeypatch.setitem(teleport.PROTOCOLS, protocol, entry)
+    built = []
+    kraus_stack = teleport._kraus_stack
+    monkeypatch.setattr(teleport, "_kraus_stack", lambda b: built.append(b.kraus is None) or kraus_stack(b))
+    rng = np.random.default_rng(41)
+    for _ in range(5):
+        params = {k: float(rng.uniform(0, math.pi / 2)) for k in _PARAM_KEYS[protocol]}
+        if protocol == "w-channel":
+            params = dict(zip("abc", _normalized(rng.standard_normal(3) + 1j * rng.standard_normal(3))))
+        pair = _normalized(rng.standard_normal(2) + 1j * rng.standard_normal(2))
+        _PUBLIC_CALLS[protocol](pair, params)
+        enumerate_branches(protocol_bundle(protocol, **params), *pair)
+    labels, corners = entry.corners
+    assert sum(built) == len(corners) == _CORNERS[protocol]
+    assert entry.corners[1] is corners
+    assert labels == tuple(label for label, _ in protocol_bundle(protocol).outcomes)
+    assert not corners.flags.writeable
+    with pytest.raises(ValueError):
+        corners[0, 0, 0, 0] = 0.0
+    # Built from exact unit coordinates, with no cos(pi/2) = 6.1e-17 residue.
+    # Shown where the outcome bras are exact: a maximal Bell bra carries the
+    # 1.2e-16 imaginary part of exp(i pi).
+    if protocol in ("ghz-meas", "epr-via-ghz"):
+        parts = corners.view(float)
+        assert not parts[np.abs(parts) < 1e-12].any()
