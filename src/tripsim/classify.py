@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DensityOp, PAULI_Y, StateVector, _reduced_matrix, check_density
+from .core import DensityOp, StateVector, _reduced_matrix, _string_matrix, check_density
 
 EPS = 1e-9
 
@@ -24,8 +24,7 @@ GENUINE_GHZ = "genuine-ghz"
 
 _PARTITIONS = ("A|BC", "B|AC", "C|AB")
 
-_YY = np.kron(PAULI_Y, PAULI_Y)
-_YY.setflags(write=False)
+_YY = _string_matrix("YY")
 
 
 @dataclass(frozen=True)

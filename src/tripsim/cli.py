@@ -98,7 +98,7 @@ _SCHEMAS = {
     },
     "noise-sweep": {
         "type": "object",
-        "required": ["schema", "command", "protocol", "channel", "target", "rows"],
+        "required": ["schema", "command", "protocol", "params", "channel", "target", "rows"],
         "properties": {
             "schema": {"const": SCHEMA_TAG},
             "rows": {"type": "array", "items": {"type": "array", "items": _UNIT}},
@@ -334,10 +334,12 @@ def _cmd_noise_sweep(params: dict, seed: int) -> dict:
     grid = _parse_grid(params.pop("grid", "0:1:0.05"))
     _normalize_channel(_protocol_entry(protocol), params)
     rows = noise.noisy_teleport_sweep(protocol, channel, target, grid, params=params)
+    resolved = teleport._resolve(protocol, params)[1]
     return {
         "schema": SCHEMA_TAG,
         "command": "noise-sweep",
         "protocol": protocol,
+        "params": {k: teleport._jsonable(v) for k, v in resolved.items()},
         "channel": channel,
         "target": target,
         "rows": [[p, clamp_unit(f, "noise-sweep fidelity")] for p, f in rows],

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -33,6 +34,15 @@ PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULIS = {"I": PAULI_I, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
+
+
+@lru_cache(maxsize=64)
+def _string_matrix(letters: str) -> np.ndarray:
+    """The Kronecker product of the Pauli letters' matrices ("XY" = X⊗Y),
+    built once per letter string and shared read-only."""
+    m = reduce(np.kron, (PAULIS[ch] for ch in letters))
+    m.setflags(write=False)
+    return m
 
 
 class InvariantViolation(ValueError):

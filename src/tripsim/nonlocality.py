@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
 
 import numpy as np
 
-from .core import PAULIS, StateVector
+from .core import StateVector, _string_matrix
 
 _EIGEN_ATOL = 1e-9
 
@@ -30,13 +29,6 @@ class PauliString:
         """The Kronecker product of the letters' matrices, built once per
         letter string and shared read-only."""
         return _string_matrix(self.letters)
-
-
-@lru_cache(maxsize=64)
-def _string_matrix(letters: str) -> np.ndarray:
-    m = reduce(np.kron, (PAULIS[ch] for ch in letters))
-    m.setflags(write=False)
-    return m
 
 
 @dataclass(frozen=True)

@@ -14,13 +14,13 @@ map takes the parameters to coordinate vectors, (cos theta, sin theta) per
 angle or the channel amplitudes (a, b, c), in each of which the resource
 and the outcome bras are linear. So the Kraus stack is a weighted sum of
 the stacks at the corners, the combinations of exact unit coordinate
-vectors, which each entry builds once per process
-(:attr:`Protocol.corners`). Every bundle of :func:`protocol_bundle` and
-every ``teleport_*`` call takes its stack as one product of the corner
-weights with the corners; a ``teleport_*`` call builds no resource or
-outcome state. The bundles of an entry with fixed outcomes also carry the
-branch factors, built once per process, for W. ``dataclasses.replace``
-drops both, so any other bundle builds its own.
+vectors, which each entry builds once per process, on first use
+(:attr:`Protocol.corners`). A bundle of :func:`protocol_bundle` records
+its coordinates, and its stack is read on demand as one product of the
+corner weights with the corners; a ``teleport_*`` call takes the same
+product and builds no resource or outcome state. ``dataclasses.replace``
+drops the coordinates, so any other bundle builds its stack from its own
+states. W and the noise sweeps never read a stack.
 Each correction lookup is a stated rule, built once per process.
 Branches are enumerated in lexicographic label order, with two fidelity
 accountings side by side that must coincide: the sum of ``tr(rho_in rho~_f)``
@@ -45,7 +45,7 @@ from typing import Callable
 import numpy as np
 
 from .bases import WChannelSpec, _bell2_member, _bob_x_member, _check_angle, _ghz_member, bell2, ghz_basis
-from .core import PAULIS, InputQubit, InvariantViolation, StateVector, clamp_unit, tensor
+from .core import PAULIS, InputQubit, InvariantViolation, StateVector, _string_matrix, clamp_unit, tensor
 
 _MAX = math.pi / 4
 _DEGENERATE_CUT = 1e-14
@@ -131,8 +131,7 @@ class ProtocolBundle:
     outcomes: tuple[tuple[tuple, StateVector], ...]
     corrections: dict
     input_state: Callable
-    factors: tuple | None = field(default=None, init=False, repr=False, compare=False)
-    kraus: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    coords: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n_total(self) -> int:
@@ -144,10 +143,6 @@ def _compose(letters: str) -> np.ndarray:
     if letters in ("", "I", "none"):
         return np.eye(2, dtype=complex)
     return reduce(lambda a, b: a @ b, (PAULIS[ch] for ch in letters))
-
-
-def _kron_letters(letters) -> np.ndarray:
-    return reduce(np.kron, (PAULIS[ch] for ch in letters))
 
 
 @lru_cache(maxsize=None)
@@ -193,10 +188,7 @@ def _branch_factors(bundle: ProtocolBundle):
     with u the unmeasured resource qubits, in ascending order. Returns B
     as (outcomes, 2^|m|, 2), the resource qubit order (m, u), and the
     correction stack C; outcomes without a correction keep the identity.
-    Factors the bundle carries (see :func:`protocol_bundle`) are returned as they are.
     """
-    if bundle.factors is not None:
-        return bundle.factors
     n_in, k = bundle.n_input, len(bundle.meas_targets)
     bras = np.array([bvec.amplitudes for _, bvec in bundle.outcomes]).conj()
     encoding = _columns(bundle.input_state).reshape((2,) * n_in + (2,))
@@ -213,19 +205,26 @@ def _branch_factors(bundle: ProtocolBundle):
     return factor.reshape(len(bras), -1, 2), measured + kept, corrections
 
 
+def _contract(factors: tuple, resource: StateVector) -> np.ndarray:
+    """The Kraus stack of the branch factors ``factors`` (see
+    :func:`_branch_factors`) on the resource state ``resource``."""
+    factor, order, corrections = factors
+    amps = resource.amplitudes.reshape((2,) * len(order))
+    amps = amps.transpose(order).reshape(factor.shape[1], -1)
+    return corrections @ np.einsum("lmc,mu->luc", factor, amps)
+
+
 def _kraus_stack(bundle: ProtocolBundle) -> np.ndarray:
     """Logical Kraus operators K[l] = C_l (<b_l| ⊗ 1)(E ⊗ |R>) of the bundle's
     own resource R, shape (outcomes, 2^(n - k), 2), so the corrected
     residual of outcome l for input c is ``K[l] @ c``. A live outcome
     without a correction is for :func:`_require_corrections` to reject.
-    A stack the bundle carries (see :func:`protocol_bundle`) is returned as it is.
+    A bundle of :func:`protocol_bundle` takes it from the protocol's
+    corners at its coordinates; any other bundle builds it from its states.
     """
-    if bundle.kraus is not None:
-        return bundle.kraus
-    factor, order, corrections = _branch_factors(bundle)
-    resource = bundle.resource.amplitudes.reshape((2,) * len(order))
-    resource = resource.transpose(order).reshape(factor.shape[1], -1)
-    return corrections @ np.einsum("lmc,mu->luc", factor, resource)
+    if bundle.coords is not None:
+        return PROTOCOLS[bundle.name].kraus(bundle.coords)
+    return _contract(_branch_factors(bundle), bundle.resource)
 
 
 def _require_corrections(name: str, labels, corrections: dict, probs: np.ndarray) -> None:
@@ -344,7 +343,7 @@ def _pauli_fix(xs, z: int) -> _Correction:
     if z:
         q = max((i for i, ch in enumerate(letters) if ch == "X"), default=len(letters) - 1)
         letters[q] = "Y" if letters[q] == "X" else "Z"
-    return _Correction("⊗".join(letters), _kron_letters(letters))
+    return _Correction("⊗".join(letters), _string_matrix("".join(letters)))
 
 
 @lru_cache(maxsize=1)
@@ -380,8 +379,7 @@ class Protocol:
     """What one protocol is made of: its parameters, each mapped to its
     default, whose type is the parameter's type; its layout and input
     encoding; its coordinate map; builders of the resource and the outcomes
-    from the coordinates; and its correction table. ``fixed_outcomes`` says
-    that the outcomes are the same for every call.
+    from the coordinates; and its correction table.
 
     The coordinate map checks the resolved parameters and maps them to
     coordinate vectors: (cos theta, sin theta) per angle, or the channel
@@ -398,11 +396,9 @@ class Protocol:
     resource: Callable[[dict], StateVector]
     outcomes: Callable[[dict], tuple]
     corrections: Callable[[], dict]
-    fixed_outcomes: bool = False
 
     def bundle(self, name: str, params: dict, coords: dict) -> ProtocolBundle:
-        """The bundle of resolved ``params`` with its states built at
-        ``coords``, without shared factors or stack."""
+        """The bundle of resolved ``params`` with its states built at ``coords``."""
         return ProtocolBundle(
             name, params, self.n_input, self.resource(coords), self.meas_targets,
             self.outcomes(coords), self.corrections(), self.input_state,
@@ -412,15 +408,16 @@ class Protocol:
     def corners(self) -> tuple[tuple, np.ndarray]:
         """The outcome labels, and the Kraus stacks at every combination of
         unit coordinate vectors as one read-only (corners, outcomes, dim, 2)
-        array. Built once per protocol, from exact unit vectors."""
+        array. Built once per protocol, from exact unit vectors; corners with
+        the same outcome tuple share one build of the branch factors."""
         vectors = self.coordinates(self.params)
         units = itertools.product(*(np.eye(len(v)).tolist() for v in vectors.values()))
         bundles = [self.bundle("", self.params, dict(zip(vectors, unit))) for unit in units]
-        if self.fixed_outcomes:
-            factors = _branch_factors(bundles[0])
-            for bundle in bundles:
-                object.__setattr__(bundle, "factors", factors)
-        stacks = np.stack([_kraus_stack(bundle) for bundle in bundles])
+        factors = {}
+        for bundle in bundles:
+            if id(bundle.outcomes) not in factors:
+                factors[id(bundle.outcomes)] = _branch_factors(bundle)
+        stacks = np.stack([_contract(factors[id(b.outcomes)], b.resource) for b in bundles])
         stacks.setflags(write=False)
         return tuple(label for label, _ in bundles[0].outcomes), stacks
 
@@ -455,17 +452,17 @@ PROTOCOLS: dict[str, Protocol] = {
     "epr-via-ghz": Protocol(
         {"theta_channel": _MAX}, 2, (0, 1, 2), _repetition(2), _angles,
         lambda x: _ghz_member(x["theta_channel"], (0, 0, 0)),
-        lambda x: _maximal_ghz_outcomes(), _epr_via_ghz_corrections, fixed_outcomes=True,
+        lambda x: _maximal_ghz_outcomes(), _epr_via_ghz_corrections,
     ),
     "ghz-via-3epr": Protocol(
         {"theta1": _MAX, "theta2": _MAX, "theta3": _MAX}, 3, (0, 3, 1, 5, 2, 7), _repetition(3),
         _angles, lambda x: reduce(tensor, (_bell2_member(b, (0, 0)) for b in x.values())),
-        lambda x: _three_bell_outcomes(), _three_epr_corrections, fixed_outcomes=True,
+        lambda x: _three_bell_outcomes(), _three_epr_corrections,
     ),
     "w-channel": Protocol(
         dict.fromkeys("abc", complex(1 / math.sqrt(3))), 1, (0, 1, 3), _repetition(1),
         _w_amplitudes, lambda x: WChannelSpec(*x["w"]).state(),
-        lambda x: _w_channel_outcomes(), _w_channel_corrections, fixed_outcomes=True,
+        lambda x: _w_channel_outcomes(), _w_channel_corrections,
     ),
 }
 PROTOCOL_NAMES = tuple(PROTOCOLS)
@@ -488,28 +485,16 @@ def protocol_bundle(name: str, **params) -> ProtocolBundle:
     """Registry entry point; unknown protocols or parameter keys are rejected.
 
     A missing parameter takes its default, and each value is converted to
-    the type of its default. Every bundle carries its Kraus stack from the
-    protocol's corners (:meth:`Protocol.kraus`), and the bundles of a
-    protocol with fixed outcomes carry branch factors built once per process.
+    the type of its default. The bundle records its coordinates, from
+    which :func:`_kraus_stack` reads its Kraus stack off the protocol's
+    corners when asked (:meth:`Protocol.kraus`); ``dataclasses.replace``
+    drops them.
     """
     protocol, resolved = _resolve(name, params)
     coords = protocol.coordinates(resolved)
     bundle = protocol.bundle(name, resolved, coords)
-    if protocol.fixed_outcomes:
-        object.__setattr__(bundle, "factors", _fixed_factors(name))
-    object.__setattr__(bundle, "kraus", protocol.kraus(coords))
+    object.__setattr__(bundle, "coords", coords)
     return bundle
-
-
-@lru_cache(maxsize=None)
-def _fixed_factors(name: str) -> tuple:
-    """Read-only branch factors of a fixed-outcome protocol's default bundle."""
-    protocol = PROTOCOLS[name]
-    bundle = protocol.bundle(name, protocol.params, protocol.coordinates(protocol.params))
-    factor, order, corrections = _branch_factors(bundle)
-    factor.setflags(write=False)
-    corrections.setflags(write=False)
-    return factor, order, corrections
 
 
 # --- enumeration -------------------------------------------------------

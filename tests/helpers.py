@@ -12,7 +12,7 @@ import numpy as np
 
 from tripsim.bases import bell2, bob_x_basis, ghz_basis
 from tripsim.classify import ReducedDiagnostics, concurrence, three_tangle
-from tripsim.core import DensityOp, InputQubit, StateVector, partial_inner, partial_trace, project, tensor
+from tripsim.core import DensityOp, InputQubit, StateVector, _string_matrix, partial_inner, partial_trace, project, tensor
 from tripsim.teleport import (
     GHZ_EPR_CORRECTIONS,
     _DEGENERATE_CUT,
@@ -20,7 +20,6 @@ from tripsim.teleport import (
     _columns,
     _compose,
     _kraus_stack,
-    _kron_letters,
 )
 
 
@@ -264,7 +263,7 @@ def search_pauli_correction(samples, width: int) -> _Correction:
     best: _Correction | None = None
     best_score = -1.0
     for letters in candidates:
-        mat = _kron_letters(letters)
+        mat = _string_matrix("".join(letters))
         score = min(
             abs(np.vdot(target, mat @ residual)) ** 2 / np.vdot(residual, residual).real
             for residual, target in samples

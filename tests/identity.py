@@ -15,7 +15,15 @@ and through ``tripsim teleport``, with edge angles, the inputs |0> and |1>
 and w-channel amplitudes with zeros mixed in; the branch factors, the
 resource response W and ``average_fidelity`` at default and other
 parameters; a fidelity surface; noise sweeps of every protocol and
-channel; and ``tripsim noise-sweep`` of every protocol with its own flags.
+channel; ``tripsim noise-sweep`` of every protocol with its own flags;
+``tripsim paradox``, ``tables``, ``classify`` (of state files written for
+the run, malformed ones among them), ``twirl`` of both families and
+``fidelity-surface`` as JSON and CSV, with fixed seeds; and seeded library
+``diagnostics`` and ``twirl_report`` results. A CSV payload is compared
+cell by cell.
+
+``python tests/identity.py src src`` checks that reruns in fresh processes
+print the same bytes: every line must read ``identical``.
 This file is not a test module, so pytest does not collect it.
 """
 
@@ -29,6 +37,7 @@ import os
 import pickle
 import subprocess
 import sys
+import tempfile
 
 REPORTS_PER_PROTOCOL = 300
 EDGES = (0.0, math.pi / 2, math.pi / 4, 1e-9, math.pi / 2 - 1e-9)
@@ -116,16 +125,83 @@ def _cli_argv(protocol: str, rng) -> list[str]:
     return argv
 
 
+def _cell(text: str):
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
 def _cli_run(main, argv) -> tuple[tuple, object]:
-    """(exit status, payload or stdout, stderr) and the payload's params."""
+    """(exit status, payload or stdout, stderr) and the payload's params. A
+    CSV payload is a list of rows, each cell a number or a word."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     if code != 0:
         return (code, out.getvalue(), err.getvalue()), None
+    if "csv" in argv:
+        rows = [[_cell(x) for x in line.split(",")] for line in out.getvalue().splitlines()]
+        return (code, rows, err.getvalue()), None
     payload = json.loads(out.getvalue())
     params = payload.pop("params", None)
     return (code, payload, err.getvalue()), params
+
+
+def _state_files(rng) -> list[str]:
+    """Three-qubit state files in the working directory: named classes,
+    seeded random states, some with zero amplitudes, and malformed ones."""
+    r = math.sqrt(0.5)
+    named = {
+        "ghz": [r, 0, 0, 0, 0, 0, 0, r], "w": [0, 3**-0.5, 3**-0.5, 0, 3**-0.5, 0, 0, 0],
+        "product": [1, 0, 0, 0, 0, 0, 0, 0], "biseparable": [r, 0, 0, r, 0, 0, 0, 0],
+        "seven-pairs": [1, 0, 0, 0, 0, 0, 0], "unnormalized": [1, 1, 0, 0, 0, 0, 0, 0],
+    }
+    for i in range(12):
+        named[f"random-{i}"] = _amps(rng, 8) if i % 3 else _amps(rng, 3) + (0,) * 5
+    for name, amps in named.items():
+        with open(f"{name}.json", "w", encoding="utf-8") as fh:
+            json.dump({"amplitudes": [[complex(a).real, complex(a).imag] for a in amps]}, fh)
+    return [f"{name}.json" for name in named]
+
+
+def _other_commands(main, diagnostics, twirl_report, StateVector, np) -> dict:
+    """The CLI commands besides teleport and noise-sweep, and the seeded
+    library diagnostics and twirl reports."""
+    outputs = {}
+    run = lambda argv: _cli_run(main, argv)[0]
+    outputs["cli-paradox"] = [run(["paradox", f"--theta={t!r}"]) for t in (*EDGES, 0.3)]
+    rng = np.random.default_rng(7)
+    outputs["cli-tables"] = [
+        run(["tables", f"--c0={c0!r}", f"--c1={c1!r}", f"--theta={_angle(rng)!r}"])
+        for c0, c1 in (_amps(rng, 2) for _ in range(12))
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        home = os.getcwd()
+        os.chdir(tmp)
+        try:
+            outputs["cli-classify"] = [run(["classify", "--state", f]) for f in _state_files(rng)]
+        finally:
+            os.chdir(home)
+    outputs["cli-twirl"] = [
+        run(["--seed", str(seed), "twirl", "--family", family, "--d", str(d), "--samples", "300",
+             "--invariant", str(invariant)])
+        for seed, family, d, invariant in ((3, "werner", 2, 0.4), (4, "werner", 3, 0.9),
+                                           (5, "isotropic", 2, 0.7), (6, "isotropic", 3, 0.2))
+    ]
+    outputs["cli-fidelity-surface/json"] = run(["fidelity-surface", "--grid", "21"])
+    outputs["cli-fidelity-surface/csv"] = run(["--format", "csv", "fidelity-surface", "--grid", "21"])
+    states = [StateVector(_amps(rng, 8) if i % 4 else _amps(rng, 3) + (0,) * 5) for i in range(200)]
+    outputs["diagnostics"] = [
+        (diag.to_dict(), diag.verdict().to_dict()) for diag in map(diagnostics, states)
+    ]
+    outputs["twirl-report"] = [
+        _guarded(lambda: twirl_report(family, d, invariant, 200, np.random.default_rng(seed)))
+        for seed, (family, d, invariant) in enumerate(
+            (("werner", 2, 0.3), ("werner", 4, 0.6), ("isotropic", 2, 0.8), ("isotropic", 3, 0.1))
+        )
+    ]
+    return outputs
 
 
 def worker(src: str) -> dict:
@@ -134,8 +210,10 @@ def worker(src: str) -> dict:
     import numpy as np
 
     from tripsim import noise, teleport
+    from tripsim.classify import diagnostics
     from tripsim.cli import main
-    from tripsim.core import InputQubit
+    from tripsim.core import InputQubit, StateVector
+    from tripsim.twirl import twirl_report
 
     outputs = {}
     for k, protocol in enumerate(teleport.PROTOCOL_NAMES):
@@ -160,12 +238,13 @@ def worker(src: str) -> dict:
                 outputs[f"sweep/{protocol}/{channel}/{name}"] = rows
         argv = ["noise-sweep", "--protocol", protocol, "--channel", "depolarizing",
                 "--target", ",".join(map(str, targets)), "--grid", "0:1:0.1", *CLI_FLAGS[protocol]]
-        outputs[f"cli-noise-sweep/{protocol}"] = _cli_run(main, argv)[0]
+        outputs[f"cli-noise-sweep/{protocol}"], outputs[f"cli-noise-sweep-params/{protocol}"] = _cli_run(main, argv)
     angles = np.linspace(0.0, math.pi / 2, 16)
     outputs["surface"] = teleport.avg_fidelity_surface(angles).values
     outputs["average-fidelity-ghz-meas"] = [
         teleport.average_fidelity_ghz_meas(t, p) for t in angles for p in angles[::5]
     ]
+    outputs.update(_other_commands(main, diagnostics, twirl_report, StateVector, np))
     return outputs
 
 

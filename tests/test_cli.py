@@ -168,6 +168,22 @@ class TestCommands:
         # Not the sweep of the default, equal amplitudes.
         assert rows != noise.noisy_teleport_sweep("w-channel", "bitflip", 2, np.linspace(0, 1, 5))
 
+    def test_noise_sweep_echoes_resolved_params(self, capsys):
+        # The payload carries the parameters the sweep ran with, in the
+        # form of the teleport payload: other amplitudes, other params.
+        base = ["noise-sweep", "--protocol", "w-channel", "--target", "2", "--grid", "0:1:0.5"]
+        amps = ["--a", "0.8", "--b", "0.6", "--c", "0"]
+        echoed = []
+        for flags in (amps, []):
+            code, out = _run([*base, *flags], capsys)
+            assert code == 0
+            echoed.append(json.loads(out)["params"])
+            code, out = _run(["teleport", "--protocol", "w-channel", *flags], capsys)
+            assert json.loads(out)["params"] == echoed[-1]
+        assert echoed[0] != echoed[1]
+        code, out = _run(["noise-sweep", "--protocol", "ghz-via-3epr", "--target", "3", "--theta2", "0.5"], capsys)
+        assert json.loads(out)["params"] == {"theta1": math.pi / 4, "theta2": 0.5, "theta3": math.pi / 4}
+
     def test_grid_point_cap_counts_emitted_points(self):
         # 1000.6 steps: 1001 points are emitted, so the grid is allowed.
         assert len(cli._parse_grid("0:1.0006:0.001")) == cli.MAX_SWEEP_POINTS

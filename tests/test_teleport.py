@@ -15,6 +15,7 @@ from helpers import PROBE_PAIRS, chi_row, dense_branches, eta_row, looped_correc
 from tripsim import teleport
 from tripsim.bases import bell2, bob_x_basis, ghz_basis
 from tripsim.core import InputQubit, InvariantViolation, StateVector, partial_inner, project, tensor
+from tripsim.noise import noisy_teleport_sweep
 from tripsim.teleport import (
     GHZ_EPR_CORRECTIONS,
     PROTOCOL_NAMES,
@@ -594,50 +595,68 @@ def test_shared_bases_give_the_same_reports_in_any_call_order():
                 assert _report_bytes(protocol, _ANGLE_SETS[i][protocol]) == cold[i][protocol]
 
 
-# Bundles of the three protocols with fixed outcomes carry branch factors built
-# once per process; ghz-epr and ghz-meas, whose outcome bras depend on the
-# angles, carry none. dataclasses.replace drops the factors.
-_FIXED_OUTCOMES = ("epr-via-ghz", "ghz-via-3epr", "w-channel")
-
-
 def _bits_equal(a: np.ndarray, b: np.ndarray) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def _fresh_entry(protocol: str, monkeypatch) -> teleport.Protocol:
+    """A copy of the protocol's table entry, with no corners built yet, in
+    place of the entry for the rest of the test."""
+    entry = dataclasses.replace(teleport.PROTOCOLS[protocol])
+    monkeypatch.setitem(teleport.PROTOCOLS, protocol, entry)
+    return entry
+
+
+def _count_calls(name: str, monkeypatch) -> list:
+    """One entry per later call of ``teleport.<name>``."""
+    calls, real = [], getattr(teleport, name)
+    monkeypatch.setattr(teleport, name, lambda *args: calls.append(1) or real(*args))
+    return calls
+
+
+# Corners with the same outcome tuple share one build of the branch factors:
+# every corner of the three protocols whose outcomes do not depend on the
+# angles. ghz-epr and ghz-meas build their outcome bras per corner.
+_FACTOR_BUILDS = {"ghz-epr": 2, "ghz-meas": 4, "epr-via-ghz": 1, "ghz-via-3epr": 1, "w-channel": 1}
+
+
 @pytest.mark.parametrize("protocol", PROTOCOL_NAMES)
-def test_shared_factors_are_built_once_read_only_and_exact(protocol):
-    bundles = [protocol_bundle(protocol, **params.get(protocol, {})) for params in _BUNDLE_PARAMS]
-    factors = bundles[0].factors
-    if protocol in _FIXED_OUTCOMES:
-        assert not factors[0].flags.writeable and not factors[2].flags.writeable
-    else:
-        assert factors is None
-    for bundle in bundles:
-        assert bundle.factors is factors
-        built = teleport._branch_factors(bundle)
-        assert factors is None or built is factors
-        fresh = dataclasses.replace(bundle)
-        assert fresh.factors is None
-        factor, order, stack = teleport._branch_factors(fresh)
-        assert _bits_equal(built[0], factor) and built[1] == order and _bits_equal(built[2], stack)
+def test_shared_factors_are_built_once_read_only_and_exact(protocol, monkeypatch):
+    entry = _fresh_entry(protocol, monkeypatch)
+    built = _count_calls("_branch_factors", monkeypatch)
+    corners = entry.corners[1]
+    assert len(built) == _FACTOR_BUILDS[protocol]
+    assert not corners.flags.writeable
+    # Sharing moves no bit: each corner is the stack of a bundle built at
+    # that corner alone, from its own factors.
+    vectors = entry.coordinates(entry.params)
+    units = itertools.product(*(np.eye(len(v)).tolist() for v in vectors.values()))
+    for corner, unit in zip(corners, units, strict=True):
+        bundle = entry.bundle(protocol, entry.params, dict(zip(vectors, unit)))
+        assert bundle.coords is None
+        assert _bits_equal(corner, teleport._kraus_stack(bundle))
 
 
 @pytest.mark.parametrize("protocol", PROTOCOL_NAMES)
 def test_replaced_bundles_build_their_own_factors(protocol):
     bundle = protocol_bundle(protocol)
-    # Outcomes in another order, or other measured qubits: no factors carried.
+    assert bundle.coords is not None
+    # Outcomes in another order, or other measured qubits: the copy drops
+    # the coordinates and builds its factors and stack from its states.
     reordered = dataclasses.replace(bundle, outcomes=bundle.outcomes[::-1])
     moved = dataclasses.replace(bundle, meas_targets=bundle.meas_targets[::-1])
     for replaced in (reordered, moved):
-        assert replaced.factors is None
+        assert replaced.coords is None
         factor, _, stack = teleport._branch_factors(replaced)
         assert factor.flags.writeable and stack.flags.writeable
-    # The reversed outcomes give the reversed factors.
+    # The reversed outcomes give the reversed factors and Kraus stack.
     built, flipped = teleport._branch_factors(bundle), teleport._branch_factors(reordered)
     assert _bits_equal(built[0][::-1], flipped[0]) and _bits_equal(built[2][::-1], flipped[2])
+    kraus = teleport._kraus_stack(bundle)
+    assert np.abs(teleport._kraus_stack(reordered) - kraus[::-1]).max() <= 1e-15
     # A correction-free copy: C is the identity.
     bare = dataclasses.replace(bundle, corrections={})
-    assert bare.factors is None
+    assert bare.coords is None
     stack = teleport._branch_factors(bare)[2]
     assert _bits_equal(stack, np.broadcast_to(np.eye(stack.shape[1], dtype=complex), stack.shape))
 
@@ -778,13 +797,10 @@ _CORNERS = {"ghz-epr": 2, "ghz-meas": 4, "epr-via-ghz": 2, "ghz-via-3epr": 8, "w
 
 @pytest.mark.parametrize("protocol", PROTOCOL_NAMES)
 def test_corner_stacks_are_read_only_exact_and_built_once(protocol, monkeypatch):
-    # A fresh copy of the table entry builds one Kraus stack per corner on
-    # its first call and none after, whatever the angles and inputs.
-    entry = dataclasses.replace(teleport.PROTOCOLS[protocol])
-    monkeypatch.setitem(teleport.PROTOCOLS, protocol, entry)
-    built = []
-    kraus_stack = teleport._kraus_stack
-    monkeypatch.setattr(teleport, "_kraus_stack", lambda b: built.append(b.kraus is None) or kraus_stack(b))
+    # A fresh copy of the table entry contracts one Kraus stack per corner
+    # on its first call and none after, whatever the angles and inputs.
+    entry = _fresh_entry(protocol, monkeypatch)
+    built = _count_calls("_contract", monkeypatch)
     rng = np.random.default_rng(41)
     for _ in range(5):
         params = {k: float(rng.uniform(0, math.pi / 2)) for k in _PARAM_KEYS[protocol]}
@@ -794,7 +810,7 @@ def test_corner_stacks_are_read_only_exact_and_built_once(protocol, monkeypatch)
         _PUBLIC_CALLS[protocol](pair, params)
         enumerate_branches(protocol_bundle(protocol, **params), *pair)
     labels, corners = entry.corners
-    assert sum(built) == len(corners) == _CORNERS[protocol]
+    assert len(built) == len(corners) == _CORNERS[protocol]
     assert entry.corners[1] is corners
     assert labels == tuple(label for label, _ in protocol_bundle(protocol).outcomes)
     assert not corners.flags.writeable
@@ -806,3 +822,40 @@ def test_corner_stacks_are_read_only_exact_and_built_once(protocol, monkeypatch)
     if protocol in ("ghz-meas", "epr-via-ghz"):
         parts = corners.view(float)
         assert not parts[np.abs(parts) < 1e-12].any()
+
+
+@pytest.mark.parametrize("protocol", PROTOCOL_NAMES)
+def test_bundles_averages_and_sweeps_build_no_corners(protocol, monkeypatch):
+    # A bundle records its coordinates; W, the averages, the surface and the
+    # sweeps never read a Kraus stack, so they build no corners.
+    entry = _fresh_entry(protocol, monkeypatch)
+    built = _count_calls("_contract", monkeypatch)
+    bundle = protocol_bundle(protocol, **_BUNDLE_PARAMS[1][protocol])
+    average_fidelity(bundle)
+    noisy_teleport_sweep(protocol, "depolarizing", range(bundle.n_input, bundle.n_total), [0.0, 0.3, 1.0])
+    if protocol == "ghz-meas":
+        avg_fidelity_surface(np.linspace(0.0, math.pi / 2, 5))
+    assert not built and "corners" not in vars(entry)
+    # The stack is read off the corners on demand.
+    kraus = teleport._kraus_stack(bundle)
+    assert len(built) == _CORNERS[protocol]
+    assert np.abs(kraus - teleport._kraus_stack(dataclasses.replace(bundle))).max() <= 1e-15
+
+
+_densities = st.tuples(st.integers(0, 2**32 - 1), st.integers(1, 8))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(request=_protocol_params(), density=_densities)
+def test_resource_response_is_hermitian_and_bounds_the_fidelity(request, density):
+    # W is Hermitian, and sum(W * rho) is an average fidelity in [0, 1] for
+    # every resource density rho, here of rank 1 to 8.
+    protocol, params = request
+    response = teleport.resource_response(protocol_bundle(protocol, **params))
+    assert np.abs(response - response.conj().T).max() <= 1e-12
+    seed, rank = density
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((len(response), rank)) + 1j * rng.standard_normal((len(response), rank))
+    rho = g @ g.conj().T
+    fidelity = (response * (rho / np.trace(rho).real)).sum()
+    assert -1e-12 <= fidelity.real <= 1 + 1e-12 and abs(fidelity.imag) <= 1e-12
