@@ -334,7 +334,7 @@ def _cmd_noise_sweep(params: dict, seed: int) -> dict:
     grid = _parse_grid(params.pop("grid", "0:1:0.05"))
     _normalize_channel(_protocol_entry(protocol), params)
     rows = noise.noisy_teleport_sweep(protocol, channel, target, grid, params=params)
-    resolved = teleport._resolve(protocol, params)[1]
+    resolved = teleport.protocol_bundle(protocol, **params).params
     return {
         "schema": SCHEMA_TAG,
         "command": "noise-sweep",

@@ -25,8 +25,9 @@ _COMPLETENESS_ATOL = 1e-12
 
 @dataclass(frozen=True)
 class KrausChannel:
-    """A completeness-satisfying set of Kraus matrices, with its read-only
-    transfer matrix S[(a, d), (b, c)] = sum_k K_k[a, b] conj(K_k[d, c])."""
+    """A completeness-satisfying set of single-qubit Kraus matrices, with
+    its read-only transfer matrix S[(a, d), (b, c)] = sum_k K_k[a, b]
+    conj(K_k[d, c])."""
 
     kind: str
     parameter: float
@@ -35,15 +36,16 @@ class KrausChannel:
 
     def __post_init__(self):
         mats = tuple(np.asarray(k, dtype=complex) for k in self.kraus)
+        if not mats or any(k.shape != (2, 2) for k in mats):
+            raise ValueError("a channel takes one or more single-qubit (2 x 2) Kraus matrices")
         object.__setattr__(self, "kraus", mats)
-        dim = mats[0].shape[0]
         acc = sum(k.conj().T @ k for k in mats)
-        if not within(acc, np.eye(dim), _COMPLETENESS_ATOL):
+        if not within(acc, np.eye(2), _COMPLETENESS_ATOL):
             raise InvariantViolation(
                 "kraus-completeness", "sum K†K differs from identity beyond 1e-12"
             )
         stack = np.array(mats)
-        transfer = np.einsum("kab,kdc->adbc", stack, stack.conj()).reshape(dim * dim, dim * dim)
+        transfer = np.einsum("kab,kdc->adbc", stack, stack.conj()).reshape(4, 4)
         transfer.setflags(write=False)
         object.__setattr__(self, "transfer", transfer)
 
@@ -125,7 +127,7 @@ def _resource_targets(bundle: ProtocolBundle, target) -> tuple[int, ...]:
     """Validate full-register indices and map them to resource-local ones;
     a non-integer index is a TypeError."""
     targets = tuple(operator.index(t) for t in np.atleast_1d(target))
-    lo, hi = bundle.n_input, bundle.n_total
+    lo, hi = bundle.protocol.n_input, bundle.n_total
     for t in targets:
         if not lo <= t < hi:
             raise ValueError(

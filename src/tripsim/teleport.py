@@ -15,12 +15,12 @@ angle or the channel amplitudes (a, b, c), in each of which the resource
 and the outcome bras are linear. So the Kraus stack is a weighted sum of
 the stacks at the corners, the combinations of exact unit coordinate
 vectors, which each entry builds once per process, on first use
-(:attr:`Protocol.corners`). A bundle of :func:`protocol_bundle` records
-its coordinates, and its stack is read on demand as one product of the
-corner weights with the corners; a ``teleport_*`` call takes the same
-product and builds no resource or outcome state. ``dataclasses.replace``
-drops the coordinates, so any other bundle builds its stack from its own
-states. W and the noise sweeps never read a stack.
+(:attr:`Protocol.corners`). A bundle (:func:`protocol_bundle`) is its table
+entry, its parameters and their coordinates: it builds its resource and
+outcome states only when they are read, and its Kraus stack is one product
+of the corner weights with the corners. A ``teleport_*`` call is
+``enumerate_branches(protocol_bundle(...))`` and builds no resource or
+outcome state. W and the noise sweeps never read a stack.
 Each correction lookup is a stated rule, built once per process.
 Branches are enumerated in lexicographic label order, with two fidelity
 accountings side by side that must coincide: the sum of ``tr(rho_in rho~_f)``
@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from typing import Callable
 
@@ -121,21 +121,32 @@ class _Correction:
 
 @dataclass(frozen=True)
 class ProtocolBundle:
-    """Everything needed to enumerate one protocol's branches."""
+    """One protocol at resolved parameters: its table entry, its name, the
+    parameters and their coordinates (:attr:`Protocol.coordinates`). The
+    resource and the outcomes are built from the coordinates when first
+    read; the layout, the input encoding and the corrections are the
+    entry's."""
 
+    protocol: Protocol
     name: str
     params: dict
-    n_input: int
-    resource: StateVector
-    meas_targets: tuple[int, ...]
-    outcomes: tuple[tuple[tuple, StateVector], ...]
-    corrections: dict
-    input_state: Callable
-    coords: dict | None = field(default=None, init=False, repr=False, compare=False)
+    coords: dict
+
+    @cached_property
+    def resource(self) -> StateVector:
+        return self.protocol.resource(self.coords)
+
+    @cached_property
+    def outcomes(self) -> tuple[tuple[tuple, StateVector], ...]:
+        return self.protocol.outcomes(self.coords)
+
+    @property
+    def corrections(self) -> dict:
+        return self.protocol.corrections()
 
     @property
     def n_total(self) -> int:
-        return self.n_input + self.resource.num_qubits
+        return self.protocol.n_input + self.resource.num_qubits
 
 
 def _compose(letters: str) -> np.ndarray:
@@ -189,16 +200,16 @@ def _branch_factors(bundle: ProtocolBundle):
     as (outcomes, 2^|m|, 2), the resource qubit order (m, u), and the
     correction stack C; outcomes without a correction keep the identity.
     """
-    n_in, k = bundle.n_input, len(bundle.meas_targets)
+    n_in, targets = bundle.protocol.n_input, bundle.protocol.meas_targets
     bras = np.array([bvec.amplitudes for _, bvec in bundle.outcomes]).conj()
-    encoding = _columns(bundle.input_state).reshape((2,) * n_in + (2,))
+    encoding = _columns(bundle.protocol.input_state).reshape((2,) * n_in + (2,))
     factor = np.tensordot(
-        bras.reshape((len(bras),) + (2,) * k),
+        bras.reshape((len(bras),) + (2,) * len(targets)),
         encoding,
-        axes=([bundle.meas_targets.index(q) + 1 for q in range(n_in)], list(range(n_in))),
+        axes=([targets.index(q) + 1 for q in range(n_in)], list(range(n_in))),
     )
-    measured = tuple(q - n_in for q in bundle.meas_targets if q >= n_in)
-    kept = tuple(q - n_in for q in range(n_in, bundle.n_total) if q not in bundle.meas_targets)
+    measured = tuple(q - n_in for q in targets if q >= n_in)
+    kept = tuple(q - n_in for q in range(n_in, bundle.n_total) if q not in targets)
     fixes = [bundle.corrections.get(label) for label, _ in bundle.outcomes]
     dim = 1 << len(kept)
     corrections = np.array([np.eye(dim, dtype=complex) if fix is None else fix.matrix for fix in fixes])
@@ -216,15 +227,12 @@ def _contract(factors: tuple, resource: StateVector) -> np.ndarray:
 
 def _kraus_stack(bundle: ProtocolBundle) -> np.ndarray:
     """Logical Kraus operators K[l] = C_l (<b_l| ⊗ 1)(E ⊗ |R>) of the bundle's
-    own resource R, shape (outcomes, 2^(n - k), 2), so the corrected
-    residual of outcome l for input c is ``K[l] @ c``. A live outcome
-    without a correction is for :func:`_require_corrections` to reject.
-    A bundle of :func:`protocol_bundle` takes it from the protocol's
-    corners at its coordinates; any other bundle builds it from its states.
+    resource R, shape (outcomes, 2^(n - k), 2), so the corrected residual
+    of outcome l for input c is ``K[l] @ c``. A live outcome without a
+    correction is for :func:`_require_corrections` to reject. Read off
+    the entry's corners at the bundle's coordinates (:meth:`Protocol.kraus`).
     """
-    if bundle.coords is not None:
-        return PROTOCOLS[bundle.name].kraus(bundle.coords)
-    return _contract(_branch_factors(bundle), bundle.resource)
+    return bundle.protocol.kraus(bundle.coords)
 
 
 def _require_corrections(name: str, labels, corrections: dict, probs: np.ndarray) -> None:
@@ -397,13 +405,6 @@ class Protocol:
     outcomes: Callable[[dict], tuple]
     corrections: Callable[[], dict]
 
-    def bundle(self, name: str, params: dict, coords: dict) -> ProtocolBundle:
-        """The bundle of resolved ``params`` with its states built at ``coords``."""
-        return ProtocolBundle(
-            name, params, self.n_input, self.resource(coords), self.meas_targets,
-            self.outcomes(coords), self.corrections(), self.input_state,
-        )
-
     @cached_property
     def corners(self) -> tuple[tuple, np.ndarray]:
         """The outcome labels, and the Kraus stacks at every combination of
@@ -412,7 +413,7 @@ class Protocol:
         the same outcome tuple share one build of the branch factors."""
         vectors = self.coordinates(self.params)
         units = itertools.product(*(np.eye(len(v)).tolist() for v in vectors.values()))
-        bundles = [self.bundle("", self.params, dict(zip(vectors, unit))) for unit in units]
+        bundles = [ProtocolBundle(self, "", self.params, dict(zip(vectors, unit))) for unit in units]
         factors = {}
         for bundle in bundles:
             if id(bundle.outcomes) not in factors:
@@ -468,33 +469,21 @@ PROTOCOLS: dict[str, Protocol] = {
 PROTOCOL_NAMES = tuple(PROTOCOLS)
 
 
-def _resolve(name: str, params: dict) -> tuple[Protocol, dict]:
-    """The table entry of ``name`` and its parameters, each missing one at
-    its default and each converted to the type of its default; unknown
-    protocols or parameter keys are rejected."""
+def protocol_bundle(name: str, **params) -> ProtocolBundle:
+    """Registry entry point; unknown protocols or parameter keys are rejected.
+
+    A missing parameter takes its default, and each value is converted to
+    the type of its default. The bundle holds the table entry, the
+    resolved parameters and their coordinates; it builds no state.
+    """
     protocol = PROTOCOLS.get(name)
     if protocol is None:
         raise ValueError(f"unknown protocol {name!r}")
     unknown = params.keys() - protocol.params.keys()
     if unknown:
         raise ValueError(f"parameters {sorted(unknown)} do not apply to {name}")
-    return protocol, {k: type(v)(params.get(k, v)) for k, v in protocol.params.items()}
-
-
-def protocol_bundle(name: str, **params) -> ProtocolBundle:
-    """Registry entry point; unknown protocols or parameter keys are rejected.
-
-    A missing parameter takes its default, and each value is converted to
-    the type of its default. The bundle records its coordinates, from
-    which :func:`_kraus_stack` reads its Kraus stack off the protocol's
-    corners when asked (:meth:`Protocol.kraus`); ``dataclasses.replace``
-    drops them.
-    """
-    protocol, resolved = _resolve(name, params)
-    coords = protocol.coordinates(resolved)
-    bundle = protocol.bundle(name, resolved, coords)
-    object.__setattr__(bundle, "coords", coords)
-    return bundle
+    resolved = {k: type(v)(params.get(k, v)) for k, v in protocol.params.items()}
+    return ProtocolBundle(protocol, name, resolved, protocol.coordinates(resolved))
 
 
 # --- enumeration -------------------------------------------------------
@@ -510,25 +499,9 @@ def _left_fold(values) -> float:
 
 
 def enumerate_branches(bundle: ProtocolBundle, c0: complex, c1: complex) -> TeleportReport:
-    """Every branch of a bundle for the normalized input (c0, c1), in outcome order."""
-    labels = [label for label, _ in bundle.outcomes]
-    return _enumerate(
-        bundle.name, bundle.params, labels, bundle.corrections, bundle.input_state,
-        _kraus_stack(bundle), c0, c1,
-    )
-
-
-def _teleport(name: str, c0: complex, c1: complex, **params) -> TeleportReport:
-    """``enumerate_branches(protocol_bundle(name, **params), c0, c1)``,
-    without building the bundle's resource and outcome states."""
-    protocol, resolved = _resolve(name, params)
-    kraus = protocol.kraus(protocol.coordinates(resolved))
-    labels = protocol.corners[0]
-    return _enumerate(name, resolved, labels, protocol.corrections(), protocol.input_state, kraus, c0, c1)
-
-
-def _enumerate(name, params, labels, corrections, input_state, kraus, c0, c1) -> TeleportReport:
-    """The branches of the Kraus stack ``kraus`` for the input (c0, c1).
+    """Every branch of a bundle for the normalized input (c0, c1), in outcome
+    order: the rows of its Kraus stack (:func:`_kraus_stack`) applied to
+    the input, labeled by the entry's corners.
 
     The live residuals are normalized in one division and checked as one
     :meth:`StateVector.stack`; a NaN weight counts as live, so it reaches
@@ -536,10 +509,11 @@ def _enumerate(name, params, labels, corrections, input_state, kraus, c0, c1) ->
     are one product of the normalized rows with the target, and
     ``avg_fidelity_traced`` comes from the unnormalized rows.
     """
-    target = input_state(c0, c1).amplitudes
-    residuals = kraus @ np.array([c0, c1], dtype=complex)
+    labels, corrections = bundle.protocol.corners[0], bundle.corrections
+    target = bundle.protocol.input_state(c0, c1).amplitudes
+    residuals = _kraus_stack(bundle) @ np.array([c0, c1], dtype=complex)
     probs = (residuals.real**2 + residuals.imag**2).sum(axis=1)
-    _require_corrections(name, labels, corrections, probs[None])
+    _require_corrections(bundle.name, labels, corrections, probs[None])
     live = ~(probs < _DEGENERATE_CUT)
     rows = residuals[live]
     normalized = rows / np.sqrt(probs[live])[:, None]
@@ -556,8 +530,8 @@ def _enumerate(name, params, labels, corrections, input_state, kraus, c0, c1) ->
     kept = [b for b in records if b.fidelity is not None]
     overlaps = rows @ target.conj()
     return TeleportReport(
-        protocol=name,
-        params=params,
+        protocol=bundle.name,
+        params=bundle.params,
         branches=tuple(records),
         avg_fidelity=_left_fold(b.probability * b.fidelity for b in kept),
         avg_fidelity_traced=float(np.vdot(overlaps, overlaps).real),
@@ -569,7 +543,7 @@ def teleport_ghz_epr(input_qubit: InputQubit, bob_theta: float) -> TeleportRepor
     """Maximal three-qubit channel, Bell measurement by the sender, rotated
     single-qubit measurement by the intermediary, lookup correction by the
     receiver; eight branches labeled (m, n, j)."""
-    return _teleport("ghz-epr", input_qubit.c0, input_qubit.c1, bob_theta=bob_theta)
+    return enumerate_branches(protocol_bundle("ghz-epr", bob_theta=bob_theta), input_qubit.c0, input_qubit.c1)
 
 
 def teleport_ghz_measurement(
@@ -578,16 +552,16 @@ def teleport_ghz_measurement(
     """Three-qubit channel at theta_channel, joint three-qubit measurement at
     theta_meas, correction Z^mu X^lam; outcomes with lam != omega carry zero
     probability and are recorded as degenerate."""
-    return _teleport(
-        "ghz-meas", input_qubit.c0, input_qubit.c1, theta_channel=theta_channel, theta_meas=theta_meas
-    )
+    bundle = protocol_bundle("ghz-meas", theta_channel=theta_channel, theta_meas=theta_meas)
+    return enumerate_branches(bundle, input_qubit.c0, input_qubit.c1)
 
 
 def teleport_epr_via_ghz(input_pair, theta_channel: float) -> TeleportReport:
     """Teleport an entangled pair a0|00> + a1|11> through a three-qubit
     channel: maximal three-qubit measurement on (0,1,2), two-qubit Pauli
     correction (:func:`_pauli_fix`) on the receiving pair."""
-    return _teleport("epr-via-ghz", *coerce_pair(input_pair), theta_channel=theta_channel)
+    bundle = protocol_bundle("epr-via-ghz", theta_channel=theta_channel)
+    return enumerate_branches(bundle, *coerce_pair(input_pair))
 
 
 def teleport_ghz_via_3epr(input_ghz, channels: tuple[float, float, float]) -> TeleportReport:
@@ -597,7 +571,8 @@ def teleport_ghz_via_3epr(input_ghz, channels: tuple[float, float, float]) -> Te
     channels = tuple(channels)
     if len(channels) != 3:
         raise ValueError(f"ghz-via-3epr takes three channel angles, got {len(channels)}")
-    return _teleport("ghz-via-3epr", *coerce_pair(input_ghz), **dict(zip(("theta1", "theta2", "theta3"), channels)))
+    bundle = protocol_bundle("ghz-via-3epr", **dict(zip(("theta1", "theta2", "theta3"), channels)))
+    return enumerate_branches(bundle, *coerce_pair(input_ghz))
 
 
 def teleport_w_channel(input_qubit: InputQubit, w) -> TeleportReport:
@@ -605,7 +580,7 @@ def teleport_w_channel(input_qubit: InputQubit, w) -> TeleportReport:
     channel: Bell measurement on (0,1), computational readout of the last
     channel qubit; readout 1 means no teleport (success=False)."""
     a, b, c = (w.a, w.b, w.c) if isinstance(w, WChannelSpec) else w
-    return _teleport("w-channel", input_qubit.c0, input_qubit.c1, a=a, b=b, c=c)
+    return enumerate_branches(protocol_bundle("w-channel", a=a, b=b, c=c), input_qubit.c0, input_qubit.c1)
 
 
 # --- input averaging ---------------------------------------------------
@@ -642,7 +617,7 @@ def resource_response(bundle: ProtocolBundle) -> np.ndarray:
     fed = np.einsum("lmc,nc->nlm", factor, inputs)
     labels = [label for label, _ in bundle.outcomes]
     _require_corrections(bundle.name, labels, bundle.corrections, (fed.real**2 + fed.imag**2).sum(axis=2) * len(corrections[0]))
-    targets = inputs @ _columns(bundle.input_state).T
+    targets = inputs @ _columns(bundle.protocol.input_state).T
     delivered = np.einsum("nd,ldu->nlu", targets.conj(), corrections)
     a = np.einsum("nlm,nlu->munl", fed, delivered).reshape((2,) * len(order) + (len(inputs), -1))
     a = a.transpose(*np.argsort(order), -2, -1).reshape(1 << len(order), len(inputs), -1)

@@ -5,6 +5,7 @@ oracle for the branch tables and per-reduction classification diagnostics
 (all deliberately not the library path)."""
 
 import cmath
+import dataclasses
 import itertools
 import math
 
@@ -21,6 +22,13 @@ from tripsim.teleport import (
     _compose,
     _kraus_stack,
 )
+
+
+def with_entry(bundle, **changes):
+    """A copy of ``bundle`` whose table entry has the fields ``changes``, as
+    ``dataclasses.replace`` takes them: the builders ``outcomes`` and
+    ``corrections`` are functions. The new entry builds its own corners."""
+    return dataclasses.replace(bundle, protocol=dataclasses.replace(bundle.protocol, **changes))
 
 
 def random_state(rng: np.random.Generator, num_qubits: int) -> StateVector:
@@ -207,20 +215,21 @@ def average_fidelity_density(bundle, resource_rho: np.ndarray, c0, c1) -> float:
     Mirrors the pure-state enumeration but carries the protocol through
     operator algebra, so a noisy (mixed) resource is handled exactly.
     """
-    in_amps = bundle.input_state(c0, c1).amplitudes
+    entry = bundle.protocol
+    in_amps = entry.input_state(c0, c1).amplitudes
     rho = np.kron(np.outer(in_amps, in_amps.conj()), resource_rho)
     n = bundle.n_total
-    k = len(bundle.meas_targets)
+    k = len(entry.meas_targets)
     t = rho.reshape([2] * (2 * n))
-    target = bundle.input_state(c0, c1).amplitudes
+    target = entry.input_state(c0, c1).amplitudes
     total = 0.0
     for label, bvec in bundle.outcomes:
         corr = bundle.corrections.get(label)
         if corr is None:
             continue
         b = bvec.amplitudes.reshape([2] * k)
-        rows_removed = np.tensordot(b.conj(), t, axes=(tuple(range(k)), bundle.meas_targets))
-        col_positions = tuple((n - k) + q for q in bundle.meas_targets)
+        rows_removed = np.tensordot(b.conj(), t, axes=(tuple(range(k)), entry.meas_targets))
+        col_positions = tuple((n - k) + q for q in entry.meas_targets)
         reduced = np.tensordot(rows_removed, b, axes=(col_positions, tuple(range(k))))
         dim = 1 << (n - k)
         branch_op = reduced.reshape(dim, dim)
@@ -279,10 +288,10 @@ def search_pauli_correction(samples, width: int) -> _Correction:
 def looped_corrections(bundle) -> dict:
     """Per-outcome lookup of a correction-free bundle, searched outcome by
     outcome over the probe inputs for which the outcome is live."""
-    width = bundle.n_total - len(bundle.meas_targets)
+    width = bundle.n_total - len(bundle.protocol.meas_targets)
     probes = np.array(PROBE_PAIRS, dtype=complex)
     residuals, probs = _residuals(_kraus_stack(bundle), probes)
-    targets = probes @ _columns(bundle.input_state).T
+    targets = probes @ _columns(bundle.protocol.input_state).T
     per_label: dict[tuple, list] = {}
     for n, target in enumerate(targets):
         for i, (label, _) in enumerate(bundle.outcomes):

@@ -12,7 +12,9 @@ renamed parameter shows up on its own line.
 
 The requests: seeded reports of all five protocols through the library
 and through ``tripsim teleport``, with edge angles, the inputs |0> and |1>
-and w-channel amplitudes with zeros mixed in; the branch factors, the
+and w-channel amplitudes with zeros mixed in; seeded reports of
+``dataclasses.replace`` copies of bundles (``replaced-bundle/...``); the
+branch factors, the
 resource response W and ``average_fidelity`` at default and other
 parameters; a fidelity surface; noise sweeps of every protocol and
 channel; ``tripsim noise-sweep`` of every protocol with its own flags;
@@ -30,6 +32,7 @@ This file is not a test module, so pytest does not collect it.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -40,6 +43,7 @@ import sys
 import tempfile
 
 REPORTS_PER_PROTOCOL = 300
+REPLACED_PER_PROTOCOL = 100
 EDGES = (0.0, math.pi / 2, math.pi / 4, 1e-9, math.pi / 2 - 1e-9)
 # Full-register resource qubits and the other parameters of each protocol.
 RESOURCE_QUBITS = {
@@ -108,6 +112,18 @@ def _library_reports(teleport, InputQubit, protocol: str, rng):
     for _ in range(REPORTS_PER_PROTOCOL):
         c = _amps(rng, 2)
         yield _guarded(lambda: calls[protocol](c, lambda: _angle(rng)))
+
+
+def _replaced_reports(teleport, protocol: str, rng):
+    """Reports of ``dataclasses.replace`` copies of seeded bundles."""
+    for _ in range(REPLACED_PER_PROTOCOL):
+        if protocol == "w-channel":
+            params = dict(zip("abc", _amps(rng, 3)))
+        else:
+            params = {k: _angle(rng) for k in teleport.PROTOCOLS[protocol].params}
+        c = _amps(rng, 2)
+        copy = lambda: dataclasses.replace(teleport.protocol_bundle(protocol, **params))
+        yield _guarded(lambda: teleport.enumerate_branches(copy(), *c))
 
 
 def _cli_argv(protocol: str, rng) -> list[str]:
@@ -221,6 +237,8 @@ def worker(src: str) -> dict:
         parts = [_report_parts(r) for r in _library_reports(teleport, InputQubit, protocol, rng)]
         outputs[f"reports/{protocol}"] = [p[0] for p in parts]
         outputs[f"report-params/{protocol}"] = [p[1] for p in parts]
+        replaced = _replaced_reports(teleport, protocol, np.random.default_rng(2000 + k))
+        outputs[f"replaced-bundle/{protocol}"] = [_report_parts(r)[0] for r in replaced]
         runs = [_cli_run(main, _cli_argv(protocol, rng)) for _ in range(20)]
         outputs[f"cli-teleport/{protocol}"] = [r[0] for r in runs]
         outputs[f"cli-teleport-params/{protocol}"] = [r[1] for r in runs]

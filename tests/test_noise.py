@@ -12,6 +12,7 @@ from helpers import (
     lift_operator,
     random_state,
     six_state_mean,
+    with_entry,
 )
 from tripsim.bases import ghz_basis
 from tripsim.core import DensityOp, InvariantViolation, PAULI_X, StateVector
@@ -44,6 +45,16 @@ class TestKraus:
     def test_incomplete_set_rejected(self):
         with pytest.raises(InvariantViolation, match="kraus-completeness"):
             KrausChannel("broken", 0.5, (np.eye(2) * 0.5,))
+
+    def test_empty_set_rejected(self):
+        with pytest.raises(ValueError, match="2 x 2"):
+            KrausChannel("empty", 0.0, ())
+
+    def test_multi_qubit_operators_rejected(self):
+        # A complete set of 4 x 4 operators would build a 16 x 16 transfer
+        # matrix that the single-qubit apply_channel cannot use.
+        with pytest.raises(ValueError, match="2 x 2"):
+            KrausChannel("two-qubit", 0.0, (np.eye(4),))
 
     def test_parameter_range(self):
         with pytest.raises(ValueError):
@@ -130,12 +141,12 @@ def _full_space_oracle(bundle, resource_rho, c0, c1):
     """Recompute the branch-summed fidelity with dense full-register
     matrices, applying the output correction *before* the measurement
     projector (the operators commute, so the value must agree)."""
-    in_amps = bundle.input_state(c0, c1).amplitudes
+    entry = bundle.protocol
+    in_amps = entry.input_state(c0, c1).amplitudes
     rho = np.kron(np.outer(in_amps, in_amps.conj()), resource_rho)
     n = bundle.n_total
-    k = len(bundle.meas_targets)
-    out_qubits = [q for q in range(n) if q not in bundle.meas_targets]
-    target = bundle.input_state(c0, c1).amplitudes
+    out_qubits = [q for q in range(n) if q not in entry.meas_targets]
+    target = entry.input_state(c0, c1).amplitudes
     total = 0.0
     for label, bvec in bundle.outcomes:
         corr = bundle.corrections.get(label)
@@ -144,11 +155,11 @@ def _full_space_oracle(bundle, resource_rho, c0, c1):
         u_full = lift_operator(corr.matrix, out_qubits, n)
         rho_corr = u_full @ rho @ u_full.conj().T
         proj = lift_operator(np.outer(bvec.amplitudes, bvec.amplitudes.conj()),
-                             bundle.meas_targets, n)
+                             entry.meas_targets, n)
         projected = proj @ rho_corr @ proj.conj().T
         t = projected.reshape([2] * (2 * n))
         subs = list(range(2 * n))
-        for q in bundle.meas_targets:
+        for q in entry.meas_targets:
             subs[n + q] = subs[q]
         out_axes = [q for q in out_qubits] + [n + q for q in out_qubits]
         small = np.einsum(t, subs, out_axes).reshape(1 << len(out_qubits), -1)
@@ -160,7 +171,7 @@ def _noisy_resource_rho(bundle, kind, p, targets) -> np.ndarray:
     """Resource density after the channel on each full-register target."""
     rho = DensityOp.from_pure(bundle.resource)
     for q in targets:
-        rho = apply_channel(rho, make_channel(kind, p), q - bundle.n_input)
+        rho = apply_channel(rho, make_channel(kind, p), q - bundle.protocol.n_input)
     return rho.matrix
 
 
@@ -190,7 +201,7 @@ class TestSweep:
         # Noise on the first and the last resource qubit, so the product
         # of per-qubit Kraus terms is exercised as well.
         bundle = protocol_bundle(protocol)
-        targets = [bundle.n_input, bundle.n_total - 1]
+        targets = [bundle.protocol.n_input, bundle.n_total - 1]
         grid = (0.37, 1.0)
         rows = noisy_teleport_sweep(protocol, kind, targets, grid)
         for (_, fid), p in zip(rows, grid):
@@ -208,16 +219,21 @@ class TestSweep:
         # its transpose; for ghz-via-3epr the rotated qubit 3 sits between
         # kept resource qubits.
         bundle = protocol_bundle(protocol, **params)
+        entry = bundle.protocol
         v = np.cos(0.3) * np.eye(2) - 1j * np.sin(0.3) * PAULI_X
         v = v @ np.diag([1, np.exp(0.7j)])
-        slot = bundle.meas_targets.index(qubit)
-        k = len(bundle.meas_targets)
-        rotated = []
-        for label, bra in bundle.outcomes:
-            amps = np.moveaxis(bra.amplitudes.reshape((2,) * k), slot, 0)
-            amps = np.moveaxis(np.tensordot(v, amps, axes=1), 0, slot)
-            rotated.append((label, StateVector(amps.reshape(-1))))
-        bundle = dataclasses.replace(bundle, outcomes=tuple(rotated))
+        slot = entry.meas_targets.index(qubit)
+        k = len(entry.meas_targets)
+
+        def rotated(coords):
+            outcomes = []
+            for label, bra in entry.outcomes(coords):
+                amps = np.moveaxis(bra.amplitudes.reshape((2,) * k), slot, 0)
+                amps = np.moveaxis(np.tensordot(v, amps, axes=1), 0, slot)
+                outcomes.append((label, StateVector(amps.reshape(-1))))
+            return tuple(outcomes)
+
+        bundle = with_entry(bundle, outcomes=rotated)
         rng = np.random.default_rng(31)
         dim = 1 << bundle.resource.num_qubits
         g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))

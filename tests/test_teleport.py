@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import PROBE_PAIRS, chi_row, dense_branches, eta_row, looped_corrections, random_input
+from helpers import PROBE_PAIRS, chi_row, dense_branches, eta_row, looped_corrections, random_input, with_entry
 from tripsim import teleport
 from tripsim.bases import bell2, bob_x_basis, ghz_basis
 from tripsim.core import InputQubit, InvariantViolation, StateVector, partial_inner, project, tensor
@@ -320,12 +320,12 @@ class TestGhzVia3Epr:
         bundle = protocol_bundle(
             "ghz-via-3epr", theta1=thetas[0], theta2=thetas[1], theta3=thetas[2]
         )
-        psi = tensor(bundle.input_state(a0, a1), bundle.resource)
+        psi = tensor(bundle.protocol.input_state(a0, a1), bundle.resource)
         for label in [(0,) * 6, (1, 0, 0, 0, 0, 0), (0, 1, 1, 0, 0, 1)]:
             m = (label[0], label[2], label[4])
             nn = (label[1], label[3], label[5])
             bell_vec = {lbl: vec for lbl, vec in bundle.outcomes}[label]
-            residual = partial_inner(psi, bell_vec, bundle.meas_targets)
+            residual = partial_inner(psi, bell_vec, bundle.protocol.meas_targets)
             expected = np.zeros(8, dtype=complex)
             for i, amp in ((0, a0), (1, a1)):
                 idx = ((i ^ nn[0]) << 2) | ((i ^ nn[1]) << 1) | (i ^ nn[2])
@@ -446,7 +446,7 @@ def test_live_outcome_without_correction_is_an_invariant_violation():
     bundle = protocol_bundle("ghz-meas")
     corrections = dict(bundle.corrections)
     del corrections[(0, 0, 0)]
-    broken = dataclasses.replace(bundle, corrections=corrections)
+    broken = with_entry(bundle, corrections=lambda: corrections)
     with pytest.raises(InvariantViolation, match="correction-coverage"):
         enumerate_branches(broken, 0.6, 0.8)
     with pytest.raises(InvariantViolation, match="correction-coverage"):
@@ -460,7 +460,7 @@ def test_nan_branch_weight_is_an_invariant_violation():
     corrections = dict(bundle.corrections)
     corr = corrections[(0, 0, 0)]
     corrections[(0, 0, 0)] = dataclasses.replace(corr, matrix=np.full_like(corr.matrix, np.nan))
-    broken = dataclasses.replace(bundle, corrections=corrections)
+    broken = with_entry(bundle, corrections=lambda: corrections)
     with np.errstate(invalid="ignore"), pytest.raises(InvariantViolation, match="state-normalization"):
         enumerate_branches(broken, 0.6, 0.8)
 
@@ -469,11 +469,11 @@ def test_nan_branch_weight_is_an_invariant_violation():
 def test_correction_rules_match_exhaustive_search(protocol):
     # The stated rules (_pauli_fix) must give what an exhaustive search over
     # Pauli strings picks on a correction-free copy of the bundle.
-    bundle = dataclasses.replace(protocol_bundle(protocol), corrections={})
+    bundle = with_entry(protocol_bundle(protocol), corrections=lambda: {})
     if protocol == "w-channel":
         # Readout q = 1 delivers nothing, so no Pauli string corrects it.
-        success = tuple(o for o in bundle.outcomes if o[0][2] == 0)
-        bundle = dataclasses.replace(bundle, outcomes=success)
+        entry = bundle.protocol
+        bundle = with_entry(bundle, outcomes=lambda x: tuple(o for o in entry.outcomes(x) if o[0][2] == 0))
     searched = looped_corrections(bundle)
     shipped = {label: c for label, c in protocol_bundle(protocol).corrections.items() if c.success}
     assert shipped.keys() == searched.keys()
@@ -599,10 +599,10 @@ def _bits_equal(a: np.ndarray, b: np.ndarray) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def _fresh_entry(protocol: str, monkeypatch) -> teleport.Protocol:
-    """A copy of the protocol's table entry, with no corners built yet, in
-    place of the entry for the rest of the test."""
-    entry = dataclasses.replace(teleport.PROTOCOLS[protocol])
+def _fresh_entry(protocol: str, monkeypatch, **changes) -> teleport.Protocol:
+    """A copy of the protocol's table entry with the fields ``changes`` and
+    no corners built yet, in place of the entry for the rest of the test."""
+    entry = dataclasses.replace(teleport.PROTOCOLS[protocol], **changes)
     monkeypatch.setitem(teleport.PROTOCOLS, protocol, entry)
     return entry
 
@@ -627,26 +627,24 @@ def test_shared_factors_are_built_once_read_only_and_exact(protocol, monkeypatch
     corners = entry.corners[1]
     assert len(built) == _FACTOR_BUILDS[protocol]
     assert not corners.flags.writeable
-    # Sharing moves no bit: each corner is the stack of a bundle built at
-    # that corner alone, from its own factors.
+    # Sharing moves no bit: each corner is the contraction of a bundle at
+    # that corner alone, with its own factors.
     vectors = entry.coordinates(entry.params)
     units = itertools.product(*(np.eye(len(v)).tolist() for v in vectors.values()))
     for corner, unit in zip(corners, units, strict=True):
-        bundle = entry.bundle(protocol, entry.params, dict(zip(vectors, unit)))
-        assert bundle.coords is None
-        assert _bits_equal(corner, teleport._kraus_stack(bundle))
+        bundle = teleport.ProtocolBundle(entry, protocol, entry.params, dict(zip(vectors, unit)))
+        assert _bits_equal(corner, teleport._contract(teleport._branch_factors(bundle), bundle.resource))
 
 
 @pytest.mark.parametrize("protocol", PROTOCOL_NAMES)
 def test_replaced_bundles_build_their_own_factors(protocol):
     bundle = protocol_bundle(protocol)
-    assert bundle.coords is not None
-    # Outcomes in another order, or other measured qubits: the copy drops
-    # the coordinates and builds its factors and stack from its states.
-    reordered = dataclasses.replace(bundle, outcomes=bundle.outcomes[::-1])
-    moved = dataclasses.replace(bundle, meas_targets=bundle.meas_targets[::-1])
+    entry = bundle.protocol
+    # Outcomes in another order, or other measured qubits: the copy's entry
+    # builds its factors and stack from its own states.
+    reordered = with_entry(bundle, outcomes=lambda x: entry.outcomes(x)[::-1])
+    moved = with_entry(bundle, meas_targets=entry.meas_targets[::-1])
     for replaced in (reordered, moved):
-        assert replaced.coords is None
         factor, _, stack = teleport._branch_factors(replaced)
         assert factor.flags.writeable and stack.flags.writeable
     # The reversed outcomes give the reversed factors and Kraus stack.
@@ -655,9 +653,7 @@ def test_replaced_bundles_build_their_own_factors(protocol):
     kraus = teleport._kraus_stack(bundle)
     assert np.abs(teleport._kraus_stack(reordered) - kraus[::-1]).max() <= 1e-15
     # A correction-free copy: C is the identity.
-    bare = dataclasses.replace(bundle, corrections={})
-    assert bare.coords is None
-    stack = teleport._branch_factors(bare)[2]
+    stack = teleport._branch_factors(with_entry(bundle, corrections=lambda: {}))[2]
     assert _bits_equal(stack, np.broadcast_to(np.eye(stack.shape[1], dtype=complex), stack.shape))
 
 
@@ -748,13 +744,14 @@ def _nielsen_average(bundle) -> float:
     """Nielsen's average fidelity sum_l (|Tr A_l|^2 + ||A_l||_F^2) / 6 with
     A_l = T^dagger K_l (Phys. Lett. A 303, 249 (2002)). T is the input
     encoding; each K_l is projected out of the full register state."""
-    n, k = bundle.n_total, len(bundle.meas_targets)
-    encoding = np.stack([bundle.input_state(1, 0).amplitudes, bundle.input_state(0, 1).amplitudes], axis=1)
+    entry = bundle.protocol
+    n, k = bundle.n_total, len(entry.meas_targets)
+    encoding = np.stack([entry.input_state(1, 0).amplitudes, entry.input_state(0, 1).amplitudes], axis=1)
     registers = [np.kron(column, bundle.resource.amplitudes).reshape((2,) * n) for column in encoding.T]
     total = 0.0
     for label, bra in bundle.outcomes:
         bra = bra.amplitudes.conj().reshape((2,) * k)
-        axes = (list(range(k)), list(bundle.meas_targets))
+        axes = (list(range(k)), list(entry.meas_targets))
         residual = np.stack([np.tensordot(bra, psi, axes=axes).reshape(-1) for psi in registers], axis=1)
         corr = bundle.corrections.get(label)
         a = encoding.conj().T @ (residual if corr is None else corr.matrix @ residual)
@@ -832,14 +829,48 @@ def test_bundles_averages_and_sweeps_build_no_corners(protocol, monkeypatch):
     built = _count_calls("_contract", monkeypatch)
     bundle = protocol_bundle(protocol, **_BUNDLE_PARAMS[1][protocol])
     average_fidelity(bundle)
-    noisy_teleport_sweep(protocol, "depolarizing", range(bundle.n_input, bundle.n_total), [0.0, 0.3, 1.0])
+    noisy_teleport_sweep(protocol, "depolarizing", range(entry.n_input, bundle.n_total), [0.0, 0.3, 1.0])
     if protocol == "ghz-meas":
         avg_fidelity_surface(np.linspace(0.0, math.pi / 2, 5))
     assert not built and "corners" not in vars(entry)
     # The stack is read off the corners on demand.
     kraus = teleport._kraus_stack(bundle)
     assert len(built) == _CORNERS[protocol]
-    assert np.abs(kraus - teleport._kraus_stack(dataclasses.replace(bundle))).max() <= 1e-15
+    assert _bits_equal(kraus, teleport._kraus_stack(dataclasses.replace(bundle)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(request=_protocol_params(), pair=_inputs)
+def test_replaced_bundles_keep_their_coordinates(request, pair):
+    # A copy made by dataclasses.replace is the same entry at the same
+    # coordinates: the same Kraus stack and report, bit for bit.
+    protocol, params = request
+    bundle = protocol_bundle(protocol, **params)
+    copy = dataclasses.replace(bundle)
+    assert _bits_equal(teleport._kraus_stack(bundle), teleport._kraus_stack(copy))
+    assert _bytes_of(enumerate_branches(bundle, *pair)) == _bytes_of(enumerate_branches(copy, *pair))
+
+
+@pytest.mark.parametrize("protocol", PROTOCOL_NAMES)
+def test_bundles_and_calls_build_no_states(protocol, monkeypatch):
+    # A bundle is its entry plus coordinates: neither protocol_bundle nor a
+    # teleport_* call builds a resource or outcome state once the corners
+    # exist. A bundle builds each of them when it is first read.
+    calls = []
+    real = teleport.PROTOCOLS[protocol]
+    counted = lambda build: lambda x: calls.append(build) or build(x)
+    entry = _fresh_entry(protocol, monkeypatch, resource=counted(real.resource), outcomes=counted(real.outcomes))
+    entry.corners  # one resource and one outcome build per corner
+    calls.clear()
+    params = dict(entry.params, **_BUNDLE_PARAMS[1][protocol])
+    bundle = protocol_bundle(protocol, **params)
+    _PUBLIC_CALLS[protocol]((0.6, 0.8j), params)
+    enumerate_branches(bundle, 0.6, 0.8j)
+    assert not calls
+    # A bundle builds each state on its first read and keeps it.
+    for _ in range(2):
+        bundle.resource, bundle.outcomes
+    assert calls == [real.resource, real.outcomes]
 
 
 _densities = st.tuples(st.integers(0, 2**32 - 1), st.integers(1, 8))
