@@ -1,6 +1,11 @@
 """Command-line front end: experiment registry, deterministic seeding,
 JSON/CSV emission, and numeric reproduction of the correction tables.
 
+Each command builds only its own fields. ``run`` puts the envelope in
+front of them, ``"schema": "tripsim/1"`` and ``"command"`` naming the
+subcommand that ran, and checks the envelope and then the command's schema
+before anything is written.
+
 Exit codes: 0 on success, 1 when a library invariant is violated (the
 violated invariant is named on stderr), 2 on configuration errors.
 Reruns with the same configuration and seed are byte-identical; the
@@ -39,12 +44,12 @@ MAX_TWIRL_D = 8  # twirl --d: 64 x 64 two-qudit operators
 _UNIT = {"type": "number", "minimum": 0.0, "maximum": 1.0}
 _SIGNED_UNIT = {"type": "number", "minimum": -1.0, "maximum": 1.0}
 
+# Each command's own fields. ``run`` adds the envelope, ``schema`` and
+# ``command``, and checks it before the command's entry.
 _SCHEMAS = {
     "paradox": {
-        "type": "object",
-        "required": ["schema", "command", "xyy", "yxy", "yyx", "xxx", "contradiction"],
+        "required": ["xyy", "yxy", "yyx", "xxx", "contradiction"],
         "properties": {
-            "schema": {"const": SCHEMA_TAG},
             "xyy": _SIGNED_UNIT,
             "yxy": _SIGNED_UNIT,
             "yyx": _SIGNED_UNIT,
@@ -53,13 +58,8 @@ _SCHEMAS = {
         },
     },
     "teleport": {
-        "type": "object",
-        "required": [
-            "schema", "command", "protocol", "params", "branches", "avg_fidelity",
-            "success_probability",
-        ],
+        "required": ["protocol", "params", "branches", "avg_fidelity", "success_probability"],
         "properties": {
-            "schema": {"const": SCHEMA_TAG},
             "avg_fidelity": _UNIT,
             "success_probability": _UNIT,
             "branches": {
@@ -76,38 +76,27 @@ _SCHEMAS = {
         },
     },
     "fidelity-surface": {
-        "type": "object",
-        "required": ["schema", "command", "theta_grid", "phi_grid", "values"],
+        "required": ["theta_grid", "phi_grid", "values"],
         "properties": {
-            "schema": {"const": SCHEMA_TAG},
             "values": {"type": "array", "items": {"type": "array", "items": _UNIT}},
         },
     },
     "twirl": {
-        "type": "object",
-        "required": ["schema", "command", "family", "d", "invariant", "trace_distance_history"],
-        "properties": {
-            "schema": {"const": SCHEMA_TAG},
-            "invariant": _UNIT,
-        },
+        "required": ["family", "d", "invariant", "trace_distance_history"],
+        "properties": {"invariant": _UNIT},
     },
-    "classify": {
-        "type": "object",
-        "required": ["schema", "command", "tag", "partition", "borderline", "diagnostics"],
-        "properties": {"schema": {"const": SCHEMA_TAG}},
-    },
+    "classify": {"required": ["tag", "partition", "borderline", "diagnostics"]},
     "noise-sweep": {
-        "type": "object",
-        "required": ["schema", "command", "protocol", "params", "channel", "target", "rows"],
+        "required": ["protocol", "params", "channel", "target", "rows"],
         "properties": {
-            "schema": {"const": SCHEMA_TAG},
             "rows": {"type": "array", "items": {"type": "array", "items": _UNIT}},
         },
     },
     "tables": {
-        "type": "object",
-        "required": ["schema", "command", "theta", "input", "pair_states", "receiver_states", "corrections", "corrected_states", "fidelities"],
-        "properties": {"schema": {"const": SCHEMA_TAG}},
+        "required": [
+            "theta", "input", "pair_states", "receiver_states", "corrections",
+            "corrected_states", "fidelities",
+        ],
     },
 }
 
@@ -196,7 +185,7 @@ def _normalized_tuple(values, what: str) -> tuple[complex, ...]:
 def _cmd_paradox(params: dict, seed: int) -> dict:
     theta = float(params.get("theta", math.pi / 4))
     report = nonlocality.ghz_paradox(bases.ghz_basis(theta, (0, 0, 0)))
-    return {"schema": SCHEMA_TAG, "command": "paradox", "theta": theta, **report.to_dict()}
+    return {"theta": theta, **report.to_dict()}
 
 
 def _input_pair(params: dict, keys=("c0", "c1")) -> tuple[complex, complex]:
@@ -229,7 +218,7 @@ def _cmd_teleport(params: dict, seed: int) -> dict:
     c0, c1 = _input_pair(params, ("a0", "a1") if protocol.n_input > 1 else ("c0", "c1"))
     _normalize_channel(protocol, params)
     report = teleport.enumerate_branches(teleport.protocol_bundle(name, **params), c0, c1)
-    return {"schema": SCHEMA_TAG, "command": "teleport", **report.to_dict()}
+    return report.to_dict()
 
 
 def _cmd_fidelity_surface(params: dict, seed: int) -> dict:
@@ -239,8 +228,6 @@ def _cmd_fidelity_surface(params: dict, seed: int) -> dict:
     grid = np.linspace(0.0, math.pi / 2, n)
     surface = teleport.avg_fidelity_surface(grid)
     return {
-        "schema": SCHEMA_TAG,
-        "command": "fidelity-surface",
         "theta_grid": [float(t) for t in surface.theta_grid],
         "phi_grid": [float(t) for t in surface.phi_grid],
         "values": [[float(v) for v in row] for row in surface.values],
@@ -253,31 +240,28 @@ def _cmd_twirl(params: dict, seed: int) -> dict:
         raise ValueError(f"--d must be at most {MAX_TWIRL_D}, got {d}")
     if samples > MAX_TWIRL_SAMPLES:
         raise ValueError(f"--samples must be at most {MAX_TWIRL_SAMPLES}, got {samples}")
-    report = twirl_report(
+    return twirl_report(
         family=params.get("family", "werner"),
         d=d,
         invariant=float(params.get("invariant", 0.5)),
         samples=samples,
         rng=np.random.default_rng(seed),
     )
-    return {
-        "schema": SCHEMA_TAG,
-        "command": "twirl",
-        "family": report["family"],
-        "d": report["d"],
-        "invariant": report["invariant"],
-        "trace_distance_history": [[n, dist] for n, dist in report["trace_distance_history"]],
-    }
 
 
 def _load_state(path: str) -> StateVector:
     with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        except RecursionError as exc:
+            raise ValueError(f"{path}: JSON nested too deeply") from exc
     amps = payload["amplitudes"] if isinstance(payload, dict) else payload
     try:
         values = [complex(re, im) for re, im in amps]
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: amplitudes must be a list of [re, im] pairs") from exc
+    except OverflowError as exc:  # an integer beyond the float range
+        raise ValueError(f"{path}: amplitudes must be finite") from exc
     if len(values) != 8:
         raise ValueError(f"{path}: a three-qubit state has 8 amplitude pairs, got {len(values)}")
     if not np.isfinite(values).all():
@@ -289,17 +273,8 @@ def _cmd_classify(params: dict, seed: int) -> dict:
     path = params.get("state")
     if not path:
         raise ValueError("classify requires --state FILE")
-    state = _load_state(path)
-    diag = diagnostics(state)
-    verdict = diag.verdict()
-    return {
-        "schema": SCHEMA_TAG,
-        "command": "classify",
-        "tag": verdict.tag,
-        "partition": verdict.partition,
-        "borderline": verdict.borderline,
-        "diagnostics": diag.to_dict(),
-    }
+    diag = diagnostics(_load_state(path))
+    return {**diag.verdict().to_dict(), "diagnostics": diag.to_dict()}
 
 
 def _parse_grid(text: str) -> np.ndarray:
@@ -336,8 +311,6 @@ def _cmd_noise_sweep(params: dict, seed: int) -> dict:
     rows = noise.noisy_teleport_sweep(protocol, channel, target, grid, params=params)
     resolved = teleport.protocol_bundle(protocol, **params).params
     return {
-        "schema": SCHEMA_TAG,
-        "command": "noise-sweep",
         "protocol": protocol,
         "params": {k: teleport._jsonable(v) for k, v in resolved.items()},
         "channel": channel,
@@ -384,13 +357,7 @@ def _cmd_tables(params: dict, seed: int) -> dict:
         norm2 = float(np.vdot(fixed[l], fixed[l]).real)
         fid = abs(np.vdot(c, fixed[l])) ** 2 / norm2 if norm2 > 1e-14 else None
         tables["fidelities"][key] = None if fid is None else clamp_unit(fid, "tables fidelity")
-    return {
-        "schema": SCHEMA_TAG,
-        "command": "tables",
-        "theta": theta,
-        "input": _cvec(c),
-        **tables,
-    }
+    return {"theta": theta, "input": _cvec(c), **tables}
 
 
 _COMMANDS = {
@@ -449,7 +416,16 @@ def run(config: ExperimentConfig) -> int:
         raise ValueError(f"unknown command {config.command!r}")
     if config.fmt not in ("json", "csv"):
         raise ValueError(f"format must be json or csv, got {config.fmt!r}")
-    payload = _COMMANDS[config.command](config.params, config.seed)
+    body = _COMMANDS[config.command](config.params, config.seed)
+    # The envelope comes first, so a body that sets either key overrides
+    # it and fails the envelope check.
+    payload = {"schema": SCHEMA_TAG, "command": config.command, **body}
+    envelope = {
+        "type": "object",
+        "required": ["schema", "command"],
+        "properties": {"schema": {"const": SCHEMA_TAG}, "command": {"const": config.command}},
+    }
+    _check(payload, envelope)
     _check(payload, _SCHEMAS[config.command])
     if config.fmt == "csv":
         text = _to_csv(config.command, payload)

@@ -45,7 +45,7 @@ from typing import Callable
 import numpy as np
 
 from .bases import WChannelSpec, _bell2_member, _bob_x_member, _check_angle, _ghz_member, bell2, ghz_basis
-from .core import PAULIS, InputQubit, InvariantViolation, StateVector, _string_matrix, clamp_unit, tensor
+from .core import PAULIS, DensityOp, InputQubit, InvariantViolation, StateVector, _string_matrix, clamp_unit, tensor
 
 _MAX = math.pi / 4
 _DEGENERATE_CUT = 1e-14
@@ -627,13 +627,20 @@ def resource_response(bundle: ProtocolBundle) -> np.ndarray:
 def average_fidelity(bundle: ProtocolBundle, rho=None) -> float:
     """Exact input-averaged branch-summed fidelity of a protocol bundle.
 
-    ``rho`` is a resource density matrix, by default the projector onto
-    the bundle's own pure resource. Raises
-    ``InvariantViolation("correction-coverage")`` as :func:`resource_response`.
+    ``rho`` is a resource density, a :class:`DensityOp` or an array held to
+    its invariants, by default the projector onto the bundle's own pure
+    resource. Raises ``ValueError`` when its dimension is not the
+    resource's, and ``InvariantViolation("correction-coverage")`` as
+    :func:`resource_response`.
     """
+    response = resource_response(bundle)
     if rho is None:
         rho = np.outer(bundle.resource.amplitudes, bundle.resource.amplitudes.conj())
-    return float((resource_response(bundle) * rho).sum().real)
+    else:
+        rho = (rho if isinstance(rho, DensityOp) else DensityOp(rho)).matrix
+        if rho.shape != response.shape:
+            raise ValueError(f"rho has dimension {rho.shape[0]}, the resource {response.shape[0]}")
+    return float((response * rho).sum().real)
 
 
 def average_fidelity_ghz_meas(theta_channel: float, theta_meas: float) -> float:

@@ -316,6 +316,7 @@ class TestDeterminismAndConfig:
             (["--form=json", "paradox"], {}),
             (["classify", "--state", "s.json"], {"s.json": [[math.nan, 0]] + [[0.25, 0]] * 7}),
             (["classify", "--state", "s.json"], {"s.json": [[0.25, 0]] * 7 + [[0, -math.inf]]}),
+            (["classify", "--state", "s.json"], {"s.json": [[10**400, 0]] + [[0.25, 0]] * 7}),
         ],
         ids=[
             "nan-amplitude", "flat-state-file", "zero-samples", "noise-grid-too-fine",
@@ -325,7 +326,7 @@ class TestDeterminismAndConfig:
             "teleport-stray-channel-amplitude", "noise-sweep-stray-angle",
             "classify-seven-pairs", "classify-sixteen-pairs", "noise-sweep-b-prefix",
             "teleport-theta-m-prefix", "global-form-prefix", "classify-nan-amplitude",
-            "classify-infinite-amplitude",
+            "classify-infinite-amplitude", "classify-huge-int-amplitude",
         ],
     )
     def test_bad_input_exits_2_without_traceback(self, argv, files, tmp_path, monkeypatch, capsys):
@@ -340,6 +341,16 @@ class TestDeterminismAndConfig:
             # argparse refused a flag: usage, then "tripsim: error: ...".
             err = err.splitlines()[-1].removeprefix("tripsim: ")
         assert err.startswith("error:")
+        assert "Traceback" not in captured.err
+
+    def test_deeply_nested_state_file_exits_2(self, tmp_path, capsys):
+        # json.dumps cannot write this; json.load hits the recursion limit.
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        assert main(["classify", "--state", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
         assert "Traceback" not in captured.err
 
     def test_invariant_violation_exits_1(self, tmp_path, capsys):
@@ -443,6 +454,7 @@ class TestPayloadCheck:
         assert main(argv) == 0
         payload = json.loads(capsys.readouterr().out)
         cli._check(payload, cli._SCHEMAS[command])
+        assert payload["schema"] == cli.SCHEMA_TAG
         assert payload["command"] == command
 
     def test_null_branch_fidelities_pass(self, capsys):
@@ -463,13 +475,13 @@ class TestPayloadCheck:
             ("noise-sweep", lambda p: p["rows"].__setitem__(1, [0.5, 2.0])),
             ("teleport", lambda p: p["branches"][0].update(fidelity=1.25)),
             ("teleport", lambda p: p["branches"][0].update(fidelity="0.5")),
-            ("teleport", lambda p: p.pop("command")),
+            ("teleport", lambda p: p.update(command="tables")),
             ("noise-sweep", lambda p: p["rows"][1].append(2.0)),
         ],
         ids=[
             "missing-key", "schema-tag", "p-1.5", "nan-avg-fidelity", "nan-surface-value",
             "bool-number", "noise-row", "branch-fidelity-1.25", "branch-fidelity-string",
-            "teleport-missing-command", "noise-row-third-item",
+            "teleport-wrong-command", "noise-row-third-item",
         ],
     )
     def test_mutated_payload_exits_1(self, command, mutate, monkeypatch, capsys):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from helpers import PROBE_PAIRS, chi_row, dense_branches, eta_row, looped_corrections, random_input, with_entry
 from tripsim import teleport
 from tripsim.bases import bell2, bob_x_basis, ghz_basis
-from tripsim.core import InputQubit, InvariantViolation, StateVector, partial_inner, project, tensor
+from tripsim.core import DensityOp, InputQubit, InvariantViolation, StateVector, partial_inner, project, tensor
 from tripsim.noise import noisy_teleport_sweep
 from tripsim.teleport import (
     GHZ_EPR_CORRECTIONS,
@@ -765,6 +765,32 @@ def test_average_fidelity_matches_nielsen_formula(request):
     protocol, params = request
     bundle = protocol_bundle(protocol, **params)
     assert abs(average_fidelity(bundle) - _nielsen_average(bundle)) <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "rho, invariant",
+    [
+        (1.0, "density-shape"),
+        (np.ones(8), "density-shape"),
+        (2 * np.eye(8), "density-trace"),
+        (np.full((8, 8), np.nan), "density-hermitian"),
+    ],
+    ids=["scalar", "vector", "trace-two", "nan"],
+)
+def test_average_fidelity_holds_rho_to_density_invariants(rho, invariant):
+    with pytest.raises(InvariantViolation, match=invariant):
+        average_fidelity(protocol_bundle("ghz-meas"), rho)
+
+
+def test_average_fidelity_takes_a_density_op():
+    bundle = protocol_bundle("ghz-meas")
+    pure = DensityOp.from_pure(bundle.resource)
+    assert average_fidelity(bundle, pure) == average_fidelity(bundle, pure.matrix) == average_fidelity(bundle)
+
+
+def test_average_fidelity_rejects_a_density_of_another_dimension():
+    with pytest.raises(ValueError, match="dimension 4, the resource 8"):
+        average_fidelity(protocol_bundle("ghz-meas"), DensityOp(np.eye(4) / 4))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
