@@ -255,6 +255,8 @@ def _load_state(path: str) -> StateVector:
             payload = json.load(fh)
         except RecursionError as exc:
             raise ValueError(f"{path}: JSON nested too deeply") from exc
+    if isinstance(payload, dict) and "amplitudes" not in payload:
+        raise ValueError(f"{path}: a state object needs an 'amplitudes' key")
     amps = payload["amplitudes"] if isinstance(payload, dict) else payload
     try:
         values = [complex(re, im) for re, im in amps]
@@ -331,8 +333,9 @@ def _cmd_tables(params: dict, seed: int) -> dict:
     c = np.array(_input_pair(dict(params)))
     theta = float(params.get("theta", math.pi / 4))
     bundle = teleport.protocol_bundle("ghz-epr", bob_theta=theta)
-    corrections = [bundle.corrections[label] for label, _ in bundle.outcomes]
-    fixed = teleport._kraus_stack(bundle) @ c
+    labels = bundle.protocol.corners[0]
+    corrections = [bundle.corrections[label] for label in labels]
+    fixed = bundle.protocol.kraus(bundle.coords) @ c
     chi = np.stack([corr.matrix.conj().T @ row for corr, row in zip(corrections, fixed)])
     # Outcomes run in (m, n, j) order, so p_mn sums consecutive pairs of rows.
     p_mn = (fixed.real**2 + fixed.imag**2).sum(axis=1).reshape(4, 2).sum(axis=1)
@@ -346,7 +349,7 @@ def _cmd_tables(params: dict, seed: int) -> dict:
         "corrected_states": {},
         "fidelities": {},
     }
-    for l, ((m, n, j), _) in enumerate(bundle.outcomes):
+    for l, (m, n, j) in enumerate(labels):
         key = f"{m}{n}{j}"
         if j == 0:
             eta = np.kron(x_pair[0], chi[l]) + np.kron(x_pair[1], chi[l + 1])
@@ -510,7 +513,11 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     params = {
         k: v for k, v in vars(args).items() if k not in reserved and v is not None
     }
-    seed = int(os.environ.get("TRIPSIM_SEED", args.seed))
+    seed = os.environ.get("TRIPSIM_SEED", args.seed)
+    try:
+        seed = int(seed)
+    except ValueError:
+        raise ValueError(f"TRIPSIM_SEED must be an integer, got {seed!r}") from None
     return ExperimentConfig(
         command=args.command, params=params, seed=seed, out=args.out, fmt=args.format
     )

@@ -3,12 +3,13 @@
 Every protocol is one joint projective measurement with a product basis
 (Bell pairs, the three-qubit basis, a rotated single-qubit basis,
 computational kets) and a per-outcome correction lookup; the receiver
-should end up holding the input encoding. Every input qubit is measured,
-so each outcome bra contracts the input encoding to a resource-independent
-factor (:func:`_branch_factors`). On the bundle's own resource it gives the
-Kraus stack (:func:`_kraus_stack`) behind the per-input reports; on the
-resource basis, in closed form, it gives the resource response W behind
-the exact input averages and the noise sweeps.
+should end up holding the input encoding, the repetition code
+c0|0...0> + c1|1...1> on the input qubits (:func:`_encoding`). Every input
+qubit is measured, so each outcome bra contracts the encoding to a
+resource-independent factor (:func:`_branch_factors`). On a resource it
+gives the Kraus stack (:meth:`Protocol.kraus`) behind the per-input reports;
+on the resource basis, in closed form, the resource response W behind the
+exact input averages and the noise sweeps.
 Each protocol is one entry of the table :data:`PROTOCOLS`. Its coordinate
 map takes the parameters to coordinate vectors, (cos theta, sin theta) per
 angle or the channel amplitudes (a, b, c), in each of which the resource
@@ -157,15 +158,13 @@ def _compose(letters: str) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _repetition(n: int) -> Callable:
-    """The input encoding (c0, c1) -> c0|0...0> + c1|1...1> on n qubits."""
-
-    def encode(c0: complex, c1: complex) -> StateVector:
-        amps = np.zeros(1 << n, dtype=complex)
-        amps[0], amps[-1] = c0, c1
-        return StateVector(amps)
-
-    return encode
+def _encoding(n: int) -> np.ndarray:
+    """The input encoding of every protocol, the repetition code (c0, c1) ->
+    c0|0...0> + c1|1...1> on n qubits, as a read-only (2^n, 2) matrix."""
+    columns = np.zeros((1 << n, 2), dtype=complex)
+    columns[0, 0] = columns[-1, 1] = 1
+    columns.setflags(write=False)
+    return columns
 
 
 def coerce_pair(pair) -> tuple[complex, complex]:
@@ -177,15 +176,6 @@ def coerce_pair(pair) -> tuple[complex, complex]:
 
 
 # --- the branch-map engine ---------------------------------------------
-
-@lru_cache(maxsize=None)
-def _columns(make_state: Callable) -> np.ndarray:
-    """The linear map (c0, c1) -> make_state(c0, c1) as a read-only (dim, 2)
-    matrix, built once per input encoding."""
-    columns = np.stack([make_state(1, 0).amplitudes, make_state(0, 1).amplitudes], axis=1)
-    columns.setflags(write=False)
-    return columns
-
 
 def _branch_factors(bundle: ProtocolBundle):
     """The resource-independent part of every branch map.
@@ -202,7 +192,7 @@ def _branch_factors(bundle: ProtocolBundle):
     """
     n_in, targets = bundle.protocol.n_input, bundle.protocol.meas_targets
     bras = np.array([bvec.amplitudes for _, bvec in bundle.outcomes]).conj()
-    encoding = _columns(bundle.protocol.input_state).reshape((2,) * n_in + (2,))
+    encoding = _encoding(n_in).reshape((2,) * n_in + (2,))
     factor = np.tensordot(
         bras.reshape((len(bras),) + (2,) * len(targets)),
         encoding,
@@ -223,16 +213,6 @@ def _contract(factors: tuple, resource: StateVector) -> np.ndarray:
     amps = resource.amplitudes.reshape((2,) * len(order))
     amps = amps.transpose(order).reshape(factor.shape[1], -1)
     return corrections @ np.einsum("lmc,mu->luc", factor, amps)
-
-
-def _kraus_stack(bundle: ProtocolBundle) -> np.ndarray:
-    """Logical Kraus operators K[l] = C_l (<b_l| ⊗ 1)(E ⊗ |R>) of the bundle's
-    resource R, shape (outcomes, 2^(n - k), 2), so the corrected residual
-    of outcome l for input c is ``K[l] @ c``. A live outcome without a
-    correction is for :func:`_require_corrections` to reject. Read off
-    the entry's corners at the bundle's coordinates (:meth:`Protocol.kraus`).
-    """
-    return bundle.protocol.kraus(bundle.coords)
 
 
 def _require_corrections(name: str, labels, corrections: dict, probs: np.ndarray) -> None:
@@ -385,9 +365,10 @@ def _w_channel_corrections():
 @dataclass(frozen=True)
 class Protocol:
     """What one protocol is made of: its parameters, each mapped to its
-    default, whose type is the parameter's type; its layout and input
-    encoding; its coordinate map; builders of the resource and the outcomes
-    from the coordinates; and its correction table.
+    default, whose type is the parameter's type; its layout, the input qubits
+    (which carry the repetition code :func:`_encoding`) and the measured
+    ones; its coordinate map; builders of the resource and the outcomes from
+    the coordinates; and its correction table.
 
     The coordinate map checks the resolved parameters and maps them to
     coordinate vectors: (cos theta, sin theta) per angle, or the channel
@@ -399,7 +380,6 @@ class Protocol:
     params: dict
     n_input: int
     meas_targets: tuple[int, ...]
-    input_state: Callable
     coordinates: Callable[[dict], dict]
     resource: Callable[[dict], StateVector]
     outcomes: Callable[[dict], tuple]
@@ -409,22 +389,20 @@ class Protocol:
     def corners(self) -> tuple[tuple, np.ndarray]:
         """The outcome labels, and the Kraus stacks at every combination of
         unit coordinate vectors as one read-only (corners, outcomes, dim, 2)
-        array. Built once per protocol, from exact unit vectors; corners with
-        the same outcome tuple share one build of the branch factors."""
+        array. Built once per protocol, from exact unit vectors."""
         vectors = self.coordinates(self.params)
         units = itertools.product(*(np.eye(len(v)).tolist() for v in vectors.values()))
         bundles = [ProtocolBundle(self, "", self.params, dict(zip(vectors, unit))) for unit in units]
-        factors = {}
-        for bundle in bundles:
-            if id(bundle.outcomes) not in factors:
-                factors[id(bundle.outcomes)] = _branch_factors(bundle)
-        stacks = np.stack([_contract(factors[id(b.outcomes)], b.resource) for b in bundles])
+        stacks = np.stack([_contract(_branch_factors(b), b.resource) for b in bundles])
         stacks.setflags(write=False)
         return tuple(label for label, _ in bundles[0].outcomes), stacks
 
     def kraus(self, coords: dict) -> np.ndarray:
-        """The Kraus stack at ``coords``: one product of the corner weights
-        with the corner stacks."""
+        """Logical Kraus operators K[l] = C_l (<b_l| ⊗ 1)(E ⊗ |R>) of the resource
+        R at ``coords``, shape (outcomes, 2^(n - k), 2): outcome l's corrected
+        residual for input c is ``K[l] @ c``; a live outcome without a
+        correction is for :func:`_require_corrections` to reject. One product
+        of the corner weights with the corner stacks."""
         weights = np.array([math.prod(w) for w in itertools.product(*coords.values())])
         corners = self.corners[1]
         return (weights @ corners.reshape(len(weights), -1)).reshape(corners.shape[1:])
@@ -441,27 +419,27 @@ def _w_amplitudes(params: dict) -> dict:
 
 PROTOCOLS: dict[str, Protocol] = {
     "ghz-epr": Protocol(
-        {"bob_theta": _MAX}, 1, (0, 1, 2), _repetition(1), _angles,
+        {"bob_theta": _MAX}, 1, (0, 1, 2), _angles,
         lambda x: ghz_basis(_MAX, (0, 0, 0)),
         lambda x: _ghz_epr_outcomes(x["bob_theta"]), _ghz_epr_corrections,
     ),
     "ghz-meas": Protocol(
-        {"theta_channel": _MAX, "theta_meas": _MAX}, 1, (0, 1, 2), _repetition(1), _angles,
+        {"theta_channel": _MAX, "theta_meas": _MAX}, 1, (0, 1, 2), _angles,
         lambda x: _ghz_member(x["theta_channel"], (0, 0, 0)),
         lambda x: _ghz_outcomes(x["theta_meas"]), _ghz_meas_corrections,
     ),
     "epr-via-ghz": Protocol(
-        {"theta_channel": _MAX}, 2, (0, 1, 2), _repetition(2), _angles,
+        {"theta_channel": _MAX}, 2, (0, 1, 2), _angles,
         lambda x: _ghz_member(x["theta_channel"], (0, 0, 0)),
         lambda x: _maximal_ghz_outcomes(), _epr_via_ghz_corrections,
     ),
     "ghz-via-3epr": Protocol(
-        {"theta1": _MAX, "theta2": _MAX, "theta3": _MAX}, 3, (0, 3, 1, 5, 2, 7), _repetition(3),
+        {"theta1": _MAX, "theta2": _MAX, "theta3": _MAX}, 3, (0, 3, 1, 5, 2, 7),
         _angles, lambda x: reduce(tensor, (_bell2_member(b, (0, 0)) for b in x.values())),
         lambda x: _three_bell_outcomes(), _three_epr_corrections,
     ),
     "w-channel": Protocol(
-        dict.fromkeys("abc", complex(1 / math.sqrt(3))), 1, (0, 1, 3), _repetition(1),
+        dict.fromkeys("abc", complex(1 / math.sqrt(3))), 1, (0, 1, 3),
         _w_amplitudes, lambda x: WChannelSpec(*x["w"]).state(),
         lambda x: _w_channel_outcomes(), _w_channel_corrections,
     ),
@@ -499,9 +477,9 @@ def _left_fold(values) -> float:
 
 
 def enumerate_branches(bundle: ProtocolBundle, c0: complex, c1: complex) -> TeleportReport:
-    """Every branch of a bundle for the normalized input (c0, c1), in outcome
-    order: the rows of its Kraus stack (:func:`_kraus_stack`) applied to
-    the input, labeled by the entry's corners.
+    """Every branch of a bundle for the input (c0, c1), which must be a
+    normalized :class:`StateVector`, in outcome order: the rows of its Kraus
+    stack (:meth:`Protocol.kraus`) applied to it, labeled by the corners.
 
     The live residuals are normalized in one division and checked as one
     :meth:`StateVector.stack`; a NaN weight counts as live, so it reaches
@@ -510,8 +488,9 @@ def enumerate_branches(bundle: ProtocolBundle, c0: complex, c1: complex) -> Tele
     ``avg_fidelity_traced`` comes from the unnormalized rows.
     """
     labels, corrections = bundle.protocol.corners[0], bundle.corrections
-    target = bundle.protocol.input_state(c0, c1).amplitudes
-    residuals = _kraus_stack(bundle) @ np.array([c0, c1], dtype=complex)
+    c = StateVector([c0, c1]).amplitudes
+    target = _encoding(bundle.protocol.n_input) @ c
+    residuals = bundle.protocol.kraus(bundle.coords) @ c
     probs = (residuals.real**2 + residuals.imag**2).sum(axis=1)
     _require_corrections(bundle.name, labels, corrections, probs[None])
     live = ~(probs < _DEGENERATE_CUT)
@@ -617,7 +596,7 @@ def resource_response(bundle: ProtocolBundle) -> np.ndarray:
     fed = np.einsum("lmc,nc->nlm", factor, inputs)
     labels = [label for label, _ in bundle.outcomes]
     _require_corrections(bundle.name, labels, bundle.corrections, (fed.real**2 + fed.imag**2).sum(axis=2) * len(corrections[0]))
-    targets = inputs @ _columns(bundle.protocol.input_state).T
+    targets = inputs @ _encoding(bundle.protocol.n_input).T
     delivered = np.einsum("nd,ldu->nlu", targets.conj(), corrections)
     a = np.einsum("nlm,nlu->munl", fed, delivered).reshape((2,) * len(order) + (len(inputs), -1))
     a = a.transpose(*np.argsort(order), -2, -1).reshape(1 << len(order), len(inputs), -1)
@@ -658,15 +637,13 @@ def avg_fidelity_surface(theta_grid, phi_grid=None) -> FidelitySurface:
     """Input-averaged fidelity over a grid of (channel, measurement) angles.
 
     One resource response W_phi per measurement angle, evaluated as
-    R_theta^T W_phi R_theta^* for every channel angle; ``values[i, j]``
+    R_theta^T W_phi R_theta^* for every channel angle, with R_theta and W_phi
+    read from ghz-meas bundles, which check each angle; ``values[i, j]``
     belongs to (theta_grid[i], phi_grid[j]).
     """
     theta_grid = np.asarray(theta_grid, dtype=float)
     phi_grid = theta_grid if phi_grid is None else np.asarray(phi_grid, dtype=float)
-    for grid in (theta_grid, phi_grid):
-        if grid.min() < 0.0 or grid.max() > math.pi / 2 + 1e-12:
-            raise ValueError("grid angles must lie in [0, pi/2]")
-    channels = np.stack([ghz_basis(th, (0, 0, 0)).amplitudes for th in theta_grid])
+    channels = np.stack([protocol_bundle("ghz-meas", theta_channel=th).resource.amplitudes for th in theta_grid])
     bundles = (protocol_bundle("ghz-meas", theta_meas=ph) for ph in phi_grid)
     responses = np.stack([resource_response(bundle) for bundle in bundles])
     values = np.einsum("ir,jrs,is->ij", channels, responses, channels.conj()).real

@@ -18,9 +18,7 @@ from tripsim.teleport import (
     GHZ_EPR_CORRECTIONS,
     _DEGENERATE_CUT,
     _Correction,
-    _columns,
     _compose,
-    _kraus_stack,
 )
 
 
@@ -29,6 +27,14 @@ def with_entry(bundle, **changes):
     ``dataclasses.replace`` takes them: the builders ``outcomes`` and
     ``corrections`` are functions. The new entry builds its own corners."""
     return dataclasses.replace(bundle, protocol=dataclasses.replace(bundle.protocol, **changes))
+
+
+def repetition(n: int, c0: complex, c1: complex) -> np.ndarray:
+    """The amplitudes of c0|0...0> + c1|1...1> on n qubits, the input
+    encoding every protocol carries."""
+    amps = np.zeros(1 << n, dtype=complex)
+    amps[0], amps[-1] = c0, c1
+    return amps
 
 
 def random_state(rng: np.random.Generator, num_qubits: int) -> StateVector:
@@ -164,12 +170,9 @@ def dense_branches(protocol: str, params: dict, corrections: dict, a0, a1) -> di
     projector, each correction and the target projector are lifted with
     :func:`lift_operator`. Outcomes without a correction keep the identity."""
     n_in, resource, kept, outcomes = _dense_layout(protocol, params)
-    encoding = np.zeros(1 << n_in, dtype=complex)
-    encoding[0], encoding[-1] = a0, a1
-    psi = np.kron(encoding, resource)
+    psi = np.kron(repetition(n_in, a0, a1), resource)
     n = n_in + int(resource.size).bit_length() - 1
-    target = np.zeros(1 << len(kept), dtype=complex)
-    target[0], target[-1] = a0, a1
+    target = repetition(len(kept), a0, a1)
     lifted = {}
 
     def lift(op, qubits):
@@ -216,12 +219,11 @@ def average_fidelity_density(bundle, resource_rho: np.ndarray, c0, c1) -> float:
     operator algebra, so a noisy (mixed) resource is handled exactly.
     """
     entry = bundle.protocol
-    in_amps = entry.input_state(c0, c1).amplitudes
-    rho = np.kron(np.outer(in_amps, in_amps.conj()), resource_rho)
+    target = repetition(entry.n_input, c0, c1)
+    rho = np.kron(np.outer(target, target.conj()), resource_rho)
     n = bundle.n_total
     k = len(entry.meas_targets)
     t = rho.reshape([2] * (2 * n))
-    target = entry.input_state(c0, c1).amplitudes
     total = 0.0
     for label, bvec in bundle.outcomes:
         corr = bundle.corrections.get(label)
@@ -290,8 +292,8 @@ def looped_corrections(bundle) -> dict:
     outcome over the probe inputs for which the outcome is live."""
     width = bundle.n_total - len(bundle.protocol.meas_targets)
     probes = np.array(PROBE_PAIRS, dtype=complex)
-    residuals, probs = _residuals(_kraus_stack(bundle), probes)
-    targets = probes @ _columns(bundle.protocol.input_state).T
+    residuals, probs = _residuals(bundle.protocol.kraus(bundle.coords), probes)
+    targets = [repetition(bundle.protocol.n_input, c0, c1) for c0, c1 in probes]
     per_label: dict[tuple, list] = {}
     for n, target in enumerate(targets):
         for i, (label, _) in enumerate(bundle.outcomes):

@@ -353,6 +353,19 @@ class TestDeterminismAndConfig:
         assert captured.err.startswith("error:")
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("payload", [{}, {"amps": [[0.25, 0]] * 8}], ids=["empty", "amps-key"])
+    def test_state_object_without_amplitudes_names_file_and_key(self, payload, tmp_path, capsys):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(payload))
+        assert main(["classify", "--state", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:") and "amplitudes" in err
+
+    def test_non_integer_env_seed_names_the_variable(self, monkeypatch, capsys):
+        monkeypatch.setenv("TRIPSIM_SEED", "abc")
+        assert main(["paradox"]) == 2
+        assert capsys.readouterr().err == "error: TRIPSIM_SEED must be an integer, got 'abc'\n"
+
     def test_invariant_violation_exits_1(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"amplitudes": [[1, 0]] * 8}))

@@ -11,6 +11,7 @@ from helpers import (
     average_fidelity_density,
     lift_operator,
     random_state,
+    repetition,
     six_state_mean,
     with_entry,
 )
@@ -142,11 +143,10 @@ def _full_space_oracle(bundle, resource_rho, c0, c1):
     matrices, applying the output correction *before* the measurement
     projector (the operators commute, so the value must agree)."""
     entry = bundle.protocol
-    in_amps = entry.input_state(c0, c1).amplitudes
-    rho = np.kron(np.outer(in_amps, in_amps.conj()), resource_rho)
+    target = repetition(entry.n_input, c0, c1)
+    rho = np.kron(np.outer(target, target.conj()), resource_rho)
     n = bundle.n_total
     out_qubits = [q for q in range(n) if q not in entry.meas_targets]
-    target = entry.input_state(c0, c1).amplitudes
     total = 0.0
     for label, bvec in bundle.outcomes:
         corr = bundle.corrections.get(label)

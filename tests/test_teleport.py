@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import PROBE_PAIRS, chi_row, dense_branches, eta_row, looped_corrections, random_input, with_entry
+from helpers import PROBE_PAIRS, chi_row, dense_branches, eta_row, looped_corrections, random_input, repetition, with_entry
 from tripsim import teleport
 from tripsim.bases import bell2, bob_x_basis, ghz_basis
 from tripsim.core import DensityOp, InputQubit, InvariantViolation, StateVector, partial_inner, project, tensor
@@ -264,9 +265,21 @@ class TestFidelitySurface:
         )
         assert np.abs(surface.values - per_point).max() < 1e-12
 
-    def test_rejects_out_of_range_grid(self):
-        with pytest.raises(ValueError):
-            avg_fidelity_surface(np.array([0.0, 2.0]))
+    @pytest.mark.parametrize(
+        "thetas, phis, bad",
+        [
+            ([0.0, 2.0], None, 2.0),
+            ([0.0, 0.5, 1.0], [0.3, 1.7], 1.7),
+            ([0.0, math.nan], None, math.nan),
+            ([0.2, 0.4], [0.1, math.nan], math.nan),
+            ([-1e-3, 0.5], None, -1e-3),
+        ],
+        ids=["theta-2", "phi-only-non-square", "nan-theta", "nan-phi", "theta-below-zero"],
+    )
+    def test_rejects_out_of_range_grid(self, thetas, phis, bad):
+        # One angle rule, protocol_bundle's, and its message names the value.
+        with pytest.raises(ValueError, match=re.escape(f"got {bad}")):
+            avg_fidelity_surface(np.array(thetas), None if phis is None else np.array(phis))
 
 
 class TestEprViaGhz:
@@ -320,7 +333,7 @@ class TestGhzVia3Epr:
         bundle = protocol_bundle(
             "ghz-via-3epr", theta1=thetas[0], theta2=thetas[1], theta3=thetas[2]
         )
-        psi = tensor(bundle.protocol.input_state(a0, a1), bundle.resource)
+        psi = tensor(StateVector(repetition(3, a0, a1)), bundle.resource)
         for label in [(0,) * 6, (1, 0, 0, 0, 0, 0), (0, 1, 1, 0, 0, 1)]:
             m = (label[0], label[2], label[4])
             nn = (label[1], label[3], label[5])
@@ -614,21 +627,16 @@ def _count_calls(name: str, monkeypatch) -> list:
     return calls
 
 
-# Corners with the same outcome tuple share one build of the branch factors:
-# every corner of the three protocols whose outcomes do not depend on the
-# angles. ghz-epr and ghz-meas build their outcome bras per corner.
-_FACTOR_BUILDS = {"ghz-epr": 2, "ghz-meas": 4, "epr-via-ghz": 1, "ghz-via-3epr": 1, "w-channel": 1}
-
-
 @pytest.mark.parametrize("protocol", PROTOCOL_NAMES)
 def test_shared_factors_are_built_once_read_only_and_exact(protocol, monkeypatch):
     entry = _fresh_entry(protocol, monkeypatch)
     built = _count_calls("_branch_factors", monkeypatch)
     corners = entry.corners[1]
-    assert len(built) == _FACTOR_BUILDS[protocol]
+    # One build of the branch factors per corner.
+    assert len(built) == len(corners)
     assert not corners.flags.writeable
-    # Sharing moves no bit: each corner is the contraction of a bundle at
-    # that corner alone, with its own factors.
+    # Each corner is the contraction of a bundle at that corner alone, with
+    # its own factors.
     vectors = entry.coordinates(entry.params)
     units = itertools.product(*(np.eye(len(v)).tolist() for v in vectors.values()))
     for corner, unit in zip(corners, units, strict=True):
@@ -650,8 +658,8 @@ def test_replaced_bundles_build_their_own_factors(protocol):
     # The reversed outcomes give the reversed factors and Kraus stack.
     built, flipped = teleport._branch_factors(bundle), teleport._branch_factors(reordered)
     assert _bits_equal(built[0][::-1], flipped[0]) and _bits_equal(built[2][::-1], flipped[2])
-    kraus = teleport._kraus_stack(bundle)
-    assert np.abs(teleport._kraus_stack(reordered) - kraus[::-1]).max() <= 1e-15
+    kraus = entry.kraus(bundle.coords)
+    assert np.abs(reordered.protocol.kraus(reordered.coords) - kraus[::-1]).max() <= 1e-15
     # A correction-free copy: C is the identity.
     stack = teleport._branch_factors(with_entry(bundle, corrections=lambda: {}))[2]
     assert _bits_equal(stack, np.broadcast_to(np.eye(stack.shape[1], dtype=complex), stack.shape))
@@ -746,7 +754,7 @@ def _nielsen_average(bundle) -> float:
     encoding; each K_l is projected out of the full register state."""
     entry = bundle.protocol
     n, k = bundle.n_total, len(entry.meas_targets)
-    encoding = np.stack([entry.input_state(1, 0).amplitudes, entry.input_state(0, 1).amplitudes], axis=1)
+    encoding = np.stack([repetition(entry.n_input, 1, 0), repetition(entry.n_input, 0, 1)], axis=1)
     registers = [np.kron(column, bundle.resource.amplitudes).reshape((2,) * n) for column in encoding.T]
     total = 0.0
     for label, bra in bundle.outcomes:
@@ -860,9 +868,10 @@ def test_bundles_averages_and_sweeps_build_no_corners(protocol, monkeypatch):
         avg_fidelity_surface(np.linspace(0.0, math.pi / 2, 5))
     assert not built and "corners" not in vars(entry)
     # The stack is read off the corners on demand.
-    kraus = teleport._kraus_stack(bundle)
+    kraus = bundle.protocol.kraus(bundle.coords)
     assert len(built) == _CORNERS[protocol]
-    assert _bits_equal(kraus, teleport._kraus_stack(dataclasses.replace(bundle)))
+    copy = dataclasses.replace(bundle)
+    assert _bits_equal(kraus, copy.protocol.kraus(copy.coords))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -873,7 +882,7 @@ def test_replaced_bundles_keep_their_coordinates(request, pair):
     protocol, params = request
     bundle = protocol_bundle(protocol, **params)
     copy = dataclasses.replace(bundle)
-    assert _bits_equal(teleport._kraus_stack(bundle), teleport._kraus_stack(copy))
+    assert _bits_equal(bundle.protocol.kraus(bundle.coords), copy.protocol.kraus(copy.coords))
     assert _bytes_of(enumerate_branches(bundle, *pair)) == _bytes_of(enumerate_branches(copy, *pair))
 
 
