@@ -305,7 +305,11 @@ def _cmd_noise_sweep(params: dict, seed: int) -> dict:
     # Every flag but these four is a protocol parameter; protocol_bundle checks it.
     params = dict(params)
     protocol, channel = params.pop("protocol", None), params.pop("channel", "bitflip")
-    target = [int(t) for t in str(params.pop("target", "")).split(",") if t != ""]
+    text = str(params.pop("target", ""))
+    try:
+        target = [int(t) for t in text.split(",") if t != ""]
+    except ValueError:
+        raise ValueError(f"--target must list qubit indices INDEX[,INDEX...], got {text!r}") from None
     if not target:
         raise ValueError("noise-sweep requires --target INDEX[,INDEX...]")
     grid = _parse_grid(params.pop("grid", "0:1:0.05"))
@@ -331,7 +335,7 @@ def _cmd_tables(params: dict, seed: int) -> dict:
     where p_mn = sum_j |K_(m,n,j) c|^2.
     """
     c = np.array(_input_pair(dict(params)))
-    theta = float(params.get("theta", math.pi / 4))
+    theta = bases._check_angle("theta", params.get("theta", math.pi / 4))
     bundle = teleport.protocol_bundle("ghz-epr", bob_theta=theta)
     labels = bundle.protocol.corners[0]
     corrections = [bundle.corrections[label] for label in labels]
@@ -513,11 +517,14 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     params = {
         k: v for k, v in vars(args).items() if k not in reserved and v is not None
     }
-    seed = os.environ.get("TRIPSIM_SEED", args.seed)
+    env = os.environ.get("TRIPSIM_SEED")
+    source, given = ("--seed", args.seed) if env is None else ("TRIPSIM_SEED", env)
     try:
-        seed = int(seed)
+        seed = int(given)
     except ValueError:
-        raise ValueError(f"TRIPSIM_SEED must be an integer, got {seed!r}") from None
+        raise ValueError(f"TRIPSIM_SEED must be an integer, got {given!r}") from None
+    if seed < 0:
+        raise ValueError(f"{source} must be a non-negative integer, got {given!r}")
     return ExperimentConfig(
         command=args.command, params=params, seed=seed, out=args.out, fmt=args.format
     )

@@ -22,7 +22,7 @@ outcome states only when they are read, and its Kraus stack is one product
 of the corner weights with the corners. A ``teleport_*`` call is
 ``enumerate_branches(protocol_bundle(...))`` and builds no resource or
 outcome state. W and the noise sweeps never read a stack.
-Each correction lookup is a stated rule, built once per process.
+Each correction table is a stated rule over descriptions (:func:`_corrections`).
 Branches are enumerated in lexicographic label order, with two fidelity
 accountings side by side that must coincide: the sum of ``tr(rho_in rho~_f)``
 over unnormalized corrected branches, and the probability-weighted sum of
@@ -40,13 +40,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache, partial, reduce
 from typing import Callable
 
 import numpy as np
 
 from .bases import WChannelSpec, _bell2_member, _bob_x_member, _check_angle, _ghz_member, bell2, ghz_basis
-from .core import PAULIS, DensityOp, InputQubit, InvariantViolation, StateVector, _string_matrix, clamp_unit, tensor
+from .core import PAULIS, DensityOp, InputQubit, InvariantViolation, StateVector, clamp_unit, tensor
 
 _MAX = math.pi / 4
 _DEGENERATE_CUT = 1e-14
@@ -242,9 +242,9 @@ GHZ_EPR_CORRECTIONS = {
 }
 
 
-def _cos_sin(theta: float) -> tuple[float, float]:
-    """The coordinates (cos theta, sin theta) of an angle in [0, pi/2]."""
-    theta = _check_angle("theta", theta)
+def _cos_sin(name: str, theta: float) -> tuple[float, float]:
+    """The coordinates (cos theta, sin theta) of the angle ``name`` in [0, pi/2]."""
+    theta = _check_angle(name, theta)
     return math.cos(theta), math.sin(theta)
 
 
@@ -258,17 +258,13 @@ def _bell_outcomes():
 
 
 def _ghz_outcomes(b):
-    return tuple(
-        ((mu, lam, om), _ghz_member(b, (mu, lam, om)))
-        for mu in (0, 1)
-        for lam in (0, 1)
-        for om in (0, 1)
-    )
+    """The eight three-qubit outcomes at coordinates ``b``, labeled (mu, lam, omega)."""
+    return tuple((label, _ghz_member(b, label)) for label in itertools.product((0, 1), repeat=3))
 
 
 @lru_cache(maxsize=1)
 def _maximal_ghz_outcomes():
-    return _ghz_outcomes(_cos_sin(_MAX))
+    return _ghz_outcomes(_cos_sin("theta", _MAX))
 
 
 @lru_cache(maxsize=1)
@@ -303,25 +299,7 @@ def _ghz_epr_outcomes(b):
     )
 
 
-@lru_cache(maxsize=1)
-def _ghz_epr_corrections():
-    return {
-        label: _Correction(desc, _compose(desc))
-        for label, desc in GHZ_EPR_CORRECTIONS.items()
-    }
-
-
-@lru_cache(maxsize=1)
-def _ghz_meas_corrections():
-    """Z^mu X^lam for outcome (mu, lam, omega)."""
-    table = {}
-    for mu, lam, om in itertools.product((0, 1), repeat=3):
-        desc = "Z" * mu + "X" * lam or "I"
-        table[(mu, lam, om)] = _Correction(desc, _compose(desc))
-    return table
-
-
-def _pauli_fix(xs, z: int) -> _Correction:
+def _pauli_fix(xs, z: int) -> str:
     """X on each receiver qubit whose bit in ``xs`` is set; for odd ``z``, one
     Z on the last X-carrying qubit (making it Y), else on the last qubit. On
     the repetition-code states these protocols deliver, every Z placement
@@ -331,35 +309,24 @@ def _pauli_fix(xs, z: int) -> _Correction:
     if z:
         q = max((i for i, ch in enumerate(letters) if ch == "X"), default=len(letters) - 1)
         letters[q] = "Y" if letters[q] == "X" else "Z"
-    return _Correction("⊗".join(letters), _string_matrix("".join(letters)))
+    return "⊗".join(letters)
 
 
-@lru_cache(maxsize=1)
-def _epr_via_ghz_corrections():
-    """X⊗X for omega = 1 and one Z for mu = 1 on outcome (mu, lam, omega);
-    the outcomes with lam = 1 are dead and have no entry."""
-    return {(mu, 0, om): _pauli_fix((om, om), mu) for mu in (0, 1) for om in (0, 1)}
+@lru_cache(maxsize=None)
+def _correction(desc: str) -> _Correction:
+    """The Kronecker product of the description's ``⊗``-separated Pauli products
+    (:func:`_compose`), read-only; ``"none"`` is the identity and a failure."""
+    matrix = reduce(np.kron, (_compose(factor) for factor in desc.split("⊗"))).copy()
+    matrix.setflags(write=False)
+    return _Correction(desc, matrix, success=desc != "none")
 
 
-@lru_cache(maxsize=1)
-def _three_epr_corrections():
-    """X on receiver i for n_i = 1 and one Z for odd m1 + m2 + m3 on
-    outcome (m1, n1, m2, n2, m3, n3)."""
-    return {
-        label: _pauli_fix(label[1::2], label[0] ^ label[2] ^ label[4])
-        for label in itertools.product((0, 1), repeat=6)
-    }
-
-
-@lru_cache(maxsize=1)
-def _w_channel_corrections():
-    """X^(1-n) Z^m, up to phase, on outcome (m, n, 0). Readout q = 1
-    delivers nothing, so it gets no correction attempt and fails."""
-    table = {}
-    for m, n in itertools.product((0, 1), repeat=2):
-        table[(m, n, 0)] = _pauli_fix((1 - n,), m)
-        table[(m, n, 1)] = _Correction("none", np.eye(2, dtype=complex), success=False)
-    return table
+@lru_cache(maxsize=None)
+def _corrections(rule: Callable, width: int) -> dict:
+    """The correction of each ``width``-bit outcome label, as ``rule(*label)``
+    describes it; a label the rule maps to ``None`` gets no entry."""
+    labels = itertools.product((0, 1), repeat=width)
+    return {label: _correction(desc) for label in labels if (desc := rule(*label)) is not None}
 
 
 @dataclass(frozen=True)
@@ -409,7 +376,7 @@ class Protocol:
 
 
 def _angles(params: dict) -> dict:
-    return {k: _cos_sin(v) for k, v in params.items()}
+    return {k: _cos_sin(k, v) for k, v in params.items()}
 
 
 def _w_amplitudes(params: dict) -> dict:
@@ -421,27 +388,39 @@ PROTOCOLS: dict[str, Protocol] = {
     "ghz-epr": Protocol(
         {"bob_theta": _MAX}, 1, (0, 1, 2), _angles,
         lambda x: ghz_basis(_MAX, (0, 0, 0)),
-        lambda x: _ghz_epr_outcomes(x["bob_theta"]), _ghz_epr_corrections,
+        lambda x: _ghz_epr_outcomes(x["bob_theta"]),
+        partial(_corrections, lambda *label: GHZ_EPR_CORRECTIONS.get(label), 3),
     ),
     "ghz-meas": Protocol(
         {"theta_channel": _MAX, "theta_meas": _MAX}, 1, (0, 1, 2), _angles,
         lambda x: _ghz_member(x["theta_channel"], (0, 0, 0)),
-        lambda x: _ghz_outcomes(x["theta_meas"]), _ghz_meas_corrections,
+        lambda x: _ghz_outcomes(x["theta_meas"]),
+        # Z^mu X^lam for outcome (mu, lam, omega).
+        partial(_corrections, lambda mu, lam, om: "Z" * mu + "X" * lam or "I", 3),
     ),
     "epr-via-ghz": Protocol(
         {"theta_channel": _MAX}, 2, (0, 1, 2), _angles,
         lambda x: _ghz_member(x["theta_channel"], (0, 0, 0)),
-        lambda x: _maximal_ghz_outcomes(), _epr_via_ghz_corrections,
+        lambda x: _maximal_ghz_outcomes(),
+        # X⊗X for omega = 1 and one Z for mu = 1 on outcome (mu, lam, omega);
+        # the outcomes with lam = 1 are dead and have no entry.
+        partial(_corrections, lambda mu, lam, om: None if lam else _pauli_fix((om, om), mu), 3),
     ),
     "ghz-via-3epr": Protocol(
         {"theta1": _MAX, "theta2": _MAX, "theta3": _MAX}, 3, (0, 3, 1, 5, 2, 7),
         _angles, lambda x: reduce(tensor, (_bell2_member(b, (0, 0)) for b in x.values())),
-        lambda x: _three_bell_outcomes(), _three_epr_corrections,
+        lambda x: _three_bell_outcomes(),
+        # X on receiver i for n_i = 1 and one Z for odd m1 + m2 + m3 on
+        # outcome (m1, n1, m2, n2, m3, n3).
+        partial(_corrections, lambda m1, n1, m2, n2, m3, n3: _pauli_fix((n1, n2, n3), m1 ^ m2 ^ m3), 6),
     ),
     "w-channel": Protocol(
         dict.fromkeys("abc", complex(1 / math.sqrt(3))), 1, (0, 1, 3),
         _w_amplitudes, lambda x: WChannelSpec(*x["w"]).state(),
-        lambda x: _w_channel_outcomes(), _w_channel_corrections,
+        lambda x: _w_channel_outcomes(),
+        # X^(1-n) Z^m, up to phase, on outcome (m, n, 0). Readout q = 1
+        # delivers nothing, so it gets no correction attempt and fails.
+        partial(_corrections, lambda m, n, q: "none" if q else _pauli_fix((1 - n,), m), 3),
     ),
 }
 PROTOCOL_NAMES = tuple(PROTOCOLS)
@@ -639,10 +618,13 @@ def avg_fidelity_surface(theta_grid, phi_grid=None) -> FidelitySurface:
     One resource response W_phi per measurement angle, evaluated as
     R_theta^T W_phi R_theta^* for every channel angle, with R_theta and W_phi
     read from ghz-meas bundles, which check each angle; ``values[i, j]``
-    belongs to (theta_grid[i], phi_grid[j]).
+    belongs to (theta_grid[i], phi_grid[j]); each grid is non-empty and 1-D.
     """
     theta_grid = np.asarray(theta_grid, dtype=float)
     phi_grid = theta_grid if phi_grid is None else np.asarray(phi_grid, dtype=float)
+    for name, grid in (("theta_grid", theta_grid), ("phi_grid", phi_grid)):
+        if grid.ndim != 1 or not grid.size:
+            raise ValueError(f"{name} must be a non-empty 1-D array, got shape {grid.shape}")
     channels = np.stack([protocol_bundle("ghz-meas", theta_channel=th).resource.amplitudes for th in theta_grid])
     bundles = (protocol_bundle("ghz-meas", theta_meas=ph) for ph in phi_grid)
     responses = np.stack([resource_response(bundle) for bundle in bundles])

@@ -366,6 +366,57 @@ class TestDeterminismAndConfig:
         assert main(["paradox"]) == 2
         assert capsys.readouterr().err == "error: TRIPSIM_SEED must be an integer, got 'abc'\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--seed", "-5", "paradox"],
+            ["--seed", "-5", "twirl", "--samples", "10"],
+            ["tables", "--seed", "-5"],
+            ["fidelity-surface", "--grid", "2", "--seed", "-5"],
+        ],
+    )
+    def test_negative_seed_names_the_flag(self, argv, monkeypatch, capsys):
+        monkeypatch.delenv("TRIPSIM_SEED", raising=False)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --seed must be a non-negative integer, got -5\n"
+
+    def test_negative_env_seed_names_the_variable(self, monkeypatch, capsys):
+        monkeypatch.setenv("TRIPSIM_SEED", "-1")
+        assert main(["paradox"]) == 2
+        assert capsys.readouterr().err == "error: TRIPSIM_SEED must be a non-negative integer, got '-1'\n"
+
+    @pytest.mark.parametrize("text", ["x", "1.5", "1,a"])
+    def test_non_integer_target_names_the_flag(self, text, capsys):
+        assert main(["noise-sweep", "--protocol", "ghz-epr", "--target", text]) == 2
+        expected = f"error: --target must list qubit indices INDEX[,INDEX...], got {text!r}\n"
+        assert capsys.readouterr().err == expected
+
+    @pytest.mark.parametrize(
+        "protocol, key",
+        [
+            (name, key)
+            for name, entry in teleport.PROTOCOLS.items()
+            for key, default in entry.params.items()
+            if isinstance(default, float)
+        ],
+    )
+    def test_angle_refusal_names_the_parameter(self, protocol, key, capsys):
+        message = f"{key} must lie in [0, pi/2], got -0.5"
+        with pytest.raises(ValueError) as refused:
+            teleport.protocol_bundle(protocol, **{key: -0.5})
+        assert str(refused.value) == message
+        flag = f"--{key.replace('_', '-')}"
+        for argv in (["teleport", "--protocol", protocol], ["noise-sweep", "--protocol", protocol, "--target", "3"]):
+            assert main([*argv, flag, "-0.5"]) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_tables_angle_refusal_names_its_flag(self, capsys):
+        # tables --theta is ghz-epr's bob_theta; the refusal names the flag.
+        assert main(["tables", "--theta", "-0.5"]) == 2
+        assert capsys.readouterr().err == "error: theta must lie in [0, pi/2], got -0.5\n"
+
     def test_invariant_violation_exits_1(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"amplitudes": [[1, 0]] * 8}))

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from helpers import PROBE_PAIRS, chi_row, dense_branches, eta_row, looped_corrections, random_input, repetition, with_entry
 from tripsim import teleport
 from tripsim.bases import bell2, bob_x_basis, ghz_basis
-from tripsim.core import DensityOp, InputQubit, InvariantViolation, StateVector, partial_inner, project, tensor
+from tripsim.core import PAULIS, DensityOp, InputQubit, InvariantViolation, StateVector, partial_inner, project, tensor
 from tripsim.noise import noisy_teleport_sweep
 from tripsim.teleport import (
     GHZ_EPR_CORRECTIONS,
@@ -281,6 +282,21 @@ class TestFidelitySurface:
         with pytest.raises(ValueError, match=re.escape(f"got {bad}")):
             avg_fidelity_surface(np.array(thetas), None if phis is None else np.array(phis))
 
+    @pytest.mark.parametrize(
+        "thetas, phis, name, shape",
+        [
+            ([], None, "theta_grid", (0,)),
+            ([[0.1, 0.2]], None, "theta_grid", (1, 2)),
+            ([0.1, 0.2], [], "phi_grid", (0,)),
+            ([0.1, 0.2], [[0.3], [0.4]], "phi_grid", (2, 1)),
+        ],
+        ids=["empty-theta", "2d-theta", "empty-phi", "2d-phi"],
+    )
+    def test_rejects_empty_or_non_1d_grid(self, thetas, phis, name, shape):
+        message = f"{name} must be a non-empty 1-D array, got shape {shape}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            avg_fidelity_surface(np.array(thetas), None if phis is None else np.array(phis))
+
 
 class TestEprViaGhz:
     def test_live_outcomes_and_intermediate_states(self):
@@ -495,6 +511,33 @@ def test_correction_rules_match_exhaustive_search(protocol):
         assert shipped[label].matrix.tobytes() == corr.matrix.tobytes()
 
 
+def _described_matrix(desc: str) -> np.ndarray:
+    # The matrix a printed description names, parsed here: "none" is the
+    # identity; otherwise each ⊗-separated factor is the product of its
+    # Pauli letters, and the factors are Kronecker multiplied in order.
+    if desc == "none":
+        return np.eye(2, dtype=complex)
+    factors = [functools.reduce(np.matmul, (PAULIS[ch] for ch in factor)) for factor in desc.split("⊗")]
+    return functools.reduce(np.kron, factors)
+
+
+@pytest.mark.parametrize("protocol", PROTOCOL_NAMES)
+def test_every_correction_is_its_printed_description(protocol):
+    # Every entry of every table, w-channel's failed readout included: the
+    # applied matrix is the one its description names, bit for bit, and a
+    # report prints that description for the outcome ("n/a" for none).
+    table = protocol_bundle(protocol).corrections
+    assert table
+    for label, corr in table.items():
+        assert corr.success == (corr.desc != "none"), label
+        assert not corr.matrix.flags.writeable, label
+        assert corr.matrix.tobytes() == _described_matrix(corr.desc).tobytes(), (label, corr.desc)
+    report = enumerate_branches(protocol_bundle(protocol), 0.6, 0.8)
+    for branch in report.to_dict()["branches"]:
+        label = tuple(branch["label"])
+        assert branch["correction"] == (table[label].desc if label in table else "n/a")
+
+
 @pytest.mark.parametrize("protocol", PROTOCOL_NAMES)
 def test_every_shipped_correction_is_perfect(protocol):
     # At the default (maximal) resources, every live outcome that counts as
@@ -528,13 +571,7 @@ def test_cached_outcome_bras_are_read_only():
 
 # Correction tables are parameter-free too: one per protocol and process,
 # shared by every bundle whatever its angles.
-_CACHED_TABLES = {
-    "ghz-epr": teleport._ghz_epr_corrections,
-    "ghz-meas": teleport._ghz_meas_corrections,
-    "epr-via-ghz": teleport._epr_via_ghz_corrections,
-    "ghz-via-3epr": teleport._three_epr_corrections,
-    "w-channel": teleport._w_channel_corrections,
-}
+_CACHED_TABLES = {name: teleport.PROTOCOLS[name].corrections for name in PROTOCOL_NAMES}
 _BUNDLE_PARAMS = (
     {},
     {"ghz-epr": {"bob_theta": 0.3}, "ghz-meas": {"theta_channel": 0.2, "theta_meas": 1.1},
