@@ -24,7 +24,7 @@ GENUINE_GHZ = "genuine-ghz"
 
 _PARTITIONS = ("A|BC", "B|AC", "C|AB")
 
-_YY = _string_matrix("YY")
+_YY = _string_matrix("Y", "Y")
 
 
 @dataclass(frozen=True)

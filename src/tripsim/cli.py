@@ -260,6 +260,8 @@ def _load_state(path: str) -> StateVector:
     amps = payload["amplitudes"] if isinstance(payload, dict) else payload
     try:
         values = [complex(re, im) for re, im in amps]
+        if not all(_is_number(x) for pair in amps for x in pair):
+            raise TypeError("an amplitude component is not a number")
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: amplitudes must be a list of [re, im] pairs") from exc
     except OverflowError as exc:  # an integer beyond the float range
@@ -287,7 +289,7 @@ def _parse_grid(text: str) -> np.ndarray:
     if not all(math.isfinite(x) for x in (start, stop, step)):
         raise ValueError(f"--grid values must be finite, got {text!r}")
     if step <= 0:
-        raise ValueError("grid step must be positive")
+        raise ValueError(f"--grid step must be positive, got {text!r}")
     if not stop >= start:
         raise ValueError(f"--grid {text} has no points; stop must not lie below start")
     # The points start + i*step that do not pass stop. A billionth of a step
@@ -477,7 +479,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("paradox", parents=[common], allow_abbrev=False, help="three-party local-realism paradox report")
-    p.add_argument("--theta", type=float, default=math.pi / 4)
+    p.add_argument("--theta", type=float)
 
     p = sub.add_parser("teleport", parents=[common, table], allow_abbrev=False, help="run one protocol, emit the branch report")
     p.add_argument("--protocol", required=True, choices=teleport.PROTOCOL_NAMES)
@@ -487,27 +489,27 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a1", type=complex)
 
     p = sub.add_parser("fidelity-surface", parents=[common], allow_abbrev=False, help="input-averaged fidelity grid")
-    p.add_argument("--grid", type=int, default=21)
+    p.add_argument("--grid", type=int)
 
     p = sub.add_parser("twirl", parents=[common], allow_abbrev=False, help="Monte-Carlo twirl against the analytic family")
-    p.add_argument("--family", choices=("werner", "isotropic"), default="werner")
-    p.add_argument("--d", type=int, default=2)
-    p.add_argument("--invariant", type=float, default=0.5)
-    p.add_argument("--samples", type=int, default=2000)
+    p.add_argument("--family", choices=("werner", "isotropic"))
+    p.add_argument("--d", type=int)
+    p.add_argument("--invariant", type=float)
+    p.add_argument("--samples", type=int)
 
     p = sub.add_parser("classify", parents=[common], allow_abbrev=False, help="classify a three-qubit pure state")
     p.add_argument("--state", required=True, help="JSON file with [re,im] amplitude pairs")
 
     p = sub.add_parser("noise-sweep", parents=[common, table], allow_abbrev=False, help="fidelity versus channel parameter")
     p.add_argument("--protocol", required=True, choices=teleport.PROTOCOL_NAMES)
-    p.add_argument("--channel", choices=sorted(noise.CHANNELS), default="bitflip")
+    p.add_argument("--channel", choices=sorted(noise.CHANNELS))
     p.add_argument("--target", required=True, help="resource qubit index (comma list allowed)")
-    p.add_argument("--grid", default="0:1:0.05", help="start:stop:step")
+    p.add_argument("--grid", help="start:stop:step")
 
     p = sub.add_parser("tables", parents=[common], allow_abbrev=False, help="numeric branch tables for the Bell+rotated-basis protocol")
     p.add_argument("--c0", type=complex)
     p.add_argument("--c1", type=complex)
-    p.add_argument("--theta", type=float, default=math.pi / 4)
+    p.add_argument("--theta", type=float)
 
     return parser
 

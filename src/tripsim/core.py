@@ -4,8 +4,9 @@ Conventions used by the whole package:
 
 * Registers are big-endian: qubit 0 is the leftmost ket label and the most
   significant bit of the amplitude index, so ``|01>`` is ``(0, 1, 0, 0)``.
-* All values are immutable after construction; every operation here is a
-  pure function, safe to share across threads.
+* All values are immutable after construction, the Pauli constants
+  ``PAULI_I/X/Y/Z`` read-only from import; every operation here is a pure
+  function, safe to share across threads.
 * Normalization is checked to 1e-9 at construction; internal algebra is
   expected to hold 1e-12.
 """
@@ -29,20 +30,27 @@ PSD_ATOL = 1e-9
 # noise and renormalizing it would manufacture garbage.
 _ZERO_RESIDUAL_CUT = 1e-24
 
-PAULI_I = np.eye(2, dtype=complex)
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+PAULI_I = _frozen(np.eye(2, dtype=complex))
+PAULI_X = _frozen(np.array([[0, 1], [1, 0]], dtype=complex))
+PAULI_Y = _frozen(np.array([[0, -1j], [1j, 0]], dtype=complex))
+PAULI_Z = _frozen(np.array([[1, 0], [0, -1]], dtype=complex))
 PAULIS = {"I": PAULI_I, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
 
 
 @lru_cache(maxsize=64)
-def _string_matrix(letters: str) -> np.ndarray:
-    """The Kronecker product of the Pauli letters' matrices ("XY" = X⊗Y),
-    built once per letter string and shared read-only."""
-    m = reduce(np.kron, (PAULIS[ch] for ch in letters))
-    m.setflags(write=False)
-    return m
+def _string_matrix(*factors: str) -> np.ndarray:
+    """The Kronecker product of one factor per qubit, each a same-qubit Pauli
+    product applied right to left ("ZX" = Z·X, "" = I), so that
+    ``_string_matrix("X", "ZX")`` is X⊗(Z·X); built once per factor tuple
+    and shared read-only."""
+    products = (reduce(np.matmul, (PAULIS[ch] for ch in f or "I")) for f in factors)
+    return _frozen(reduce(np.kron, products))
 
 
 class InvariantViolation(ValueError):
@@ -113,11 +121,6 @@ def _num_qubits_for(size: int) -> int:
             "state-dimension", f"amplitude length {size} is not a power of two"
         )
     return n
-
-
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
 
 
 class StateVector:

@@ -28,7 +28,7 @@ class PauliString:
     def matrix(self) -> np.ndarray:
         """The Kronecker product of the letters' matrices, built once per
         letter string and shared read-only."""
-        return _string_matrix(self.letters)
+        return _string_matrix(*self.letters)
 
 
 @dataclass(frozen=True)

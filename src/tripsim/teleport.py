@@ -46,7 +46,7 @@ from typing import Callable
 import numpy as np
 
 from .bases import WChannelSpec, _bell2_member, _bob_x_member, _check_angle, _ghz_member, bell2, ghz_basis
-from .core import PAULIS, DensityOp, InputQubit, InvariantViolation, StateVector, clamp_unit, tensor
+from .core import DensityOp, InputQubit, InvariantViolation, StateVector, _string_matrix, clamp_unit, tensor
 
 _MAX = math.pi / 4
 _DEGENERATE_CUT = 1e-14
@@ -148,13 +148,6 @@ class ProtocolBundle:
     @property
     def n_total(self) -> int:
         return self.protocol.n_input + self.resource.num_qubits
-
-
-def _compose(letters: str) -> np.ndarray:
-    """Same-qubit Pauli product, leftmost factor applied last ("ZX" = Z·X)."""
-    if letters in ("", "I", "none"):
-        return np.eye(2, dtype=complex)
-    return reduce(lambda a, b: a @ b, (PAULIS[ch] for ch in letters))
 
 
 @lru_cache(maxsize=None)
@@ -267,36 +260,31 @@ def _maximal_ghz_outcomes():
     return _ghz_outcomes(_cos_sin("theta", _MAX))
 
 
+def _product(*bases):
+    """The product basis of (label, state) bases, each in lexicographic label
+    order: labels joined, states tensored left to right, in that order too."""
+    return tuple(
+        (sum((label for label, _ in members), ()), reduce(tensor, (state for _, state in members)))
+        for members in itertools.product(*bases)
+    )
+
+
 @lru_cache(maxsize=1)
 def _three_bell_outcomes():
     """The 64 outcomes of three maximal Bell measurements, labeled
     (m1, n1, m2, n2, m3, n3)."""
-    bells = dict(_bell_outcomes())
-    return tuple(
-        (label, reduce(tensor, (bells[label[2 * i : 2 * i + 2]] for i in range(3))))
-        for label in itertools.product((0, 1), repeat=6)
-    )
+    return _product(_bell_outcomes(), _bell_outcomes(), _bell_outcomes())
 
 
 @lru_cache(maxsize=1)
 def _w_channel_outcomes():
     """A maximal Bell outcome times a computational readout, labeled (m, n, q)."""
-    computational = (StateVector([1, 0]), StateVector([0, 1]))
-    return tuple(
-        ((m, n, q), tensor(bell, computational[q]))
-        for (m, n), bell in _bell_outcomes()
-        for q in (0, 1)
-    )
+    return _product(_bell_outcomes(), (((0,), StateVector([1, 0])), ((1,), StateVector([0, 1]))))
 
 
 def _ghz_epr_outcomes(b):
     """A maximal Bell outcome times the receiver's rotated basis, labeled (m, n, j)."""
-    x_pair = _bob_x_member(b)
-    return tuple(
-        ((m, n, j), tensor(bell, x_pair[j]))
-        for (m, n), bell in _bell_outcomes()
-        for j in (0, 1)
-    )
+    return _product(_bell_outcomes(), tuple(zip([(0,), (1,)], _bob_x_member(b))))
 
 
 def _pauli_fix(xs, z: int) -> str:
@@ -314,11 +302,11 @@ def _pauli_fix(xs, z: int) -> str:
 
 @lru_cache(maxsize=None)
 def _correction(desc: str) -> _Correction:
-    """The Kronecker product of the description's ``⊗``-separated Pauli products
-    (:func:`_compose`), read-only; ``"none"`` is the identity and a failure."""
-    matrix = reduce(np.kron, (_compose(factor) for factor in desc.split("⊗"))).copy()
-    matrix.setflags(write=False)
-    return _Correction(desc, matrix, success=desc != "none")
+    """The Kronecker product of the description's ``⊗``-separated same-qubit
+    Pauli products (:func:`core._string_matrix`), read-only; ``"none"`` is
+    the identity and a failure."""
+    factors = desc.split("⊗") if desc != "none" else [""]
+    return _Correction(desc, _string_matrix(*factors), success=desc != "none")
 
 
 @lru_cache(maxsize=None)

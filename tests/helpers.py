@@ -18,7 +18,6 @@ from tripsim.teleport import (
     GHZ_EPR_CORRECTIONS,
     _DEGENERATE_CUT,
     _Correction,
-    _compose,
 )
 
 
@@ -91,7 +90,7 @@ def tables_oracle(theta, c0, c1) -> dict:
                 key = f"{m}{n}{j}"
                 chi = partial_inner(eta, x_pair[j], (0,)).amplitudes
                 desc = GHZ_EPR_CORRECTIONS[(m, n, j)]
-                fixed = _compose(desc) @ chi
+                fixed = _string_matrix(desc) @ chi
                 norm2 = float(np.vdot(fixed, fixed).real)
                 tables["receiver_states"][key] = chi
                 tables["corrections"][key] = desc
@@ -274,7 +273,7 @@ def search_pauli_correction(samples, width: int) -> _Correction:
     best: _Correction | None = None
     best_score = -1.0
     for letters in candidates:
-        mat = _string_matrix("".join(letters))
+        mat = _string_matrix(*letters)
         score = min(
             abs(np.vdot(target, mat @ residual)) ** 2 / np.vdot(residual, residual).real
             for residual, target in samples

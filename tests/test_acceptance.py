@@ -21,6 +21,7 @@ from tripsim.core import (
     InputQubit,
     LocalOperator,
     StateVector,
+    _string_matrix,
     apply_local,
     haar_unitary,
     partial_trace,
@@ -47,7 +48,6 @@ from tripsim.teleport import (
     teleport_ghz_measurement,
     teleport_ghz_via_3epr,
     teleport_w_channel,
-    _compose,
 )
 from tripsim.twirl import (
     IsotropicParams,
@@ -114,7 +114,7 @@ def test_criterion_3_branch_tables():
                 row = chi_row(m, n, j, iq.c0, iq.c1, theta)
                 branch = branches[(m, n, j)]
                 scaled = math.sqrt(branch.probability) * branch.post_state.amplitudes
-                fixed = _compose(GHZ_EPR_CORRECTIONS[(m, n, j)]) @ row / 2.0
+                fixed = _string_matrix(GHZ_EPR_CORRECTIONS[(m, n, j)]) @ row / 2.0
                 pre = partial_inner(eta, bob_x_basis(theta)[j], (0,))
                 ok &= np.abs(pre.amplitudes - row).max() < 1e-12
                 ok &= np.abs(scaled - fixed).max() < 1e-12

@@ -343,6 +343,40 @@ class TestDeterminismAndConfig:
         assert err.startswith("error:")
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize(
+        "amplitudes",
+        [[[True, False]] + [[False, False]] * 7, [[1, 0], [0, False]] + [[0, 0]] * 6],
+        ids=["all-bools", "one-bool"],
+    )
+    def test_bool_amplitude_is_refused(self, amplitudes, tmp_path, capsys):
+        # JSON true is not the number 1 here, as in the payload schema.
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(amplitudes))
+        assert main(["classify", "--state", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: amplitudes must be a list of [re, im] pairs\n"
+
+    @pytest.mark.parametrize("grid", ["0:1:0", "0:1:-0.1"])
+    def test_non_positive_grid_step_names_the_flag(self, grid, capsys):
+        assert main(["noise-sweep", "--protocol", "ghz-epr", "--target", "3", "--grid", grid]) == 2
+        assert capsys.readouterr().err == f"error: --grid step must be positive, got {grid!r}\n"
+
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_cli_and_run_share_every_default(self, command, tmp_path, monkeypatch, capsys):
+        # Only the flags a command cannot run without; every other one is
+        # left to the default its command applies.
+        monkeypatch.delenv("TRIPSIM_SEED", raising=False)
+        required = {
+            "teleport": {"protocol": "ghz-epr"},
+            "classify": {"state": _ghz_state_file(tmp_path / "s.json")},
+            "noise-sweep": {"protocol": "ghz-meas", "target": "3"},
+        }.get(command, {})
+        assert main([command, *(arg for k, v in required.items() for arg in (f"--{k}", v))]) == 0
+        via_main = capsys.readouterr().out
+        assert run(ExperimentConfig(command, params=required)) == 0
+        assert capsys.readouterr().out == via_main
+
     def test_deeply_nested_state_file_exits_2(self, tmp_path, capsys):
         # json.dumps cannot write this; json.load hits the recursion limit.
         path = tmp_path / "nested.json"

@@ -1,5 +1,10 @@
+import functools
+import itertools
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -19,6 +24,7 @@ from tripsim.core import (
     LocalOperator,
     RegisterCapacityError,
     StateVector,
+    _string_matrix,
     apply_local,
     check_density,
     clamp_unit,
@@ -480,3 +486,60 @@ def test_haar_apply_preserves_norm(seed):
     u = haar_unitary(4, rng)
     out = StateVector(u.matrix @ s.amplitudes)
     assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-12
+
+
+# The test's own Pauli matrices, so that a wrong constant in core shows.
+_PAULI = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
+
+
+def _dense_string(*factors: str) -> np.ndarray:
+    """One same-qubit product per qubit ("ZX" = Z·X, "" = I), then their
+    Kronecker product written out entry by entry."""
+    mats = [functools.reduce(np.matmul, (_PAULI[ch] for ch in f or "I")) for f in factors]
+    out = np.empty((1 << len(mats),) * 2, dtype=complex)
+    for row in itertools.product((0, 1), repeat=len(mats)):
+        for col in itertools.product((0, 1), repeat=len(mats)):
+            entry = mats[0][row[0], col[0]]
+            for m, i, j in zip(mats[1:], row[1:], col[1:]):
+                entry = entry * m[i, j]
+            out[int("".join(map(str, row)), 2), int("".join(map(str, col)), 2)] = entry
+    return out
+
+
+class TestStringMatrix:
+    LETTER_STRINGS = [ls for n in (1, 2, 3) for ls in itertools.product("IXYZ", repeat=n)]
+    PRODUCTS = [("ZX",), ("XZ",), ("", "Y"), ("ZX", "Y"), ("X", "XY", ""), ("YZ", "I", "ZX"), ("XYZ", "Z")]
+
+    @pytest.mark.parametrize("factors", LETTER_STRINGS + PRODUCTS, ids="-".join)
+    def test_matches_a_dense_build_and_is_read_only(self, factors):
+        m = _string_matrix(*factors)
+        expected = _dense_string(*factors)
+        assert m.dtype == expected.dtype and m.shape == expected.shape
+        assert m.tobytes() == expected.tobytes()
+        assert not m.flags.writeable
+        with pytest.raises(ValueError):
+            m[0, 0] = 1.0
+
+    def test_pauli_constants_are_read_only_whatever_ran_first(self):
+        # In a fresh interpreter the shared constants are read-only from
+        # import, so one-letter builds cannot change their writeability.
+        code = (
+            "from tripsim import core, teleport\n"
+            "from tripsim.nonlocality import PauliString\n"
+            "read = lambda: [core.PAULIS[ch].flags.writeable for ch in 'IXYZ']\n"
+            "before = read()\n"
+            "PauliString('X').matrix(); teleport._correction('X')\n"
+            "print(before, read())\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == f"{[False] * 4} {[False] * 4}\n"

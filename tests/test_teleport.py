@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from helpers import PROBE_PAIRS, chi_row, dense_branches, eta_row, looped_corrections, random_input, repetition, with_entry
 from tripsim import teleport
 from tripsim.bases import bell2, bob_x_basis, ghz_basis
-from tripsim.core import PAULIS, DensityOp, InputQubit, InvariantViolation, StateVector, partial_inner, project, tensor
+from tripsim.core import PAULIS, DensityOp, InputQubit, InvariantViolation, StateVector, _string_matrix, partial_inner, project, tensor
 from tripsim.noise import noisy_teleport_sweep
 from tripsim.teleport import (
     GHZ_EPR_CORRECTIONS,
@@ -33,7 +33,6 @@ from tripsim.teleport import (
     teleport_ghz_measurement,
     teleport_ghz_via_3epr,
     teleport_w_channel,
-    _compose,
 )
 
 MAX = math.pi / 4
@@ -86,7 +85,7 @@ class TestGhzEprTables:
                 assert branch.correction == desc
                 # Full-protocol residuals carry the 1/2 from the pair
                 # measurement on top of the tabulated receiver state.
-                expected = _compose(desc) @ chi_row(m, n, j, iq.c0, iq.c1, theta) / 2.0
+                expected = _string_matrix(desc) @ chi_row(m, n, j, iq.c0, iq.c1, theta) / 2.0
                 scaled = math.sqrt(branch.probability) * branch.post_state.amplitudes
                 np.testing.assert_allclose(scaled, expected, atol=1e-12)
             maximal = teleport_ghz_epr(iq, MAX)
@@ -123,10 +122,10 @@ class TestGhzEprTables:
             a + b for a in "XYZ" for b in "XYZ" if a != b
         ]
         for (m, n, j), desc in GHZ_EPR_CORRECTIONS.items():
-            table_mat = _compose(desc)
+            table_mat = _string_matrix(desc)
             winners = []
             for cand in candidates:
-                mat = _compose(cand)
+                mat = _string_matrix(cand)
                 worst = min(
                     abs(np.vdot(iq.state().amplitudes,
                                 mat @ chi_row(m, n, j, iq.c0, iq.c1, MAX))) ** 2
@@ -172,7 +171,7 @@ class TestGhzMeasurement:
         assert branch.correction == "ZX"
         # Undo the correction to recover the raw branch operator: the basis
         # weights swap between |0><0| and |1><1| and the cross term flips sign.
-        pre = _compose("ZX").conj().T @ (
+        pre = _string_matrix("ZX").conj().T @ (
             math.sqrt(branch.probability) * branch.post_state.amplitudes
         )
         rho = np.outer(pre, pre.conj())
