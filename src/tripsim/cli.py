@@ -19,6 +19,7 @@ import csv
 import io
 import json
 import math
+import numbers
 import os
 import reprlib
 import sys
@@ -182,23 +183,48 @@ def _normalized_tuple(values, what: str) -> tuple[complex, ...]:
 
 # --- command payloads ----------------------------------------------------
 
+# Each command's help line and flags, declared once next to the command.
+# A flag is the keywords of ``add_argument`` plus ``limits``, an inclusive
+# integer range. ``_build_parser`` builds the subparsers from them and
+# ``run`` resolves ``ExperimentConfig.params`` through them, so a call from
+# Python is refused where the command line is and takes the same defaults.
+_COMMANDS: dict = {}
+_FLAGS: dict = {}
+
+
+def _command(name: str, summary: str, **flags):
+    def register(fn):
+        _COMMANDS[name], _FLAGS[name] = fn, (summary, flags)
+        return fn
+    return register
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+# --protocol and the parameters of the protocol table, each read as the
+# type of its default: angles are floats, channel amplitudes complex.
+# teleport and noise-sweep hand them to protocol_bundle, which applies the
+# defaults and refuses the parameters of other protocols.
+_TABLE_HELP = {float: "angle in [0, pi/2]", complex: "channel amplitude (normalized with the others)"}
+_PROTOCOL_FLAGS = dict(
+    protocol=dict(required=True, choices=teleport.PROTOCOL_NAMES),
+    **{k: dict(type=type(v), help=_TABLE_HELP[type(v)])
+       for p in teleport.PROTOCOLS.values() for k, v in p.params.items()},
+)
+
+
+@_command("paradox", "three-party local-realism paradox report", theta=dict(type=float, default=math.pi / 4))
 def _cmd_paradox(params: dict, seed: int) -> dict:
-    theta = float(params.get("theta", math.pi / 4))
-    report = nonlocality.ghz_paradox(bases.ghz_basis(theta, (0, 0, 0)))
-    return {"theta": theta, **report.to_dict()}
+    report = nonlocality.ghz_paradox(bases.ghz_basis(params["theta"], (0, 0, 0)))
+    return {"theta": params["theta"], **report.to_dict()}
 
 
 def _input_pair(params: dict, keys=("c0", "c1")) -> tuple[complex, complex]:
     """Pop the input amplitude pair from ``params`` and normalize it."""
     amps = (params.pop(k, 1 / math.sqrt(2)) for k in keys)
     return teleport.coerce_pair(_normalized_tuple(amps, "input"))
-
-
-def _protocol_entry(name) -> teleport.Protocol:
-    protocol = teleport.PROTOCOLS.get(name)
-    if protocol is None:
-        raise ValueError(f"unknown protocol {name!r}")
-    return protocol
 
 
 def _normalize_channel(protocol: teleport.Protocol, params: dict) -> None:
@@ -209,23 +235,29 @@ def _normalize_channel(protocol: teleport.Protocol, params: dict) -> None:
         params.update(zip(amps, _normalized_tuple(amps.values(), "channel")))
 
 
+@_command(
+    "teleport", "run one protocol, emit the branch report",
+    **_PROTOCOL_FLAGS,
+    c0=dict(type=complex, help="input amplitude (normalized with --c1)"),
+    c1=dict(type=complex),
+    a0=dict(type=complex, help="pair/triple input amplitude"),
+    a1=dict(type=complex),
+)
 def _cmd_teleport(params: dict, seed: int) -> dict:
     # A multi-qubit input takes --a0/--a1. What is left goes to
     # protocol_bundle, which refuses the parameters that do not belong.
-    params = dict(params)
-    name = params.pop("protocol", None)
-    protocol = _protocol_entry(name)
+    name = params.pop("protocol")
+    protocol = teleport.PROTOCOLS[name]
     c0, c1 = _input_pair(params, ("a0", "a1") if protocol.n_input > 1 else ("c0", "c1"))
     _normalize_channel(protocol, params)
     report = teleport.enumerate_branches(teleport.protocol_bundle(name, **params), c0, c1)
     return report.to_dict()
 
 
+@_command("fidelity-surface", "input-averaged fidelity grid",
+          grid=dict(type=int, default=21, limits=(2, MAX_SURFACE_GRID)))
 def _cmd_fidelity_surface(params: dict, seed: int) -> dict:
-    n = int(params.get("grid", 21))
-    if not 2 <= n <= MAX_SURFACE_GRID:
-        raise ValueError(f"--grid must lie in [2, {MAX_SURFACE_GRID}], got {n}")
-    grid = np.linspace(0.0, math.pi / 2, n)
+    grid = np.linspace(0.0, math.pi / 2, params["grid"])
     surface = teleport.avg_fidelity_surface(grid)
     return {
         "theta_grid": [float(t) for t in surface.theta_grid],
@@ -234,19 +266,15 @@ def _cmd_fidelity_surface(params: dict, seed: int) -> dict:
     }
 
 
+@_command(
+    "twirl", "Monte-Carlo twirl against the analytic family",
+    family=dict(choices=("werner", "isotropic"), default="werner"),
+    d=dict(type=int, default=2, limits=(2, MAX_TWIRL_D)),
+    invariant=dict(type=float, default=0.5),
+    samples=dict(type=int, default=2000, limits=(1, MAX_TWIRL_SAMPLES)),
+)
 def _cmd_twirl(params: dict, seed: int) -> dict:
-    d, samples = int(params.get("d", 2)), int(params.get("samples", 2000))
-    if d > MAX_TWIRL_D:
-        raise ValueError(f"--d must be at most {MAX_TWIRL_D}, got {d}")
-    if samples > MAX_TWIRL_SAMPLES:
-        raise ValueError(f"--samples must be at most {MAX_TWIRL_SAMPLES}, got {samples}")
-    return twirl_report(
-        family=params.get("family", "werner"),
-        d=d,
-        invariant=float(params.get("invariant", 0.5)),
-        samples=samples,
-        rng=np.random.default_rng(seed),
-    )
+    return twirl_report(**params, rng=np.random.default_rng(seed))
 
 
 def _load_state(path: str) -> StateVector:
@@ -273,11 +301,10 @@ def _load_state(path: str) -> StateVector:
     return StateVector(values)
 
 
+@_command("classify", "classify a three-qubit pure state",
+          state=dict(required=True, help="JSON file with [re,im] amplitude pairs"))
 def _cmd_classify(params: dict, seed: int) -> dict:
-    path = params.get("state")
-    if not path:
-        raise ValueError("classify requires --state FILE")
-    diag = diagnostics(_load_state(path))
+    diag = diagnostics(_load_state(params["state"]))
     return {**diag.verdict().to_dict(), "diagnostics": diag.to_dict()}
 
 
@@ -297,25 +324,28 @@ def _parse_grid(text: str) -> np.ndarray:
     # and a point past stop by that slack alone is emitted as stop.
     span = (stop - start) / step + 1e-9
     if span >= MAX_SWEEP_POINTS:
-        raise ValueError(
-            f"--grid {text} has {span + 1:.3g} points, more than the {MAX_SWEEP_POINTS} allowed"
-        )
+        raise ValueError(f"--grid {text} has {span + 1:.3g} points, more than the {MAX_SWEEP_POINTS} allowed")
     return np.minimum(start + step * np.arange(math.floor(span) + 1), stop)
 
 
+@_command(
+    "noise-sweep", "fidelity versus channel parameter",
+    **_PROTOCOL_FLAGS,
+    channel=dict(choices=sorted(noise.CHANNELS), default="bitflip"),
+    target=dict(required=True, help="resource qubit index (comma list allowed)"),
+    grid=dict(default="0:1:0.05", help="start:stop:step"),
+)
 def _cmd_noise_sweep(params: dict, seed: int) -> dict:
     # Every flag but these four is a protocol parameter; protocol_bundle checks it.
-    params = dict(params)
-    protocol, channel = params.pop("protocol", None), params.pop("channel", "bitflip")
-    text = str(params.pop("target", ""))
+    protocol, channel, text = params.pop("protocol"), params.pop("channel"), params.pop("target")
     try:
         target = [int(t) for t in text.split(",") if t != ""]
     except ValueError:
         raise ValueError(f"--target must list qubit indices INDEX[,INDEX...], got {text!r}") from None
     if not target:
         raise ValueError("noise-sweep requires --target INDEX[,INDEX...]")
-    grid = _parse_grid(params.pop("grid", "0:1:0.05"))
-    _normalize_channel(_protocol_entry(protocol), params)
+    grid = _parse_grid(params.pop("grid"))
+    _normalize_channel(teleport.PROTOCOLS[protocol], params)
     rows = noise.noisy_teleport_sweep(protocol, channel, target, grid, params=params)
     resolved = teleport.protocol_bundle(protocol, **params).params
     return {
@@ -327,6 +357,10 @@ def _cmd_noise_sweep(params: dict, seed: int) -> dict:
     }
 
 
+@_command(
+    "tables", "numeric branch tables for the Bell+rotated-basis protocol",
+    c0=dict(type=complex), c1=dict(type=complex), theta=dict(type=float, default=math.pi / 4),
+)
 def _cmd_tables(params: dict, seed: int) -> dict:
     """Branch tables of the Bell-plus-rotated-basis protocol (ghz-epr) for a
     supplied input and receiver angle, read off its Kraus stack K_l.
@@ -336,8 +370,8 @@ def _cmd_tables(params: dict, seed: int) -> dict:
     completeness of the receiver basis x. All are scaled by 1/sqrt(p_mn),
     where p_mn = sum_j |K_(m,n,j) c|^2.
     """
-    c = np.array(_input_pair(dict(params)))
-    theta = bases._check_angle("theta", params.get("theta", math.pi / 4))
+    c = np.array(_input_pair(params))
+    theta = bases._check_angle("theta", params["theta"])
     bundle = teleport.protocol_bundle("ghz-epr", bob_theta=theta)
     labels = bundle.protocol.corners[0]
     corrections = [bundle.corrections[label] for label in labels]
@@ -348,13 +382,7 @@ def _cmd_tables(params: dict, seed: int) -> dict:
     scale = 1 / np.sqrt(p_mn.repeat(2))[:, None]
     fixed, chi = fixed * scale, chi * scale
     x_pair = [x.amplitudes for x in bases.bob_x_basis(theta)]
-    tables = {
-        "pair_states": {},
-        "receiver_states": {},
-        "corrections": {},
-        "corrected_states": {},
-        "fidelities": {},
-    }
+    tables = {k: {} for k in ("pair_states", "receiver_states", "corrections", "corrected_states", "fidelities")}
     for l, (m, n, j) in enumerate(labels):
         key = f"{m}{n}{j}"
         if j == 0:
@@ -367,17 +395,6 @@ def _cmd_tables(params: dict, seed: int) -> dict:
         fid = abs(np.vdot(c, fixed[l])) ** 2 / norm2 if norm2 > 1e-14 else None
         tables["fidelities"][key] = None if fid is None else clamp_unit(fid, "tables fidelity")
     return {"theta": theta, "input": _cvec(c), **tables}
-
-
-_COMMANDS = {
-    "paradox": _cmd_paradox,
-    "teleport": _cmd_teleport,
-    "fidelity-surface": _cmd_fidelity_surface,
-    "twirl": _cmd_twirl,
-    "classify": _cmd_classify,
-    "noise-sweep": _cmd_noise_sweep,
-    "tables": _cmd_tables,
-}
 
 
 # --- emission ------------------------------------------------------------
@@ -401,15 +418,8 @@ def _to_csv(command: str, payload: dict) -> str:
     elif command == "teleport":
         writer.writerow(["label", "p", "correction", "fidelity", "success"])
         for b in payload["branches"]:
-            writer.writerow(
-                [
-                    "".join(str(x) for x in b["label"]),
-                    _fmt17(b["p"]),
-                    b["correction"],
-                    "" if b["fidelity"] is None else _fmt17(b["fidelity"]),
-                    b["success"],
-                ]
-            )
+            fidelity = "" if b["fidelity"] is None else _fmt17(b["fidelity"])
+            writer.writerow(["".join(map(str, b["label"])), _fmt17(b["p"]), b["correction"], fidelity, b["success"]])
     elif command == "twirl":
         writer.writerow(["samples", "trace_distance"])
         for n, dist in payload["trace_distance_history"]:
@@ -419,13 +429,41 @@ def _to_csv(command: str, payload: dict) -> str:
     return buf.getvalue()
 
 
+# What a value of each flag type may be: an int is no float, a number no
+# string and a bool no number, as the parser reads them.
+_KINDS = {int: numbers.Integral, float: numbers.Real, complex: numbers.Complex, str: str}
+
+
+def _resolve(command: str, params: dict) -> dict:
+    """A fresh dict of ``params`` checked against the command's flags;
+    each missing optional flag takes its default, if it declares one."""
+    flags = _FLAGS[command][1]
+    missing = [_flag(k) for k, spec in flags.items() if spec.get("required") and k not in params]
+    if missing:
+        raise ValueError(f"{command} requires {', '.join(missing)}")
+    resolved = {k: spec["default"] for k, spec in flags.items() if "default" in spec}
+    for key, value in params.items():
+        spec, flag = flags.get(key), _flag(key)
+        if spec is None:
+            raise ValueError(f"{command} has no flag {flag}")
+        kind = spec.get("type", str)
+        if isinstance(value, bool) or not isinstance(value, _KINDS[kind]):
+            raise ValueError(f"{flag} must be of type {kind.__name__}, got {value!r}")
+        value = resolved[key] = kind(value)
+        if "choices" in spec and value not in spec["choices"]:
+            raise ValueError(f"{flag} must be one of {', '.join(spec['choices'])}, got {value!r}")
+        if "limits" in spec and not spec["limits"][0] <= value <= spec["limits"][1]:
+            raise ValueError("{} must lie in [{}, {}], got {}".format(flag, *spec["limits"], value))
+    return resolved
+
+
 def run(config: ExperimentConfig) -> int:
     """Execute one experiment; returns the process exit status."""
     if config.command not in _COMMANDS:
         raise ValueError(f"unknown command {config.command!r}")
     if config.fmt not in ("json", "csv"):
         raise ValueError(f"format must be json or csv, got {config.fmt!r}")
-    body = _COMMANDS[config.command](config.params, config.seed)
+    body = _COMMANDS[config.command](_resolve(config.command, config.params), config.seed)
     # The envelope comes first, so a body that sets either key overrides
     # it and fails the envelope check.
     payload = {"schema": SCHEMA_TAG, "command": config.command, **body}
@@ -468,57 +506,21 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     common.add_argument("--out", default=argparse.SUPPRESS)
     common.add_argument("--format", choices=("json", "csv"), default=argparse.SUPPRESS)
-    # The parameters of the protocol table, each read as the type of its
-    # default: angles are floats, channel amplitudes complex. teleport and
-    # noise-sweep hand them to protocol_bundle.
-    table = argparse.ArgumentParser(add_help=False)
-    defaults = {k: v for p in teleport.PROTOCOLS.values() for k, v in p.params.items()}
-    for key, default in defaults.items():
-        kind = "channel amplitude (normalized with the others)" if isinstance(default, complex) else "angle in [0, pi/2]"
-        table.add_argument(f"--{key.replace('_', '-')}", type=type(default), help=kind)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("paradox", parents=[common], allow_abbrev=False, help="three-party local-realism paradox report")
-    p.add_argument("--theta", type=float)
-
-    p = sub.add_parser("teleport", parents=[common, table], allow_abbrev=False, help="run one protocol, emit the branch report")
-    p.add_argument("--protocol", required=True, choices=teleport.PROTOCOL_NAMES)
-    p.add_argument("--c0", type=complex, help="input amplitude (normalized with --c1)")
-    p.add_argument("--c1", type=complex)
-    p.add_argument("--a0", type=complex, help="pair/triple input amplitude")
-    p.add_argument("--a1", type=complex)
-
-    p = sub.add_parser("fidelity-surface", parents=[common], allow_abbrev=False, help="input-averaged fidelity grid")
-    p.add_argument("--grid", type=int)
-
-    p = sub.add_parser("twirl", parents=[common], allow_abbrev=False, help="Monte-Carlo twirl against the analytic family")
-    p.add_argument("--family", choices=("werner", "isotropic"))
-    p.add_argument("--d", type=int)
-    p.add_argument("--invariant", type=float)
-    p.add_argument("--samples", type=int)
-
-    p = sub.add_parser("classify", parents=[common], allow_abbrev=False, help="classify a three-qubit pure state")
-    p.add_argument("--state", required=True, help="JSON file with [re,im] amplitude pairs")
-
-    p = sub.add_parser("noise-sweep", parents=[common, table], allow_abbrev=False, help="fidelity versus channel parameter")
-    p.add_argument("--protocol", required=True, choices=teleport.PROTOCOL_NAMES)
-    p.add_argument("--channel", choices=sorted(noise.CHANNELS))
-    p.add_argument("--target", required=True, help="resource qubit index (comma list allowed)")
-    p.add_argument("--grid", help="start:stop:step")
-
-    p = sub.add_parser("tables", parents=[common], allow_abbrev=False, help="numeric branch tables for the Bell+rotated-basis protocol")
-    p.add_argument("--c0", type=complex)
-    p.add_argument("--c1", type=complex)
-    p.add_argument("--theta", type=float)
+    for name, (summary, flags) in _FLAGS.items():
+        p = sub.add_parser(name, parents=[common], allow_abbrev=False, help=summary)
+        for key, spec in flags.items():
+            # Each flag's help line states its default and its range.
+            notes = [spec.get("help"), "default: %(default)s" if "default" in spec else None]
+            notes.append("from {} to {}".format(*spec["limits"]) if "limits" in spec else None)
+            keywords = {k: v for k, v in spec.items() if k != "limits"}
+            p.add_argument(_flag(key), **{**keywords, "help": "; ".join(filter(None, notes))})
 
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    reserved = {"command", "seed", "out", "format"}
-    params = {
-        k: v for k, v in vars(args).items() if k not in reserved and v is not None
-    }
+    params = {k: v for k, v in vars(args).items() if k in _FLAGS[args.command][1] and v is not None}
     env = os.environ.get("TRIPSIM_SEED")
     source, given = ("--seed", args.seed) if env is None else ("TRIPSIM_SEED", env)
     try:
@@ -527,9 +529,7 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         raise ValueError(f"TRIPSIM_SEED must be an integer, got {given!r}") from None
     if seed < 0:
         raise ValueError(f"{source} must be a non-negative integer, got {given!r}")
-    return ExperimentConfig(
-        command=args.command, params=params, seed=seed, out=args.out, fmt=args.format
-    )
+    return ExperimentConfig(args.command, params, seed, out=args.out, fmt=args.format)
 
 
 def main(argv=None) -> int:
@@ -543,7 +543,7 @@ def main(argv=None) -> int:
     except InvariantViolation as exc:
         print(f"invariant violated [{exc.invariant}]: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

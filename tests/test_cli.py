@@ -1,3 +1,4 @@
+import argparse
 import cmath
 import contextlib
 import dataclasses
@@ -617,6 +618,70 @@ class TestPayloadCheck:
     def test_unknown_keyword_raises(self, schema):
         with pytest.raises(InvariantViolation, match="unknown schema keywords"):
             cli._check([None] if schema.get("type") == "array" else None, schema)
+
+
+class TestFlagDeclarations:
+    @pytest.mark.parametrize(
+        "command, params, refusal",
+        [
+            ("fidelity-surface", {"grid": 2.9}, r"--grid .*2\.9"),
+            ("fidelity-surface", {"grid": True}, r"--grid .*True"),
+            ("noise-sweep", {"protocol": "ghz-meas", "target": "3", "grid": 0.5}, r"--grid .*0\.5"),
+            ("twirl", {"d": "3"}, r"--d .*'3'"),
+            ("paradox", {"bogus": 1}, r"--bogus"),
+            ("twirl", {"family": "foo"}, r"--family .*'foo'"),
+            ("teleport", {}, r"--protocol"),
+        ],
+        ids=[
+            "surface-float-grid", "surface-bool-grid", "noise-float-grid", "twirl-string-d",
+            "paradox-unknown-key", "twirl-unknown-family", "teleport-without-protocol",
+        ],
+    )
+    def test_run_refuses_what_the_parser_refuses(self, command, params, refusal, capsys):
+        # The refusal names the flag and the value refused.
+        with pytest.raises(ValueError, match=refusal):
+            run(ExperimentConfig(command, params=params))
+        assert capsys.readouterr().out == ""
+
+    def test_integer_state_is_refused_and_its_descriptor_left_open(self):
+        read_end, write_end = os.pipe()
+        os.close(write_end)
+        try:
+            with pytest.raises(ValueError, match="--state"):
+                run(ExperimentConfig("classify", params={"state": read_end}))
+            os.fstat(read_end)  # raises OSError if run closed it
+        finally:
+            os.close(read_end)
+
+    def test_library_key_error_is_not_a_configuration_error(self, monkeypatch):
+        # Bad input is refused with a ValueError; a KeyError is a bug and
+        # propagates rather than exiting 2 as if the input were at fault.
+        def broken(params, seed):
+            raise KeyError("missing")
+
+        monkeypatch.setitem(cli._COMMANDS, "paradox", broken)
+        with pytest.raises(KeyError):
+            main(["paradox"])
+
+    def test_each_subparser_is_built_from_its_declaration(self):
+        parser = cli._build_parser()
+        subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+        assert list(subparsers) == list(cli._FLAGS) == list(cli._COMMANDS)
+        for name, (summary, flags) in cli._FLAGS.items():
+            sub = subparsers[name]
+            actions = [a for a in sub._actions if a.dest not in ("help", "seed", "out", "format")]
+            built = [(a.option_strings, a.default, a.required, a.choices, a.type) for a in actions]
+            declared = [
+                ([cli._flag(key)], spec.get("default"), spec.get("required", False), spec.get("choices"), spec.get("type"))
+                for key, spec in flags.items()
+            ]
+            assert built == declared, name
+            text = sub.format_help()
+            for key, spec in flags.items():
+                if "default" in spec:
+                    assert f"default: {spec['default']}" in text, (name, key)
+                if "limits" in spec:
+                    assert "from {} to {}".format(*spec["limits"]) in text, (name, key)
 
 
 def _fresh(*args: str, **env: str) -> subprocess.CompletedProcess:
