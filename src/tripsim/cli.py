@@ -1,10 +1,11 @@
 """Command-line front end: experiment registry, deterministic seeding,
 JSON/CSV emission, and numeric reproduction of the correction tables.
 
-Each command builds only its own fields. ``run`` puts the envelope in
-front of them, ``"schema": "tripsim/1"`` and ``"command"`` naming the
-subcommand that ran, and checks the envelope and then the command's schema
-before anything is written.
+Each flag is declared once; ``run`` resolves a whole ``ExperimentConfig``
+through the declarations before any command runs. Each command builds only
+its own fields; ``run`` puts the envelope, ``"schema": "tripsim/1"`` and
+``"command"`` naming the subcommand that ran, in front of them and checks
+the envelope and then the command's schema before anything is written.
 
 Exit codes: 0 on success, 1 when a library invariant is violated (the
 violated invariant is named on stderr), 2 on configuration errors.
@@ -214,6 +215,13 @@ _PROTOCOL_FLAGS = dict(
        for p in teleport.PROTOCOLS.values() for k, v in p.params.items()},
 )
 
+# The seed, out and fmt of ExperimentConfig: flags given before or after the command.
+_GLOBAL_FLAGS = dict(
+    seed=dict(type=int, default=0, help="RNG seed (TRIPSIM_SEED overrides)"),
+    out=dict(type=os.fspath, default=None, help="output path (default: stdout)"),
+    format=dict(choices=("json", "csv"), default="json"),
+)
+
 
 @_command("paradox", "three-party local-realism paradox report", theta=dict(type=float, default=math.pi / 4))
 def _cmd_paradox(params: dict, seed: int) -> dict:
@@ -283,6 +291,8 @@ def _load_state(path: str) -> StateVector:
             payload = json.load(fh)
         except RecursionError as exc:
             raise ValueError(f"{path}: JSON nested too deeply") from exc
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise ValueError(f"{path}: {exc}") from exc
     if isinstance(payload, dict) and "amplitudes" not in payload:
         raise ValueError(f"{path}: a state object needs an 'amplitudes' key")
     amps = payload["amplitudes"] if isinstance(payload, dict) else payload
@@ -403,41 +413,29 @@ def _fmt17(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def _to_csv(command: str, payload: dict) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    if command == "fidelity-surface":
-        writer.writerow(["theta", "phi", "avg_fidelity"])
-        for i, th in enumerate(payload["theta_grid"]):
-            for j, ph in enumerate(payload["phi_grid"]):
-                writer.writerow([_fmt17(th), _fmt17(ph), _fmt17(payload["values"][i][j])])
-    elif command == "noise-sweep":
-        writer.writerow(["p", "avg_fidelity"])
-        for p, f in payload["rows"]:
-            writer.writerow([_fmt17(p), _fmt17(f)])
-    elif command == "teleport":
-        writer.writerow(["label", "p", "correction", "fidelity", "success"])
-        for b in payload["branches"]:
-            fidelity = "" if b["fidelity"] is None else _fmt17(b["fidelity"])
-            writer.writerow(["".join(map(str, b["label"])), _fmt17(b["p"]), b["correction"], fidelity, b["success"]])
-    elif command == "twirl":
-        writer.writerow(["samples", "trace_distance"])
-        for n, dist in payload["trace_distance_history"]:
-            writer.writerow([n, _fmt17(dist)])
-    else:
-        raise ValueError(f"command {command!r} has no CSV form; use json")
-    return buf.getvalue()
+# The CSV rows, header first, of each command that has a CSV form. run
+# refuses a CSV request for any other command before that command runs.
+_CSV_ROWS = {
+    "fidelity-surface": lambda payload: [["theta", "phi", "avg_fidelity"]] + [
+        [_fmt17(th), _fmt17(ph), _fmt17(v)]
+        for th, row in zip(payload["theta_grid"], payload["values"]) for ph, v in zip(payload["phi_grid"], row)],
+    "noise-sweep": lambda payload: [["p", "avg_fidelity"]] + [[_fmt17(p), _fmt17(f)] for p, f in payload["rows"]],
+    "teleport": lambda payload: [["label", "p", "correction", "fidelity", "success"]] + [
+        ["".join(map(str, b["label"])), _fmt17(b["p"]), b["correction"],
+         "" if b["fidelity"] is None else _fmt17(b["fidelity"]), b["success"]] for b in payload["branches"]],
+    "twirl": lambda payload: [["samples", "trace_distance"]] + [
+        [n, _fmt17(dist)] for n, dist in payload["trace_distance_history"]],
+}
 
 
-# What a value of each flag type may be: an int is no float, a number no
-# string and a bool no number, as the parser reads them.
-_KINDS = {int: numbers.Integral, float: numbers.Real, complex: numbers.Complex, str: str}
+# What a value of each flag type may be, as the parser reads them: an int is no float,
+# a number no string, a bool no number, and a path (--out) a str or an os.PathLike.
+_KINDS = {int: numbers.Integral, float: numbers.Real, complex: numbers.Complex, str: str, os.fspath: (str, os.PathLike)}
 
 
-def _resolve(command: str, params: dict) -> dict:
-    """A fresh dict of ``params`` checked against the command's flags;
-    each missing optional flag takes its default, if it declares one."""
-    flags = _FLAGS[command][1]
+def _resolve(command: str, flags: dict, params: dict) -> dict:
+    """A fresh dict of ``params`` checked against ``flags``, those of
+    ``command``; each missing optional flag takes its declared default."""
     missing = [_flag(k) for k, spec in flags.items() if spec.get("required") and k not in params]
     if missing:
         raise ValueError(f"{command} requires {', '.join(missing)}")
@@ -449,7 +447,10 @@ def _resolve(command: str, params: dict) -> dict:
         kind = spec.get("type", str)
         if isinstance(value, bool) or not isinstance(value, _KINDS[kind]):
             raise ValueError(f"{flag} must be of type {kind.__name__}, got {value!r}")
-        value = resolved[key] = kind(value)
+        try:
+            value = resolved[key] = kind(value)
+        except OverflowError:  # an integer beyond the float range
+            raise ValueError(f"{flag} must be finite, got {reprlib.repr(value)}") from None
         if "choices" in spec and value not in spec["choices"]:
             raise ValueError(f"{flag} must be one of {', '.join(spec['choices'])}, got {value!r}")
         if "limits" in spec and not spec["limits"][0] <= value <= spec["limits"][1]:
@@ -461,9 +462,22 @@ def run(config: ExperimentConfig) -> int:
     """Execute one experiment; returns the process exit status."""
     if config.command not in _COMMANDS:
         raise ValueError(f"unknown command {config.command!r}")
-    if config.fmt not in ("json", "csv"):
-        raise ValueError(f"format must be json or csv, got {config.fmt!r}")
-    body = _COMMANDS[config.command](_resolve(config.command, config.params), config.seed)
+    # An unset field (None) takes its flag's default, as on the command line.
+    fields = {"seed": config.seed, "out": config.out, "format": config.fmt}
+    options = _resolve(config.command, _GLOBAL_FLAGS, {k: v for k, v in fields.items() if v is not None})
+    env = os.environ.get("TRIPSIM_SEED")
+    source, given = ("--seed", options["seed"]) if env is None else ("TRIPSIM_SEED", env)
+    try:
+        seed = int(given)
+    except ValueError:
+        raise ValueError(f"TRIPSIM_SEED must be an integer, got {given!r}") from None
+    if seed < 0:
+        raise ValueError(f"{source} must be a non-negative integer, got {given!r}")
+    if options["out"] is not None and not options["out"]:
+        raise ValueError(f"--out must name a file, got {options['out']!r}")
+    if options["format"] == "csv" and config.command not in _CSV_ROWS:
+        raise ValueError(f"command {config.command!r} has no CSV form; use json")
+    body = _COMMANDS[config.command](_resolve(config.command, _FLAGS[config.command][1], config.params), seed)
     # The envelope comes first, so a body that sets either key overrides
     # it and fails the envelope check.
     payload = {"schema": SCHEMA_TAG, "command": config.command, **body}
@@ -474,12 +488,14 @@ def run(config: ExperimentConfig) -> int:
     }
     _check(payload, envelope)
     _check(payload, _SCHEMAS[config.command])
-    if config.fmt == "csv":
-        text = _to_csv(config.command, payload)
+    if options["format"] == "csv":
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(_CSV_ROWS[config.command](payload))
+        text = buf.getvalue()
     else:
         text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
-    if config.out:
-        with open(config.out, "w", encoding="utf-8", newline="") as fh:
+    if options["out"] is not None:
+        with open(options["out"], "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -497,15 +513,12 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Tripartite-entanglement experiments: bases, twirls, "
         "paradox reports, teleportation protocols, noise sweeps.",
     )
-    parser.add_argument("--seed", type=int, default=0, help="RNG seed (TRIPSIM_SEED overrides)")
-    parser.add_argument("--out", help="output path (default: stdout)")
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
-    # The same flags are accepted after the subcommand; SUPPRESS keeps the
-    # subparser from clobbering values given before it.
+    # The global flags are accepted after the subcommand too; SUPPRESS keeps
+    # the subparser from clobbering values given before it.
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    common.add_argument("--out", default=argparse.SUPPRESS)
-    common.add_argument("--format", choices=("json", "csv"), default=argparse.SUPPRESS)
+    for key, spec in _GLOBAL_FLAGS.items():
+        parser.add_argument(_flag(key), **spec)
+        common.add_argument(_flag(key), **{**spec, "default": argparse.SUPPRESS})
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (summary, flags) in _FLAGS.items():
         p = sub.add_parser(name, parents=[common], allow_abbrev=False, help=summary)
@@ -515,21 +528,12 @@ def _build_parser() -> argparse.ArgumentParser:
             notes.append("from {} to {}".format(*spec["limits"]) if "limits" in spec else None)
             keywords = {k: v for k, v in spec.items() if k != "limits"}
             p.add_argument(_flag(key), **{**keywords, "help": "; ".join(filter(None, notes))})
-
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     params = {k: v for k, v in vars(args).items() if k in _FLAGS[args.command][1] and v is not None}
-    env = os.environ.get("TRIPSIM_SEED")
-    source, given = ("--seed", args.seed) if env is None else ("TRIPSIM_SEED", env)
-    try:
-        seed = int(given)
-    except ValueError:
-        raise ValueError(f"TRIPSIM_SEED must be an integer, got {given!r}") from None
-    if seed < 0:
-        raise ValueError(f"{source} must be a non-negative integer, got {given!r}")
-    return ExperimentConfig(args.command, params, seed, out=args.out, fmt=args.format)
+    return ExperimentConfig(args.command, params, args.seed, out=args.out, fmt=args.format)
 
 
 def main(argv=None) -> int:

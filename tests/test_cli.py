@@ -318,6 +318,10 @@ class TestDeterminismAndConfig:
             (["classify", "--state", "s.json"], {"s.json": [[math.nan, 0]] + [[0.25, 0]] * 7}),
             (["classify", "--state", "s.json"], {"s.json": [[0.25, 0]] * 7 + [[0, -math.inf]]}),
             (["classify", "--state", "s.json"], {"s.json": [[10**400, 0]] + [[0.25, 0]] * 7}),
+            # classify has no CSV form; this unnormalized state would exit 1.
+            (["classify", "--state", "s.json", "--format", "csv"], {"s.json": [[1, 0]] * 8}),
+            (["--out", "", "paradox"], {}),
+            (["paradox", "--out", ""], {}),
         ],
         ids=[
             "nan-amplitude", "flat-state-file", "zero-samples", "noise-grid-too-fine",
@@ -327,7 +331,8 @@ class TestDeterminismAndConfig:
             "teleport-stray-channel-amplitude", "noise-sweep-stray-angle",
             "classify-seven-pairs", "classify-sixteen-pairs", "noise-sweep-b-prefix",
             "teleport-theta-m-prefix", "global-form-prefix", "classify-nan-amplitude",
-            "classify-infinite-amplitude", "classify-huge-int-amplitude",
+            "classify-infinite-amplitude", "classify-huge-int-amplitude", "classify-csv-unnormalized",
+            "empty-out-before-command", "empty-out-after-command",
         ],
     )
     def test_bad_input_exits_2_without_traceback(self, argv, files, tmp_path, monkeypatch, capsys):
@@ -395,6 +400,22 @@ class TestDeterminismAndConfig:
         assert main(["classify", "--state", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}:") and "amplitudes" in err
+
+    @pytest.mark.parametrize("content", [b"\xff\xfe[]", b"[[1, 0] [0, 0]]"], ids=["not-utf-8", "not-json"])
+    def test_unreadable_state_file_is_named(self, content, tmp_path, capsys):
+        path = tmp_path / "s.json"
+        path.write_bytes(content)
+        assert main(["classify", "--state", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: ")
+
+    def test_csv_request_without_a_csv_form_never_runs_the_command(self, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setitem(cli._COMMANDS, "paradox", lambda params, seed: calls.append(params) or {})
+        assert main(["paradox", "--format", "csv"]) == 2
+        assert calls == []
+        assert capsys.readouterr().err == "error: command 'paradox' has no CSV form; use json\n"
 
     def test_non_integer_env_seed_names_the_variable(self, monkeypatch, capsys):
         monkeypatch.setenv("TRIPSIM_SEED", "abc")
@@ -643,6 +664,60 @@ class TestFlagDeclarations:
             run(ExperimentConfig(command, params=params))
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize(
+        "field, value, refusal",
+        [
+            ("seed", -5, r"^--seed must be a non-negative integer, got -5$"),
+            ("seed", 2.5, r"^--seed .*2\.5$"),
+            ("seed", True, r"^--seed .*True$"),
+            ("fmt", "xml", r"^--format .*'xml'$"),
+            ("out", "pipe", r"^--out .*\d$"),
+            ("out", "", r"^--out .*''$"),
+        ],
+        ids=["negative-seed", "float-seed", "bool-seed", "xml-format", "descriptor-out", "empty-out"],
+    )
+    def test_run_refuses_bad_config_fields(self, field, value, refusal, monkeypatch, capsys):
+        # "pipe" stands for the write end of a pipe; no case may write to
+        # it or close it.
+        monkeypatch.delenv("TRIPSIM_SEED", raising=False)
+        read_end, write_end = os.pipe()
+        try:
+            with pytest.raises(ValueError, match=refusal):
+                run(ExperimentConfig("paradox", **{field: write_end if value == "pipe" else value}))
+            os.fstat(write_end)  # raises OSError if run closed it
+            os.set_blocking(read_end, False)
+            with pytest.raises(BlockingIOError):  # nothing was written to it
+                os.read(read_end, 1)
+        finally:
+            os.close(read_end)
+            with contextlib.suppress(OSError):
+                os.close(write_end)
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "command, params, flag",
+        [("paradox", {"theta": 10**400}, "--theta"), ("teleport", {"protocol": "ghz-epr", "c0": -(10**400)}, "--c0")],
+        ids=["float-flag", "complex-flag"],
+    )
+    def test_int_beyond_the_float_range_names_the_flag(self, command, params, flag):
+        with pytest.raises(ValueError, match=f"^{flag} must be finite, got ") as refused:
+            run(ExperimentConfig(command, params=params))
+        assert len(str(refused.value)) < 80
+
+    def test_run_honours_the_env_seed(self, monkeypatch, capsys):
+        monkeypatch.setenv("TRIPSIM_SEED", "77")
+        assert main(["--seed", "1", "twirl", "--samples", "60"]) == 0
+        via_main = capsys.readouterr().out
+        assert run(ExperimentConfig("twirl", params={"samples": 60}, seed=1)) == 0
+        assert capsys.readouterr().out == via_main
+
+    @pytest.mark.parametrize("env, refusal", [("abc", "an integer, got 'abc'"), ("-1", "a non-negative integer, got '-1'")])
+    def test_run_refuses_a_bad_env_seed(self, env, refusal, monkeypatch, capsys):
+        monkeypatch.setenv("TRIPSIM_SEED", env)
+        with pytest.raises(ValueError, match=f"^TRIPSIM_SEED must be {refusal}$"):
+            run(ExperimentConfig("paradox"))
+        assert capsys.readouterr().out == ""
+
     def test_integer_state_is_refused_and_its_descriptor_left_open(self):
         read_end, write_end = os.pipe()
         os.close(write_end)
@@ -664,18 +739,29 @@ class TestFlagDeclarations:
             main(["paradox"])
 
     def test_each_subparser_is_built_from_its_declaration(self):
+        def built(parser):
+            actions = [a for a in parser._actions if a.dest not in ("help", "command")]
+            return [(a.option_strings, a.default, a.required, a.choices, a.type) for a in actions]
+
+        def declared(flags, default=lambda spec: spec.get("default")):
+            return [
+                ([cli._flag(key)], default(spec), spec.get("required", False), spec.get("choices"), spec.get("type"))
+                for key, spec in flags.items()
+            ]
+
         parser = cli._build_parser()
         subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
         assert list(subparsers) == list(cli._FLAGS) == list(cli._COMMANDS)
+        # The global flags come first on the top parser, and on every
+        # subparser with SUPPRESS, so that they do not clobber the top's.
+        assert built(parser) == declared(cli._GLOBAL_FLAGS)
+        suppressed = declared(cli._GLOBAL_FLAGS, lambda spec: argparse.SUPPRESS)
         for name, (summary, flags) in cli._FLAGS.items():
             sub = subparsers[name]
-            actions = [a for a in sub._actions if a.dest not in ("help", "seed", "out", "format")]
-            built = [(a.option_strings, a.default, a.required, a.choices, a.type) for a in actions]
-            declared = [
-                ([cli._flag(key)], spec.get("default"), spec.get("required", False), spec.get("choices"), spec.get("type"))
-                for key, spec in flags.items()
-            ]
-            assert built == declared, name
+            assert built(sub) == suppressed + declared(flags), name
+            for p in (parser, sub):
+                helps = {a.dest: a.help for a in p._actions if a.dest in cli._GLOBAL_FLAGS}
+                assert helps == {k: spec.get("help") for k, spec in cli._GLOBAL_FLAGS.items()}, name
             text = sub.format_help()
             for key, spec in flags.items():
                 if "default" in spec:
