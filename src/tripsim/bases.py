@@ -11,10 +11,13 @@ Families exposed here:
 * ``w_basis`` — the eight-member single-excitation family over (theta, phi);
 * ``bob_x_basis`` — the single-qubit rotated pair with the *opposite*
   convention ``b0 = sin(theta)``, ``b1 = cos(theta)``.
+
+``basis_family`` reads each family from one table entry; it refuses extra parameters.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -232,27 +235,27 @@ def basis_json(family: str, **params) -> dict:
     }
 
 
+# Each family: its parameters with their defaults, and its members as (label, state) pairs.
+_FAMILIES = {
+    "bell": ({"theta": math.pi / 4}, lambda theta: [
+        (f"{m}{n}", bell2(theta, (m, n))) for m, n in itertools.product((0, 1), repeat=2)
+    ]),
+    "ghz": ({"theta": math.pi / 4}, lambda theta: [
+        ("".join(map(str, bits)), ghz_basis(theta, bits)) for bits in itertools.product((0, 1), repeat=3)
+    ]),
+    "w": ({"theta": math.acos(1.0 / math.sqrt(3.0)), "phi": math.pi / 4}, lambda theta, phi: [
+        (str(k), w_basis(theta, phi, k)) for k in range(1, 9)
+    ]),
+    "bob-x": ({"theta": math.pi / 4}, lambda theta: list(zip(("x0", "x1"), bob_x_basis(theta)))),
+}
+
+
 def basis_family(family: str, **params) -> list[tuple[str, StateVector]]:
     """All members of a named family as (label, state) pairs."""
-    if family == "bell":
-        theta = params.get("theta", math.pi / 4)
-        return [
-            (f"{m}{n}", bell2(theta, BellLabel(m, n))) for m in (0, 1) for n in (0, 1)
-        ]
-    if family == "ghz":
-        theta = params.get("theta", math.pi / 4)
-        return [
-            (f"{mu}{lam}{om}", ghz_basis(theta, GhzLabel(mu, lam, om)))
-            for mu in (0, 1)
-            for lam in (0, 1)
-            for om in (0, 1)
-        ]
-    if family == "w":
-        theta = params.get("theta", math.acos(1.0 / math.sqrt(3.0)))
-        phi = params.get("phi", math.pi / 4)
-        return [(str(k), w_basis(theta, phi, k)) for k in range(1, 9)]
-    if family == "bob-x":
-        theta = params.get("theta", math.pi / 4)
-        x0, x1 = bob_x_basis(theta)
-        return [("x0", x0), ("x1", x1)]
-    raise ValueError(f"unknown basis family {family!r}")
+    if family not in _FAMILIES:
+        raise ValueError(f"unknown basis family {family!r}")
+    defaults, members = _FAMILIES[family]
+    unknown = params.keys() - defaults.keys()
+    if unknown:
+        raise ValueError(f"parameters {sorted(unknown)} do not apply to {family}")
+    return members(**{**defaults, **params})

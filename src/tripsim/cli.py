@@ -28,10 +28,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import bases, noise, nonlocality, teleport
+from . import bases, noise, nonlocality, teleport, twirl
 from .classify import diagnostics
 from .core import InvariantViolation, StateVector, clamp_unit
-from .twirl import twirl_report
 
 SCHEMA_TAG = "tripsim/1"
 
@@ -268,21 +267,21 @@ def _cmd_fidelity_surface(params: dict, seed: int) -> dict:
     grid = np.linspace(0.0, math.pi / 2, params["grid"])
     surface = teleport.avg_fidelity_surface(grid)
     return {
-        "theta_grid": [float(t) for t in surface.theta_grid],
-        "phi_grid": [float(t) for t in surface.phi_grid],
-        "values": [[float(v) for v in row] for row in surface.values],
+        "theta_grid": surface.theta_grid.tolist(),
+        "phi_grid": surface.phi_grid.tolist(),
+        "values": surface.values.tolist(),
     }
 
 
 @_command(
     "twirl", "Monte-Carlo twirl against the analytic family",
-    family=dict(choices=("werner", "isotropic"), default="werner"),
+    family=dict(choices=tuple(twirl.FAMILIES), default="werner"),
     d=dict(type=int, default=2, limits=(2, MAX_TWIRL_D)),
     invariant=dict(type=float, default=0.5),
     samples=dict(type=int, default=2000, limits=(1, MAX_TWIRL_SAMPLES)),
 )
 def _cmd_twirl(params: dict, seed: int) -> dict:
-    return twirl_report(**params, rng=np.random.default_rng(seed))
+    return twirl.twirl_report(**params, rng=np.random.default_rng(seed))
 
 
 def _load_state(path: str) -> StateVector:
@@ -473,8 +472,10 @@ def run(config: ExperimentConfig) -> int:
         raise ValueError(f"TRIPSIM_SEED must be an integer, got {given!r}") from None
     if seed < 0:
         raise ValueError(f"{source} must be a non-negative integer, got {given!r}")
-    if options["out"] is not None and not options["out"]:
-        raise ValueError(f"--out must name a file, got {options['out']!r}")
+    out = options["out"]
+    # open() would refuse a directory or a missing parent too, but only after the command has run.
+    if out is not None and (not out or os.path.isdir(out) or not os.path.isdir(os.path.dirname(out) or ".")):
+        raise ValueError(f"--out must name a file in an existing directory, got {out!r}")
     if options["format"] == "csv" and config.command not in _CSV_ROWS:
         raise ValueError(f"command {config.command!r} has no CSV form; use json")
     body = _COMMANDS[config.command](_resolve(config.command, _FLAGS[config.command][1], config.params), seed)
@@ -494,8 +495,8 @@ def run(config: ExperimentConfig) -> int:
         text = buf.getvalue()
     else:
         text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
-    if options["out"] is not None:
-        with open(options["out"], "w", encoding="utf-8", newline="") as fh:
+    if out is not None:
+        with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)

@@ -7,10 +7,12 @@ applies the channel to the resource density, target qubit by target
 qubit, and reads the exact input-averaged fidelity off as sum(W * rho).
 Each channel is applied as one linear map on the target qubit's row and
 column index pair: its 4 x 4 transfer matrix, built with the channel.
+Each channel kind is one ``CHANNELS`` entry, checked by ``make_channel`` alone.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -50,60 +52,37 @@ class KrausChannel:
         object.__setattr__(self, "transfer", transfer)
 
 
-def _check_param(name: str, value: float) -> float:
-    value = float(value)
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must lie in [0, 1], got {value}")
-    return value
-
-
-def bit_flip(p: float) -> KrausChannel:
-    p = _check_param("p", p)
-    return KrausChannel(
-        "bitflip", p, (math.sqrt(1.0 - p) * np.eye(2), math.sqrt(p) * PAULI_X)
-    )
-
-
-def phase_flip(p: float) -> KrausChannel:
-    p = _check_param("p", p)
-    return KrausChannel(
-        "phaseflip", p, (math.sqrt(1.0 - p) * np.eye(2), math.sqrt(p) * PAULI_Z)
-    )
-
-
-def depolarizing(p: float) -> KrausChannel:
-    p = _check_param("p", p)
-    return KrausChannel(
-        "depolarizing",
-        p,
-        (
-            math.sqrt(1.0 - 3.0 * p / 4.0) * np.eye(2),
-            math.sqrt(p / 4.0) * PAULI_X,
-            math.sqrt(p / 4.0) * PAULI_Y,
-            math.sqrt(p / 4.0) * PAULI_Z,
-        ),
-    )
-
-
-def amplitude_damping(gamma: float) -> KrausChannel:
-    gamma = _check_param("gamma", gamma)
-    k0 = np.array([[1.0, 0.0], [0.0, math.sqrt(1.0 - gamma)]], dtype=complex)
-    k1 = np.array([[0.0, math.sqrt(gamma)], [0.0, 0.0]], dtype=complex)
-    return KrausChannel("amplitude-damping", gamma, (k0, k1))
-
-
 CHANNELS = {
-    "bitflip": bit_flip,
-    "phaseflip": phase_flip,
-    "depolarizing": depolarizing,
-    "amplitude-damping": amplitude_damping,
+    "bitflip": ("p", lambda p: (math.sqrt(1.0 - p) * np.eye(2), math.sqrt(p) * PAULI_X)),
+    "phaseflip": ("p", lambda p: (math.sqrt(1.0 - p) * np.eye(2), math.sqrt(p) * PAULI_Z)),
+    "depolarizing": ("p", lambda p: (
+        math.sqrt(1.0 - 3.0 * p / 4.0) * np.eye(2),
+        math.sqrt(p / 4.0) * PAULI_X,
+        math.sqrt(p / 4.0) * PAULI_Y,
+        math.sqrt(p / 4.0) * PAULI_Z,
+    )),
+    "amplitude-damping": ("gamma", lambda gamma: (
+        np.array([[1.0, 0.0], [0.0, math.sqrt(1.0 - gamma)]], dtype=complex),
+        np.array([[0.0, math.sqrt(gamma)], [0.0, 0.0]], dtype=complex),
+    )),
 }
 
 
 def make_channel(kind: str, parameter: float) -> KrausChannel:
+    """``CHANNELS[kind]`` is (parameter name, Kraus builder); ``parameter`` lies in [0, 1]."""
     if kind not in CHANNELS:
         raise ValueError(f"unknown channel kind {kind!r}; known: {sorted(CHANNELS)}")
-    return CHANNELS[kind](parameter)
+    name, kraus = CHANNELS[kind]
+    parameter = float(parameter)
+    if not 0.0 <= parameter <= 1.0:
+        raise ValueError(f"{name} must lie in [0, 1], got {parameter}")
+    return KrausChannel(kind, parameter, kraus(parameter))
+
+
+bit_flip = functools.partial(make_channel, "bitflip")
+phase_flip = functools.partial(make_channel, "phaseflip")
+depolarizing = functools.partial(make_channel, "depolarizing")
+amplitude_damping = functools.partial(make_channel, "amplitude-damping")
 
 
 def _apply_kraus_1q(mat: np.ndarray, n: int, transfer: np.ndarray, q: int) -> np.ndarray:

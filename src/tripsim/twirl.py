@@ -193,6 +193,13 @@ def trace_distance(a: DensityOp, b: DensityOp) -> float:
     return float(0.5 * np.abs(eigs).sum())
 
 
+# Each family: its analytic member at (d, invariant), and whether it twirls with U ⊗ U*.
+FAMILIES = {
+    "werner": (lambda d, invariant: werner(WernerParams(d, invariant)), False),
+    "isotropic": (lambda d, invariant: isotropic(IsotropicParams(d, invariant)), True),
+}
+
+
 def twirl_report(
     family: str, d: int, invariant: float, samples: int, rng: np.random.Generator
 ) -> dict:
@@ -203,14 +210,10 @@ def twirl_report(
     average at ten evenly spaced checkpoints. Raises ``InvariantViolation``
     if a checkpoint average is not a density operator.
     """
-    if family == "werner":
-        target = werner(WernerParams(d, invariant))
-        conjugate_second = False
-    elif family == "isotropic":
-        target = isotropic(IsotropicParams(d, invariant))
-        conjugate_second = True
-    else:
+    if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
+    member, conjugate_second = FAMILIES[family]
+    target = member(d, invariant)
     stops, averages = zip(*_haar_averages(target, samples, rng, conjugate_second, 10))
     # One stacked check and one stacked eigvalsh: the same values, bit for
     # bit, as DensityOp and trace_distance applied checkpoint by checkpoint.

@@ -241,6 +241,26 @@ def test_basis_json_dump():
     assert all(len(entry) == 2 for entry in vec)
 
 
+@pytest.mark.parametrize("build", [basis_family, basis_json], ids=["family", "json"])
+@pytest.mark.parametrize(
+    "family, params, refusal",
+    [
+        ("bell", {"phi": 0.3}, "parameters ['phi'] do not apply to bell"),
+        ("w", {"bob_theta": 1}, "parameters ['bob_theta'] do not apply to w"),
+        ("bob-x", {"theta": 0.2, "phi": 0.1, "k": 2}, "parameters ['k', 'phi'] do not apply to bob-x"),
+        ("ghz", {"Theta": 0.2}, "parameters ['Theta'] do not apply to ghz"),
+        ("wstate", {}, "unknown basis family 'wstate'"),
+    ],
+    ids=["bell-phi", "w-bob-theta", "bob-x-two-extra", "ghz-misspelt-theta", "unknown-family"],
+)
+def test_basis_family_refusals(build, family, params, refusal):
+    # A parameter the family does not take is refused, not silently dropped
+    # (and, in basis_json, not echoed as if it had been applied).
+    with pytest.raises(ValueError) as refused:
+        build(family, **params)
+    assert str(refused.value) == refusal
+
+
 def test_w_channel_spec_normalization():
     with pytest.raises(InvariantViolation):
         WChannelSpec(1.0, 1.0, 1.0)

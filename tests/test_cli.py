@@ -417,6 +417,25 @@ class TestDeterminismAndConfig:
         assert calls == []
         assert capsys.readouterr().err == "error: command 'paradox' has no CSV form; use json\n"
 
+    @pytest.mark.parametrize("where", ["before-command", "after-command"])
+    @pytest.mark.parametrize("out", ["missing/x.json", "directory", "directory/"])
+    def test_unwritable_out_never_runs_the_command(self, out, where, tmp_path, monkeypatch, capsys):
+        # open() would refuse these paths too, but only after all the work.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "directory").mkdir()
+        calls = []
+        monkeypatch.setitem(cli._COMMANDS, "fidelity-surface", lambda params, seed: calls.append(params) or {})
+        command = ["fidelity-surface", "--grid", "5"]
+        argv = ["--out", out, *command] if where == "before-command" else [*command, "--out", out]
+        assert main(argv) == 2
+        with pytest.raises(ValueError, match=f"^--out must name a file in an existing directory, got '{out}'$"):
+            run(ExperimentConfig("fidelity-surface", params={"grid": 5}, out=out))
+        assert calls == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --out ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["directory"]
+
     def test_non_integer_env_seed_names_the_variable(self, monkeypatch, capsys):
         monkeypatch.setenv("TRIPSIM_SEED", "abc")
         assert main(["paradox"]) == 2

@@ -61,6 +61,28 @@ class TestKraus:
         with pytest.raises(ValueError):
             bit_flip(1.5)
 
+    @pytest.mark.parametrize(
+        "make, refusal",
+        [
+            (lambda: make_channel("dephasing", 0.5), "unknown channel kind 'dephasing'; known: " + str(sorted(CHANNELS))),
+            (lambda: bit_flip(1.5), "p must lie in [0, 1], got 1.5"),
+            (lambda: phase_flip(-0.25), "p must lie in [0, 1], got -0.25"),
+            (lambda: depolarizing(math.nan), "p must lie in [0, 1], got nan"),
+            (lambda: amplitude_damping(1.5), "gamma must lie in [0, 1], got 1.5"),
+            (lambda: make_channel("amplitude-damping", -1), "gamma must lie in [0, 1], got -1.0"),
+            (lambda: make_channel("depolarizing", 2), "p must lie in [0, 1], got 2.0"),
+        ],
+        ids=[
+            "unknown-kind", "bit-flip", "phase-flip", "depolarizing-nan", "amplitude-damping",
+            "make-amplitude-damping", "make-depolarizing",
+        ],
+    )
+    def test_channel_table_refusals(self, make, refusal):
+        # Each kind names its own parameter, p or gamma, in the refusal.
+        with pytest.raises(ValueError) as refused:
+            make()
+        assert str(refused.value) == refusal
+
     def test_transfer_matrix_is_read_only_and_rebuilt_by_replace(self):
         ch = depolarizing(0.3)
         assert not ch.transfer.flags.writeable

@@ -162,6 +162,14 @@ class TestTwirl:
         out = twirl_uu(werner(WernerParams(3, 0.4)), 50, np.random.default_rng(5))
         assert isinstance(out, DensityOp)
 
+    @pytest.mark.parametrize("family", ["Werner", "uu", ""])
+    def test_report_refuses_an_unknown_family(self, family):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match=f"^unknown family '{family}'$"):
+            twirl_report(family, 2, 0.5, 10, rng)
+        # Refused before any draw.
+        assert rng.standard_normal() == np.random.default_rng(0).standard_normal()
+
     def test_report_history_shrinks(self):
         report = twirl_report("werner", 2, 0.7, 500, np.random.default_rng(0))
         history = report["trace_distance_history"]
