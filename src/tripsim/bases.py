@@ -190,24 +190,25 @@ def _w_amplitudes(theta: float, phi: float, k: int) -> np.ndarray:
     return amps
 
 
-def w_basis(theta: float, phi: float, k: int) -> StateVector:
-    """k-th member (1..8) of the single-excitation-family basis.
-
-    The full Gram matrix is verified at construction; parameter values
-    where it fails the 1e-9 identity check are rejected (none are
-    expected for real angles).
-    """
-    _check_angle("theta", theta)
-    _check_angle("phi", phi)
-    if k not in range(1, 9):
-        raise ValueError(f"k must be in 1..8, got {k}")
-    family = np.stack([_w_amplitudes(theta, phi, j) for j in range(1, 9)])
+def _w_family(theta: float, phi: float) -> np.ndarray:
+    """Member k's amplitudes in row k-1; angles where the Gram matrix fails
+    the 1e-9 identity check are rejected (none are expected for real ones)."""
+    family = np.stack([_w_amplitudes(theta, phi, k) for k in range(1, 9)])
     gram = family @ family.conj().T
     if not within(gram, np.eye(8), 1e-9):
         raise InvariantViolation(
             "w-basis-orthonormality", f"Gram check failed at theta={theta}, phi={phi}"
         )
-    return StateVector(family[k - 1])
+    return family
+
+
+def w_basis(theta: float, phi: float, k: int) -> StateVector:
+    """k-th member (1..8) of the single-excitation-family basis."""
+    _check_angle("theta", theta)
+    _check_angle("phi", phi)
+    if k not in range(1, 9):
+        raise ValueError(f"k must be in 1..8, got {k}")
+    return StateVector(_w_family(theta, phi)[k - 1])
 
 
 def bob_x_basis(theta: float) -> tuple[StateVector, StateVector]:
@@ -244,7 +245,8 @@ _FAMILIES = {
         ("".join(map(str, bits)), ghz_basis(theta, bits)) for bits in itertools.product((0, 1), repeat=3)
     ]),
     "w": ({"theta": math.acos(1.0 / math.sqrt(3.0)), "phi": math.pi / 4}, lambda theta, phi: [
-        (str(k), w_basis(theta, phi, k)) for k in range(1, 9)
+        (str(k), StateVector(row))
+        for k, row in enumerate(_w_family(_check_angle("theta", theta), _check_angle("phi", phi)), 1)
     ]),
     "bob-x": ({"theta": math.pi / 4}, lambda theta: list(zip(("x0", "x1"), bob_x_basis(theta)))),
 }

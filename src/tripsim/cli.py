@@ -185,7 +185,7 @@ def _normalized_tuple(values, what: str) -> tuple[complex, ...]:
 
 # Each command's help line and flags, declared once next to the command.
 # A flag is the keywords of ``add_argument`` plus ``limits``, an inclusive
-# integer range. ``_build_parser`` builds the subparsers from them and
+# range. ``_build_parser`` builds the subparsers from them and
 # ``run`` resolves ``ExperimentConfig.params`` through them, so a call from
 # Python is refused where the command line is and takes the same defaults.
 _COMMANDS: dict = {}
@@ -277,7 +277,7 @@ def _cmd_fidelity_surface(params: dict, seed: int) -> dict:
     "twirl", "Monte-Carlo twirl against the analytic family",
     family=dict(choices=tuple(twirl.FAMILIES), default="werner"),
     d=dict(type=int, default=2, limits=(2, MAX_TWIRL_D)),
-    invariant=dict(type=float, default=0.5),
+    invariant=dict(type=float, default=0.5, limits=(0, 1)),
     samples=dict(type=int, default=2000, limits=(1, MAX_TWIRL_SAMPLES)),
 )
 def _cmd_twirl(params: dict, seed: int) -> dict:
@@ -348,11 +348,9 @@ def _cmd_noise_sweep(params: dict, seed: int) -> dict:
     # Every flag but these four is a protocol parameter; protocol_bundle checks it.
     protocol, channel, text = params.pop("protocol"), params.pop("channel"), params.pop("target")
     try:
-        target = [int(t) for t in text.split(",") if t != ""]
+        target = [int(t) for t in text.split(",")]
     except ValueError:
         raise ValueError(f"--target must list qubit indices INDEX[,INDEX...], got {text!r}") from None
-    if not target:
-        raise ValueError("noise-sweep requires --target INDEX[,INDEX...]")
     grid = _parse_grid(params.pop("grid"))
     _normalize_channel(teleport.PROTOCOLS[protocol], params)
     rows = noise.noisy_teleport_sweep(protocol, channel, target, grid, params=params)

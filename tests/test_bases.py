@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import random_state
+from tripsim import bases
 from tripsim.bases import (
     BellLabel,
     GeneralBellSpec,
@@ -250,12 +251,18 @@ def test_basis_json_dump():
         ("bob-x", {"theta": 0.2, "phi": 0.1, "k": 2}, "parameters ['k', 'phi'] do not apply to bob-x"),
         ("ghz", {"Theta": 0.2}, "parameters ['Theta'] do not apply to ghz"),
         ("wstate", {}, "unknown basis family 'wstate'"),
+        ("w", {"theta": 2.0}, "theta must lie in [0, pi/2], got 2.0"),
+        ("w", {"phi": -0.1}, "phi must lie in [0, pi/2], got -0.1"),
     ],
-    ids=["bell-phi", "w-bob-theta", "bob-x-two-extra", "ghz-misspelt-theta", "unknown-family"],
+    ids=[
+        "bell-phi", "w-bob-theta", "bob-x-two-extra", "ghz-misspelt-theta", "unknown-family",
+        "w-theta-range", "w-phi-range",
+    ],
 )
 def test_basis_family_refusals(build, family, params, refusal):
     # A parameter the family does not take is refused, not silently dropped
-    # (and, in basis_json, not echoed as if it had been applied).
+    # (and, in basis_json, not echoed as if it had been applied); an angle
+    # out of range is refused as w_basis refuses it.
     with pytest.raises(ValueError) as refused:
         build(family, **params)
     assert str(refused.value) == refusal
@@ -268,6 +275,19 @@ def test_w_channel_spec_normalization():
         WChannelSpec(math.nan, 0.0, 0.0)
     state = WChannelSpec(1 / math.sqrt(3), 1 / math.sqrt(3), 1 / math.sqrt(3)).state()
     assert abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-12
+
+
+def test_w_family_builds_its_rows_once(monkeypatch):
+    # The eight members share one build and one Gram check; one build
+    # per member would make 64 row builds.
+    calls = []
+    build = bases._w_amplitudes
+    monkeypatch.setattr(bases, "_w_amplitudes", lambda *args: calls.append(args) or build(*args))
+    members = basis_family("w", theta=0.8, phi=0.2)
+    assert len(calls) == 8
+    assert [label for label, _ in members] == [str(k) for k in range(1, 9)]
+    for k, (_, member) in enumerate(members, 1):
+        np.testing.assert_array_equal(member.amplitudes, w_basis(0.8, 0.2, k).amplitudes)
 
 
 def test_angle_range_rejected():

@@ -462,11 +462,23 @@ class TestDeterminismAndConfig:
         assert main(["paradox"]) == 2
         assert capsys.readouterr().err == "error: TRIPSIM_SEED must be a non-negative integer, got '-1'\n"
 
-    @pytest.mark.parametrize("text", ["x", "1.5", "1,a"])
+    # An empty entry is refused too, not dropped: "1,,2" is no list of indices.
+    @pytest.mark.parametrize("text", ["x", "1.5", "1,a", "1,,2", "3,", ""])
     def test_non_integer_target_names_the_flag(self, text, capsys):
         assert main(["noise-sweep", "--protocol", "ghz-epr", "--target", text]) == 2
-        expected = f"error: --target must list qubit indices INDEX[,INDEX...], got {text!r}\n"
-        assert capsys.readouterr().err == expected
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --target must list qubit indices INDEX[,INDEX...], got {text!r}\n"
+
+    @pytest.mark.parametrize("value", ["1.5", "-0.5", "nan"])
+    def test_invariant_outside_unit_interval_names_the_flag(self, value, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setitem(cli._COMMANDS, "twirl", lambda params, seed: calls.append(params) or {})
+        assert main(["twirl", f"--invariant={value}"]) == 2
+        assert calls == []  # refused before any draw
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --invariant must lie in [0, 1], got {float(value)}\n"
 
     @pytest.mark.parametrize(
         "protocol, key",
@@ -671,10 +683,12 @@ class TestFlagDeclarations:
             ("paradox", {"bogus": 1}, r"--bogus"),
             ("twirl", {"family": "foo"}, r"--family .*'foo'"),
             ("teleport", {}, r"--protocol"),
+            ("twirl", {"invariant": 1.5}, r"^--invariant must lie in \[0, 1\], got 1\.5$"),
         ],
         ids=[
             "surface-float-grid", "surface-bool-grid", "noise-float-grid", "twirl-string-d",
             "paradox-unknown-key", "twirl-unknown-family", "teleport-without-protocol",
+            "twirl-invariant-above-one",
         ],
     )
     def test_run_refuses_what_the_parser_refuses(self, command, params, refusal, capsys):
@@ -787,6 +801,16 @@ class TestFlagDeclarations:
                     assert f"default: {spec['default']}" in text, (name, key)
                 if "limits" in spec:
                     assert "from {} to {}".format(*spec["limits"]) in text, (name, key)
+
+    @pytest.mark.parametrize(
+        "argv", [[name, "--help"] for name in cli._COMMANDS] + [["--help"]], ids=[*cli._COMMANDS, "top-level"]
+    )
+    def test_help_exits_0_with_usage_on_stdout(self, argv, capsys):
+        # argparse prints the help and raises SystemExit(0); main returns 0.
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith(" ".join(["usage: tripsim", *argv[:-1]]) + " ")
+        assert captured.err == ""
 
 
 def _fresh(*args: str, **env: str) -> subprocess.CompletedProcess:
