@@ -170,8 +170,6 @@ def _cvec(values) -> list[list[float]]:
 
 def _normalized_tuple(values, what: str) -> tuple[complex, ...]:
     vec = np.array([complex(v) for v in values])
-    if not np.isfinite(vec).all():
-        raise ValueError(f"{what} amplitudes must be finite")
     peak = np.abs(vec.view(float)).max()
     if peak == 0.0:
         raise ValueError(f"{what} amplitudes must not all vanish")
@@ -352,6 +350,8 @@ def _cmd_noise_sweep(params: dict, seed: int) -> dict:
     except ValueError:
         raise ValueError(f"--target must list qubit indices INDEX[,INDEX...], got {text!r}") from None
     grid = _parse_grid(params.pop("grid"))
+    if not 0 <= grid[0] <= grid[-1] <= 1:
+        raise ValueError(f"--grid points must lie in [0, 1], got {grid[0]} to {grid[-1]}")
     _normalize_channel(teleport.PROTOCOLS[protocol], params)
     rows = noise.noisy_teleport_sweep(protocol, channel, target, grid, params=params)
     resolved = teleport.protocol_bundle(protocol, **params).params
@@ -381,9 +381,8 @@ def _cmd_tables(params: dict, seed: int) -> dict:
     theta = bases._check_angle("theta", params["theta"])
     bundle = teleport.protocol_bundle("ghz-epr", bob_theta=theta)
     labels = bundle.protocol.corners[0]
-    corrections = [bundle.corrections[label] for label in labels]
     fixed = bundle.protocol.kraus(bundle.coords) @ c
-    chi = np.stack([corr.matrix.conj().T @ row for corr, row in zip(corrections, fixed)])
+    chi = np.stack([fix.matrix.conj().T @ row for fix, row in zip(bundle.protocol.fixes, fixed)])
     # Outcomes run in (m, n, j) order, so p_mn sums consecutive pairs of rows.
     p_mn = (fixed.real**2 + fixed.imag**2).sum(axis=1).reshape(4, 2).sum(axis=1)
     scale = 1 / np.sqrt(p_mn.repeat(2))[:, None]
@@ -396,7 +395,7 @@ def _cmd_tables(params: dict, seed: int) -> dict:
             eta = np.kron(x_pair[0], chi[l]) + np.kron(x_pair[1], chi[l + 1])
             tables["pair_states"][f"{m}{n}"] = _cvec(eta)
         tables["receiver_states"][key] = _cvec(chi[l])
-        tables["corrections"][key] = corrections[l].desc
+        tables["corrections"][key] = bundle.protocol.fixes[l].desc
         tables["corrected_states"][key] = _cvec(fixed[l])
         norm2 = float(np.vdot(fixed[l], fixed[l]).real)
         fid = abs(np.vdot(c, fixed[l])) ** 2 / norm2 if norm2 > 1e-14 else None
@@ -452,6 +451,8 @@ def _resolve(command: str, flags: dict, params: dict) -> dict:
             raise ValueError(f"{flag} must be one of {', '.join(spec['choices'])}, got {value!r}")
         if "limits" in spec and not spec["limits"][0] <= value <= spec["limits"][1]:
             raise ValueError("{} must lie in [{}, {}], got {}".format(flag, *spec["limits"], value))
+        if kind in (float, complex) and not np.isfinite(value):
+            raise ValueError(f"{flag} must be finite, got {value!r}")
     return resolved
 
 

@@ -142,10 +142,6 @@ class ProtocolBundle:
         return self.protocol.outcomes(self.coords)
 
     @property
-    def corrections(self) -> dict:
-        return self.protocol.corrections()
-
-    @property
     def n_total(self) -> int:
         return self.protocol.n_input + self.resource.num_qubits
 
@@ -193,7 +189,7 @@ def _branch_factors(bundle: ProtocolBundle):
     )
     measured = tuple(q - n_in for q in targets if q >= n_in)
     kept = tuple(q - n_in for q in range(n_in, bundle.n_total) if q not in targets)
-    fixes = [bundle.corrections.get(label) for label, _ in bundle.outcomes]
+    fixes = map(bundle.protocol.corrections().get, (label for label, _ in bundle.outcomes))
     dim = 1 << len(kept)
     corrections = np.array([np.eye(dim, dtype=complex) if fix is None else fix.matrix for fix in fixes])
     return factor.reshape(len(bras), -1, 2), measured + kept, corrections
@@ -206,17 +202,6 @@ def _contract(factors: tuple, resource: StateVector) -> np.ndarray:
     amps = resource.amplitudes.reshape((2,) * len(order))
     amps = amps.transpose(order).reshape(factor.shape[1], -1)
     return corrections @ np.einsum("lmc,mu->luc", factor, amps)
-
-
-def _require_corrections(name: str, labels, corrections: dict, probs: np.ndarray) -> None:
-    missing = [i for i, label in enumerate(labels) if label not in corrections]
-    if missing:
-        live = probs[:, missing].max(axis=0) >= _DEGENERATE_CUT
-        if live.any():
-            label = labels[missing[live.argmax()]]
-            raise InvariantViolation(
-                "correction-coverage", f"{name} has no correction for live outcome {label}"
-            )
 
 
 # --- bundle builders ---------------------------------------------------
@@ -341,23 +326,40 @@ class Protocol:
     corrections: Callable[[], dict]
 
     @cached_property
-    def corners(self) -> tuple[tuple, np.ndarray]:
-        """The outcome labels, and the Kraus stacks at every combination of
-        unit coordinate vectors as one read-only (corners, outcomes, dim, 2)
-        array. Built once per protocol, from exact unit vectors."""
+    def _corner_bundles(self) -> tuple[ProtocolBundle, ...]:
+        """A bundle at each combination of exact unit coordinate vectors."""
         vectors = self.coordinates(self.params)
         units = itertools.product(*(np.eye(len(v)).tolist() for v in vectors.values()))
-        bundles = [ProtocolBundle(self, "", self.params, dict(zip(vectors, unit))) for unit in units]
-        stacks = np.stack([_contract(_branch_factors(b), b.resource) for b in bundles])
+        return tuple(ProtocolBundle(self, "", self.params, dict(zip(vectors, unit))) for unit in units)
+
+    @cached_property
+    def corners(self) -> tuple[tuple, np.ndarray]:
+        """The outcome labels, and the Kraus stacks at every corner as one
+        read-only (corners, outcomes, dim, 2) array. Built once per protocol."""
+        stacks = np.stack([_contract(_branch_factors(b), b.resource) for b in self._corner_bundles])
         stacks.setflags(write=False)
-        return tuple(label for label, _ in bundles[0].outcomes), stacks
+        return tuple(label for label, _ in self._corner_bundles[0].outcomes), stacks
+
+    @cached_property
+    def fixes(self) -> tuple:
+        """Each outcome's correction, or ``None`` where the table has none.
+        Built once per protocol; raises ``InvariantViolation("correction-coverage")``
+        if an outcome without one has a nonzero branch factor B_l
+        (:func:`_branch_factors`) at some corner. B is linear in each
+        coordinate vector, so no other outcome is ever live, even under noise."""
+        table = self.corrections()
+        live = np.any([_branch_factors(b)[0].any(axis=(1, 2)) for b in self._corner_bundles], axis=0)
+        for (label, _), is_live in zip(self._corner_bundles[0].outcomes, live):
+            if is_live and label not in table:
+                raise InvariantViolation("correction-coverage", f"no correction for live outcome {label}")
+        return tuple(table.get(label) for label, _ in self._corner_bundles[0].outcomes)
 
     def kraus(self, coords: dict) -> np.ndarray:
         """Logical Kraus operators K[l] = C_l (<b_l| ⊗ 1)(E ⊗ |R>) of the resource
         R at ``coords``, shape (outcomes, 2^(n - k), 2): outcome l's corrected
-        residual for input c is ``K[l] @ c``; a live outcome without a
-        correction is for :func:`_require_corrections` to reject. One product
-        of the corner weights with the corner stacks."""
+        residual for input c is ``K[l] @ c``; C_l = 1 for an outcome without a
+        correction (:attr:`fixes` rejects a live one). One product of the
+        corner weights with the corner stacks."""
         weights = np.array([math.prod(w) for w in itertools.product(*coords.values())])
         corners = self.corners[1]
         return (weights @ corners.reshape(len(weights), -1)).reshape(corners.shape[1:])
@@ -452,14 +454,14 @@ def enumerate_branches(bundle: ProtocolBundle, c0: complex, c1: complex) -> Tele
     :meth:`StateVector.stack`; a NaN weight counts as live, so it reaches
     that check and raises ``state-normalization``. The branch fidelities
     are one product of the normalized rows with the target, and
-    ``avg_fidelity_traced`` comes from the unnormalized rows.
+    ``avg_fidelity_traced`` comes from the unnormalized rows. Raises
+    ``InvariantViolation("correction-coverage")`` as :attr:`Protocol.fixes`.
     """
-    labels, corrections = bundle.protocol.corners[0], bundle.corrections
+    labels, fixes = bundle.protocol.corners[0], bundle.protocol.fixes
     c = StateVector([c0, c1]).amplitudes
     target = _encoding(bundle.protocol.n_input) @ c
     residuals = bundle.protocol.kraus(bundle.coords) @ c
     probs = (residuals.real**2 + residuals.imag**2).sum(axis=1)
-    _require_corrections(bundle.name, labels, corrections, probs[None])
     live = ~(probs < _DEGENERATE_CUT)
     rows = residuals[live]
     normalized = rows / np.sqrt(probs[live])[:, None]
@@ -468,10 +470,9 @@ def enumerate_branches(bundle: ProtocolBundle, c0: complex, c1: complex) -> Tele
     fids = clamp_unit(amplitudes.real**2 + amplitudes.imag**2, "branch fidelity").tolist()
     delivered = iter(zip(posts, fids))
     records = []
-    for label, p, is_live in zip(labels, probs.tolist(), live.tolist()):
-        corr = corrections.get(label)
+    for label, fix, p, is_live in zip(labels, fixes, probs.tolist(), live.tolist()):
         post, fid = next(delivered) if is_live else (None, None)
-        desc, success = (corr.desc, corr.success) if corr else ("n/a", True)
+        desc, success = (fix.desc, fix.success) if fix else ("n/a", True)
         records.append(BranchRecord(label, p, desc, post, fid, success))
     kept = [b for b in records if b.fidelity is not None]
     overlaps = rows @ target.conj()
@@ -553,16 +554,13 @@ def resource_response(bundle: ProtocolBundle) -> np.ndarray:
     l, with a[r] = <t_n| K_l(|r>) c_n for the resource basis states |r>.
     The bundle must measure all of its input qubits: then the factors B, C
     of :func:`_branch_factors` give a[(m, u)] = (B_l c_n)[m] <t_n|C_l|u>.
-    Raises ``InvariantViolation("correction-coverage")`` if an outcome
-    without a correction is live for any basis state and averaged input
-    (summed weight 2^|u| sum_m |(B_l c_n)[m]|^2), which covers every
-    resource density.
+    Raises ``InvariantViolation("correction-coverage")`` as
+    :attr:`Protocol.fixes`, before any work.
     """
+    bundle.protocol.fixes  # the coverage check, on the entry's first use
     inputs = np.array(_OCTAHEDRON, dtype=complex)
     factor, order, corrections = _branch_factors(bundle)
     fed = np.einsum("lmc,nc->nlm", factor, inputs)
-    labels = [label for label, _ in bundle.outcomes]
-    _require_corrections(bundle.name, labels, bundle.corrections, (fed.real**2 + fed.imag**2).sum(axis=2) * len(corrections[0]))
     targets = inputs @ _encoding(bundle.protocol.n_input).T
     delivered = np.einsum("nd,ldu->nlu", targets.conj(), corrections)
     a = np.einsum("nlm,nlu->munl", fed, delivered).reshape((2,) * len(order) + (len(inputs), -1))
@@ -577,7 +575,7 @@ def average_fidelity(bundle: ProtocolBundle, rho=None) -> float:
     its invariants, by default the projector onto the bundle's own pure
     resource. Raises ``ValueError`` when its dimension is not the
     resource's, and ``InvariantViolation("correction-coverage")`` as
-    :func:`resource_response`.
+    :attr:`Protocol.fixes`.
     """
     response = resource_response(bundle)
     if rho is None:

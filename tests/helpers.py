@@ -225,7 +225,7 @@ def average_fidelity_density(bundle, resource_rho: np.ndarray, c0, c1) -> float:
     t = rho.reshape([2] * (2 * n))
     total = 0.0
     for label, bvec in bundle.outcomes:
-        corr = bundle.corrections.get(label)
+        corr = bundle.protocol.corrections().get(label)
         if corr is None:
             continue
         b = bvec.amplitudes.reshape([2] * k)

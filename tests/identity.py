@@ -21,8 +21,10 @@ channel; ``tripsim noise-sweep`` of every protocol with its own flags;
 ``tripsim paradox``, ``tables``, ``classify`` (of state files written for
 the run, malformed ones among them), ``twirl`` of both families and
 ``fidelity-surface`` as JSON and CSV, with fixed seeds; and seeded library
-``diagnostics`` and ``twirl_report`` results. A CSV payload is compared
-cell by cell.
+``diagnostics`` and ``twirl_report`` results; and refusals
+(``refusal/...``): requests with a grid point outside [0, 1] or a
+non-finite flag, and ghz-meas copies whose table lacks the correction of a
+live outcome. A CSV payload is compared cell by cell.
 
 ``python tests/identity.py src src`` checks that reruns in fresh processes
 print the same bytes: every line must read ``identical``.
@@ -220,6 +222,28 @@ def _other_commands(main, diagnostics, twirl_report, StateVector, np) -> dict:
     return outputs
 
 
+def _refusals(main, teleport) -> dict:
+    """Refused CLI requests, and ghz-meas copies without the correction of
+    a live outcome through ``enumerate_branches`` and ``average_fidelity``."""
+    outputs = {}
+    for name, argv in (
+        ("noise-grid-past-one", ["noise-sweep", "--protocol", "ghz-meas", "--target", "1", "--grid", "0:2:0.5"]),
+        ("nan-input-amplitude", ["teleport", "--protocol", "ghz-epr", "--c0=nan"]),
+        ("nan-angle", ["teleport", "--protocol", "ghz-meas", "--theta-channel=nan"]),
+        ("infinite-channel-amplitude", ["teleport", "--protocol", "w-channel", "--a=inf"]),
+    ):
+        outputs[f"refusal/{name}"] = _cli_run(main, argv)[0]
+    bundle = teleport.protocol_bundle("ghz-meas")
+    for label in ((0, 0, 0), (0, 1, 0)):
+        table = {k: v for k, v in bundle.protocol.corrections().items() if k != label}
+        for path, call in (("enumerate", lambda b: _report_parts(teleport.enumerate_branches(b, 0.6, 0.8))[0]),
+                           ("average", teleport.average_fidelity)):
+            entry = dataclasses.replace(bundle.protocol, corrections=lambda: table)
+            broken = dataclasses.replace(bundle, protocol=entry)
+            outputs[f"refusal/no-correction-{''.join(map(str, label))}/{path}"] = _guarded(lambda: call(broken))
+    return outputs
+
+
 def worker(src: str) -> dict:
     """Every request's output on the tree at ``src``, by request name."""
     sys.path.insert(0, src)
@@ -263,6 +287,7 @@ def worker(src: str) -> dict:
         teleport.average_fidelity_ghz_meas(t, p) for t in angles for p in angles[::5]
     ]
     outputs.update(_other_commands(main, diagnostics, twirl_report, StateVector, np))
+    outputs.update(_refusals(main, teleport))
     return outputs
 
 

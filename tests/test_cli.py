@@ -152,6 +152,26 @@ class TestCommands:
         assert code == 0
         assert float(out.strip().split("\n")[-1].split(",")[0]) == last
 
+    @pytest.mark.parametrize("grid", ["0:2:0.5", "-0.5:1:0.5", "1.5:2:0.1"])
+    def test_noise_grid_outside_unit_interval_is_refused_before_any_work(self, grid, monkeypatch, capsys):
+        # Every channel parameter lies in [0, 1]; a point outside it is
+        # refused with --grid named, before the bundle or W is built.
+        calls = []
+        monkeypatch.setattr(noise, "noisy_teleport_sweep", lambda *args, **kwargs: calls.append(args))
+        params = {"protocol": "ghz-meas", "target": "1", "grid": grid}
+        assert main(["noise-sweep", *(f"--{k}={v}" for k, v in params.items())]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --grid points must lie in [0, 1], got ")
+        with pytest.raises(ValueError, match=r"^--grid points must lie in \[0, 1\], got "):
+            run(ExperimentConfig("noise-sweep", params=params))
+        assert calls == []
+
+    def test_noise_grid_past_one_by_less_than_a_step_ends_at_one(self, capsys):
+        code, out = _run(["noise-sweep", "--protocol", "ghz-meas", "--target", "1", "--grid", "0:1.02:0.5"], capsys)
+        assert code == 0
+        assert [row[0] for row in json.loads(out)["rows"]] == [0.0, 0.5, 1.0]
+
     @pytest.mark.parametrize(
         "flags, amplitudes",
         [(["0.8", "0.6", "0"], (0.8, 0.6, 0.0)), (["2", "1j", "2"], np.array([2, 1j, 2]) / 3.0)],
@@ -736,6 +756,31 @@ class TestFlagDeclarations:
         with pytest.raises(ValueError, match=f"^{flag} must be finite, got ") as refused:
             run(ExperimentConfig(command, params=params))
         assert len(str(refused.value)) < 80
+
+    # Every float and complex flag, of every command and among the global
+    # flags, by the ExperimentConfig field that carries it.
+    _REAL_FLAGS = [
+        (command, key)
+        for command, (_, flags) in cli._FLAGS.items()
+        for key, spec in flags.items()
+        if spec.get("type") in (float, complex)
+    ] + [(None, key) for key, spec in cli._GLOBAL_FLAGS.items() if spec.get("type") in (float, complex)]
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("command, key", _REAL_FLAGS)
+    def test_non_finite_value_names_the_flag_before_any_work(self, command, key, value, monkeypatch):
+        calls = []
+        monkeypatch.setitem(cli._COMMANDS, command or "paradox", lambda params, seed: calls.append(params) or {})
+        if command is None:
+            config = ExperimentConfig("paradox", **{{"format": "fmt"}.get(key, key): value})
+        else:
+            flags = cli._FLAGS[command][1]
+            required = {k: spec.get("choices", ["x"])[0] for k, spec in flags.items() if spec.get("required")}
+            config = ExperimentConfig(command, params={**required, key: value})
+        with pytest.raises(ValueError) as refused:
+            run(config)
+        assert str(refused.value).startswith(f"{cli._flag(key)} must ")
+        assert calls == []
 
     def test_run_honours_the_env_seed(self, monkeypatch, capsys):
         monkeypatch.setenv("TRIPSIM_SEED", "77")

@@ -171,7 +171,7 @@ def _full_space_oracle(bundle, resource_rho, c0, c1):
     out_qubits = [q for q in range(n) if q not in entry.meas_targets]
     total = 0.0
     for label, bvec in bundle.outcomes:
-        corr = bundle.corrections.get(label)
+        corr = bundle.protocol.corrections().get(label)
         if corr is None:
             continue
         u_full = lift_operator(corr.matrix, out_qubits, n)

@@ -472,7 +472,7 @@ def test_unknown_protocol_and_params_rejected():
 
 def test_live_outcome_without_correction_is_an_invariant_violation():
     bundle = protocol_bundle("ghz-meas")
-    corrections = dict(bundle.corrections)
+    corrections = dict(bundle.protocol.corrections())
     del corrections[(0, 0, 0)]
     broken = with_entry(bundle, corrections=lambda: corrections)
     with pytest.raises(InvariantViolation, match="correction-coverage"):
@@ -481,11 +481,39 @@ def test_live_outcome_without_correction_is_an_invariant_violation():
         average_fidelity(broken)
 
 
+def test_outcome_live_only_under_noise_needs_a_correction():
+    # ghz-meas's (0, 1, 0) has p = 0 for every input at every angle, but a
+    # nonzero branch factor B, so a noisy resource makes it live. A table
+    # without its correction fails on first use, through either path.
+    bundle = protocol_bundle("ghz-meas")
+    corrections = dict(bundle.protocol.corrections())
+    del corrections[(0, 1, 0)]
+    for call in (lambda b: enumerate_branches(b, 0.6, 0.8), average_fidelity):
+        broken = with_entry(bundle, corrections=lambda: corrections)
+        with pytest.raises(InvariantViolation, match=r"^correction-coverage: no correction for live outcome \(0, 1, 0\)$"):
+            call(broken)
+
+
+def test_epr_via_ghz_lacks_corrections_exactly_where_b_vanishes():
+    # Its outcomes (mu, 1, omega) have no correction, and their branch
+    # factor is bit for bit zero at every corner: the rule needs no cut.
+    entry = teleport.PROTOCOLS["epr-via-ghz"]
+    labels = entry.corners[0]
+    assert [label for label, fix in zip(labels, entry.fixes, strict=True) if fix is None] == [
+        label for label in labels if label[1] == 1
+    ]
+    vectors = entry.coordinates(entry.params)
+    for unit in itertools.product(*(np.eye(len(v)).tolist() for v in vectors.values())):
+        bundle = teleport.ProtocolBundle(entry, "epr-via-ghz", entry.params, dict(zip(vectors, unit)))
+        for label, row in zip(labels, teleport._branch_factors(bundle)[0], strict=True):
+            assert (row.tobytes() == bytes(row.nbytes)) == (label[1] == 1), label
+
+
 def test_nan_branch_weight_is_an_invariant_violation():
     # A NaN weight fails every comparison; the branch cut must send it to
     # the normalization check rather than record the branch as dead.
     bundle = protocol_bundle("ghz-meas")
-    corrections = dict(bundle.corrections)
+    corrections = dict(bundle.protocol.corrections())
     corr = corrections[(0, 0, 0)]
     corrections[(0, 0, 0)] = dataclasses.replace(corr, matrix=np.full_like(corr.matrix, np.nan))
     broken = with_entry(bundle, corrections=lambda: corrections)
@@ -503,7 +531,7 @@ def test_correction_rules_match_exhaustive_search(protocol):
         entry = bundle.protocol
         bundle = with_entry(bundle, outcomes=lambda x: tuple(o for o in entry.outcomes(x) if o[0][2] == 0))
     searched = looped_corrections(bundle)
-    shipped = {label: c for label, c in protocol_bundle(protocol).corrections.items() if c.success}
+    shipped = {label: c for label, c in protocol_bundle(protocol).protocol.corrections().items() if c.success}
     assert shipped.keys() == searched.keys()
     for label, corr in searched.items():
         assert shipped[label].desc == corr.desc
@@ -525,7 +553,7 @@ def test_every_correction_is_its_printed_description(protocol):
     # Every entry of every table, w-channel's failed readout included: the
     # applied matrix is the one its description names, bit for bit, and a
     # report prints that description for the outcome ("n/a" for none).
-    table = protocol_bundle(protocol).corrections
+    table = protocol_bundle(protocol).protocol.corrections()
     assert table
     for label, corr in table.items():
         assert corr.success == (corr.desc != "none"), label
@@ -584,7 +612,7 @@ def test_correction_tables_are_shared_across_calls_and_angles():
         table = cached()
         assert cached() is table
         for params in _BUNDLE_PARAMS:
-            assert protocol_bundle(protocol, **params.get(protocol, {})).corrections is table
+            assert protocol_bundle(protocol, **params.get(protocol, {})).protocol.corrections() is table
 
 
 _ANGLE_SETS = (
@@ -678,6 +706,21 @@ def test_shared_factors_are_built_once_read_only_and_exact(protocol, monkeypatch
     for corner, unit in zip(corners, units, strict=True):
         bundle = teleport.ProtocolBundle(entry, protocol, entry.params, dict(zip(vectors, unit)))
         assert _bits_equal(corner, teleport._contract(teleport._branch_factors(bundle), bundle.resource))
+
+
+@pytest.mark.parametrize("protocol", PROTOCOL_NAMES)
+def test_coverage_is_decided_once_per_entry(protocol, monkeypatch):
+    # The first call reads the correction table through the entry; later
+    # calls zip the entry's fixes with the labels and never read it again.
+    calls, real = [], teleport.PROTOCOLS[protocol].corrections
+    _fresh_entry(protocol, monkeypatch, corrections=lambda: calls.append(1) or real())
+    bundle = protocol_bundle(protocol)
+    enumerate_branches(bundle, 0.6, 0.8)
+    assert calls
+    calls.clear()
+    for _ in range(4):
+        enumerate_branches(bundle, 0.6, 0.8)
+    assert calls == []
 
 
 @pytest.mark.parametrize("protocol", PROTOCOL_NAMES)
@@ -797,7 +840,7 @@ def _nielsen_average(bundle) -> float:
         bra = bra.amplitudes.conj().reshape((2,) * k)
         axes = (list(range(k)), list(entry.meas_targets))
         residual = np.stack([np.tensordot(bra, psi, axes=axes).reshape(-1) for psi in registers], axis=1)
-        corr = bundle.corrections.get(label)
+        corr = bundle.protocol.corrections().get(label)
         a = encoding.conj().T @ (residual if corr is None else corr.matrix @ residual)
         total += (abs(np.trace(a)) ** 2 + np.vdot(a, a).real) / 6
     return total
