@@ -26,9 +26,12 @@ import numpy as np
 from .core import InvariantViolation, NORM_ATOL, StateVector, within
 
 
+ANGLE_LIMITS = (0, 1.5707963268)  # [0, pi/2], rounded up at the 10th decimal; the CLI angle flags' range too
+
+
 def _check_angle(name: str, value: float) -> float:
     value = float(value)
-    if not 0.0 <= value <= math.pi / 2 + 1e-12:
+    if not ANGLE_LIMITS[0] <= value <= ANGLE_LIMITS[1]:
         raise ValueError(f"{name} must lie in [0, pi/2], got {value}")
     return value
 

@@ -60,18 +60,20 @@ class ReducedDiagnostics:
         return _decide(self.single_qubit_purities, self.three_tangle)
 
 
-def concurrence(rho: DensityOp | np.ndarray) -> float:
-    """Spin-flip concurrence of a two-qubit (possibly mixed) state."""
+def concurrence(rho: DensityOp | np.ndarray) -> float | np.ndarray:
+    """Spin-flip concurrence of a two-qubit (possibly mixed) state, or their array for a (..., 4, 4) stack."""
     mat = rho.matrix if isinstance(rho, DensityOp) else np.asarray(rho, dtype=complex)
-    if mat.shape != (4, 4):
+    if mat.shape[-2:] != (4, 4):
         raise ValueError(f"concurrence needs a 4x4 operator, got {mat.shape}")
     flipped = _YY @ mat.conj() @ _YY
-    eigs = np.sort(np.linalg.eigvals(mat @ flipped).real)[::-1]
+    eigs = np.sort(np.linalg.eigvals(mat @ flipped).real)[..., ::-1]
     # Null modes come back as O(eps) values whose square roots would inject
     # ~1e-8 noise into the subtraction; flush them before taking roots.
-    floor = max(eigs[0], 0.0) * 1e-12
+    floor = np.maximum(eigs[..., :1], 0.0) * 1e-12
     roots = np.sqrt(np.clip(np.where(eigs < floor, 0.0, eigs), 0.0, None))
-    return float(max(0.0, roots[0] - roots[1] - roots[2] - roots[3]))
+    gap = roots[..., 0] - roots[..., 1] - roots[..., 2] - roots[..., 3]
+    values = np.where(gap > 0.0, gap, 0.0)
+    return float(values) if mat.ndim == 2 else values
 
 
 def three_tangle(s: StateVector) -> float:
@@ -128,7 +130,7 @@ def diagnostics(s: StateVector) -> ReducedDiagnostics:
     """Purities tr(rho_k^2), pair concurrences, and the 3-tangle."""
     rho = _projector(s)
     purities = _purities(rho)
-    concurrences = tuple(concurrence(pair) for pair in _reductions(rho, _PAIRS))
+    concurrences = tuple(concurrence(_reductions(rho, _PAIRS)).tolist())
     return ReducedDiagnostics(purities, concurrences, three_tangle(s))
 
 

@@ -202,14 +202,14 @@ def _flag(key: str) -> str:
 
 
 # --protocol and the parameters of the protocol table, each read as the
-# type of its default: angles are floats, channel amplitudes complex.
-# teleport and noise-sweep hand them to protocol_bundle, which applies the
-# defaults and refuses the parameters of other protocols.
-_TABLE_HELP = {float: "angle in [0, pi/2]", complex: "channel amplitude (normalized with the others)"}
+# type of its default: angles are floats in bases.ANGLE_LIMITS, channel
+# amplitudes complex. teleport and noise-sweep hand them to protocol_bundle,
+# which applies the defaults and refuses the parameters of other protocols.
+_ANGLE = dict(type=float, limits=bases.ANGLE_LIMITS)
+_TABLE_FLAG = {float: _ANGLE, complex: dict(type=complex, help="channel amplitude (normalized with the others)")}
 _PROTOCOL_FLAGS = dict(
     protocol=dict(required=True, choices=teleport.PROTOCOL_NAMES),
-    **{k: dict(type=type(v), help=_TABLE_HELP[type(v)])
-       for p in teleport.PROTOCOLS.values() for k, v in p.params.items()},
+    **{k: _TABLE_FLAG[type(v)] for p in teleport.PROTOCOLS.values() for k, v in p.params.items()},
 )
 
 # The seed, out and fmt of ExperimentConfig: flags given before or after the command.
@@ -220,7 +220,7 @@ _GLOBAL_FLAGS = dict(
 )
 
 
-@_command("paradox", "three-party local-realism paradox report", theta=dict(type=float, default=math.pi / 4))
+@_command("paradox", "three-party local-realism paradox report", theta=dict(_ANGLE, default=math.pi / 4))
 def _cmd_paradox(params: dict, seed: int) -> dict:
     report = nonlocality.ghz_paradox(bases.ghz_basis(params["theta"], (0, 0, 0)))
     return {"theta": params["theta"], **report.to_dict()}
@@ -366,7 +366,7 @@ def _cmd_noise_sweep(params: dict, seed: int) -> dict:
 
 @_command(
     "tables", "numeric branch tables for the Bell+rotated-basis protocol",
-    c0=dict(type=complex), c1=dict(type=complex), theta=dict(type=float, default=math.pi / 4),
+    c0=dict(type=complex), c1=dict(type=complex), theta=dict(_ANGLE, default=math.pi / 4),
 )
 def _cmd_tables(params: dict, seed: int) -> dict:
     """Branch tables of the Bell-plus-rotated-basis protocol (ghz-epr) for a
@@ -378,8 +378,7 @@ def _cmd_tables(params: dict, seed: int) -> dict:
     where p_mn = sum_j |K_(m,n,j) c|^2.
     """
     c = np.array(_input_pair(params))
-    theta = bases._check_angle("theta", params["theta"])
-    bundle = teleport.protocol_bundle("ghz-epr", bob_theta=theta)
+    bundle = teleport.protocol_bundle("ghz-epr", bob_theta=params["theta"])
     labels = bundle.protocol.corners[0]
     fixed = bundle.protocol.kraus(bundle.coords) @ c
     chi = np.stack([fix.matrix.conj().T @ row for fix, row in zip(bundle.protocol.fixes, fixed)])
@@ -387,7 +386,7 @@ def _cmd_tables(params: dict, seed: int) -> dict:
     p_mn = (fixed.real**2 + fixed.imag**2).sum(axis=1).reshape(4, 2).sum(axis=1)
     scale = 1 / np.sqrt(p_mn.repeat(2))[:, None]
     fixed, chi = fixed * scale, chi * scale
-    x_pair = [x.amplitudes for x in bases.bob_x_basis(theta)]
+    x_pair = [x.amplitudes for x in bases.bob_x_basis(params["theta"])]
     tables = {k: {} for k in ("pair_states", "receiver_states", "corrections", "corrected_states", "fidelities")}
     for l, (m, n, j) in enumerate(labels):
         key = f"{m}{n}{j}"
@@ -400,7 +399,7 @@ def _cmd_tables(params: dict, seed: int) -> dict:
         norm2 = float(np.vdot(fixed[l], fixed[l]).real)
         fid = abs(np.vdot(c, fixed[l])) ** 2 / norm2 if norm2 > 1e-14 else None
         tables["fidelities"][key] = None if fid is None else clamp_unit(fid, "tables fidelity")
-    return {"theta": theta, "input": _cvec(c), **tables}
+    return {"theta": params["theta"], "input": _cvec(c), **tables}
 
 
 # --- emission ------------------------------------------------------------

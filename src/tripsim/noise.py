@@ -126,16 +126,17 @@ def noisy_teleport_sweep(
     params: dict | None = None,
 ) -> list[tuple[float, float]]:
     """Exact input-averaged protocol fidelity after noising the designated
-    resource qubit(s), one row (p, fidelity) per channel parameter."""
+    resource qubit(s), one row (p, fidelity) per channel parameter. Every
+    point's channel is built, and so checked, before W (:func:`resource_response`)."""
     bundle = protocol_bundle(protocol, **(params or {}))
     local_targets = _resource_targets(bundle, target)
+    channels = [make_channel(channel_kind, p) for p in np.asarray(p_grid, dtype=float).tolist()]
     response = resource_response(bundle)
     n, amps = bundle.resource.num_qubits, bundle.resource.amplitudes
     rows: list[tuple[float, float]] = []
-    for p in np.asarray(p_grid, dtype=float):
-        transfer = make_channel(channel_kind, float(p)).transfer
+    for ch in channels:
         rho = np.outer(amps, amps.conj())
         for q in local_targets:
-            rho = _apply_kraus_1q(rho, n, transfer, q)
-        rows.append((float(p), float((response * rho).sum().real)))
+            rho = _apply_kraus_1q(rho, n, ch.transfer, q)
+        rows.append((ch.parameter, float((response * rho).sum().real)))
     return rows

@@ -326,33 +326,34 @@ class Protocol:
     corrections: Callable[[], dict]
 
     @cached_property
-    def _corner_bundles(self) -> tuple[ProtocolBundle, ...]:
-        """A bundle at each combination of exact unit coordinate vectors."""
+    def _corner_pass(self) -> tuple[tuple[ProtocolBundle, tuple], ...]:
+        """Built once per protocol: each corner's bundle, at exact unit coordinate vectors, and its factors."""
         vectors = self.coordinates(self.params)
         units = itertools.product(*(np.eye(len(v)).tolist() for v in vectors.values()))
-        return tuple(ProtocolBundle(self, "", self.params, dict(zip(vectors, unit))) for unit in units)
+        bundles = (ProtocolBundle(self, "", self.params, dict(zip(vectors, unit))) for unit in units)
+        return tuple((b, _branch_factors(b)) for b in bundles)
 
     @cached_property
     def corners(self) -> tuple[tuple, np.ndarray]:
-        """The outcome labels, and the Kraus stacks at every corner as one
-        read-only (corners, outcomes, dim, 2) array. Built once per protocol."""
-        stacks = np.stack([_contract(_branch_factors(b), b.resource) for b in self._corner_bundles])
+        """The outcome labels, and the Kraus stacks at the corners of :attr:`_corner_pass`,
+        each its factors on its resource, as one read-only (corners, outcomes, dim, 2) array."""
+        stacks = np.stack([_contract(factors, b.resource) for b, factors in self._corner_pass])
         stacks.setflags(write=False)
-        return tuple(label for label, _ in self._corner_bundles[0].outcomes), stacks
+        return tuple(label for label, _ in self._corner_pass[0][0].outcomes), stacks
 
     @cached_property
     def fixes(self) -> tuple:
         """Each outcome's correction, or ``None`` where the table has none.
         Built once per protocol; raises ``InvariantViolation("correction-coverage")``
-        if an outcome without one has a nonzero branch factor B_l
-        (:func:`_branch_factors`) at some corner. B is linear in each
+        if an outcome without one has a nonzero branch factor B_l at some corner,
+        read off :attr:`_corner_pass` with no contraction. B is linear in each
         coordinate vector, so no other outcome is ever live, even under noise."""
         table = self.corrections()
-        live = np.any([_branch_factors(b)[0].any(axis=(1, 2)) for b in self._corner_bundles], axis=0)
-        for (label, _), is_live in zip(self._corner_bundles[0].outcomes, live):
+        live = np.any([factors[0].any(axis=(1, 2)) for _, factors in self._corner_pass], axis=0)
+        for (label, _), is_live in zip(self._corner_pass[0][0].outcomes, live):
             if is_live and label not in table:
                 raise InvariantViolation("correction-coverage", f"no correction for live outcome {label}")
-        return tuple(table.get(label) for label, _ in self._corner_bundles[0].outcomes)
+        return tuple(table.get(label) for label, _ in self._corner_pass[0][0].outcomes)
 
     def kraus(self, coords: dict) -> np.ndarray:
         """Logical Kraus operators K[l] = C_l (<b_l| ⊗ 1)(E ⊗ |R>) of the resource

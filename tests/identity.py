@@ -22,9 +22,10 @@ channel; ``tripsim noise-sweep`` of every protocol with its own flags;
 the run, malformed ones among them), ``twirl`` of both families and
 ``fidelity-surface`` as JSON and CSV, with fixed seeds; and seeded library
 ``diagnostics`` and ``twirl_report`` results; and refusals
-(``refusal/...``): requests with a grid point outside [0, 1] or a
-non-finite flag, and ghz-meas copies whose table lacks the correction of a
-live outcome. A CSV payload is compared cell by cell.
+(``refusal/...``): requests with a grid point outside [0, 1], an angle
+outside [0, pi/2] or a non-finite flag, library noise sweeps with an
+unknown channel kind or a grid point past 1, and ghz-meas copies whose
+table lacks the correction of a live outcome. A CSV payload is compared cell by cell.
 
 ``python tests/identity.py src src`` checks that reruns in fresh processes
 print the same bytes: every line must read ``identical``.
@@ -222,17 +223,27 @@ def _other_commands(main, diagnostics, twirl_report, StateVector, np) -> dict:
     return outputs
 
 
-def _refusals(main, teleport) -> dict:
-    """Refused CLI requests, and ghz-meas copies without the correction of
-    a live outcome through ``enumerate_branches`` and ``average_fidelity``."""
+def _refusals(main, teleport, noise) -> dict:
+    """Refused CLI requests, library noise sweeps with an unknown channel
+    kind or a grid point past 1, and ghz-meas copies without the correction
+    of a live outcome through ``enumerate_branches`` and ``average_fidelity``."""
     outputs = {}
     for name, argv in (
         ("noise-grid-past-one", ["noise-sweep", "--protocol", "ghz-meas", "--target", "1", "--grid", "0:2:0.5"]),
         ("nan-input-amplitude", ["teleport", "--protocol", "ghz-epr", "--c0=nan"]),
         ("nan-angle", ["teleport", "--protocol", "ghz-meas", "--theta-channel=nan"]),
         ("infinite-channel-amplitude", ["teleport", "--protocol", "w-channel", "--a=inf"]),
+        ("angle-past-half-pi", ["teleport", "--protocol", "ghz-meas", "--theta-channel", "2"]),
+        ("paradox-angle-past-half-pi", ["paradox", "--theta", "2"]),
+        ("tables-negative-angle", ["tables", "--theta=-1"]),
+        ("noise-angle-past-half-pi",
+         ["noise-sweep", "--protocol", "ghz-via-3epr", "--target", "4", "--theta1", "1.6"]),
     ):
         outputs[f"refusal/{name}"] = _cli_run(main, argv)[0]
+    for name, kind, grid in (("unknown-kind", "bogus", [0.1]),
+                             ("point-past-one", "depolarizing", [0.1, 0.5, 1.5])):
+        sweep = lambda: noise.noisy_teleport_sweep("ghz-via-3epr", kind, 3, grid)
+        outputs[f"refusal/library-sweep-{name}"] = _guarded(sweep)
     bundle = teleport.protocol_bundle("ghz-meas")
     for label in ((0, 0, 0), (0, 1, 0)):
         table = {k: v for k, v in bundle.protocol.corrections().items() if k != label}
@@ -287,7 +298,7 @@ def worker(src: str) -> dict:
         teleport.average_fidelity_ghz_meas(t, p) for t in angles for p in angles[::5]
     ]
     outputs.update(_other_commands(main, diagnostics, twirl_report, StateVector, np))
-    outputs.update(_refusals(main, teleport))
+    outputs.update(_refusals(main, teleport, noise))
     return outputs
 
 

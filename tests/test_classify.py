@@ -143,6 +143,23 @@ def test_concurrence_requires_two_qubits():
         concurrence(np.eye(2) / 2)
 
 
+def test_concurrence_of_a_stack_is_bit_equal_to_per_operator_calls():
+    # A (..., 4, 4) stack gives one value per operator, each with the bits of
+    # a single call; a single operator still gives a float.
+    rng = np.random.default_rng(2024)
+    pairs = [partial_trace(DensityOp.from_pure(s), (0, 2)).matrix for s in _oracle_states(61)]
+    g = rng.standard_normal((40, 4, 4)) + 1j * rng.standard_normal((40, 4, 4))
+    mixed = g @ g.conj().transpose(0, 2, 1)
+    stack = np.concatenate([np.array(pairs), mixed / np.trace(mixed, axis1=1, axis2=2).real[:, None, None]])
+    values = concurrence(stack)
+    assert values.shape == (len(stack),)
+    singles = [concurrence(rho) for rho in stack]
+    assert all(type(v) is float for v in singles)
+    assert values.tobytes() == np.array(singles).tobytes()
+    grid = concurrence(stack.reshape(4, -1, 4, 4))
+    assert grid.shape == (4, len(stack) // 4) and grid.tobytes() == values.tobytes()
+
+
 def test_three_tangle_requires_three_qubits():
     with pytest.raises(ValueError):
         three_tangle(StateVector([1, 0]))

@@ -16,12 +16,16 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from helpers import chi_row, eta_row, tables_oracle
 from tripsim import cli, noise, teleport
+from tripsim.bases import ghz_basis
 from tripsim.cli import ExperimentConfig, main, run
 from tripsim.core import InvariantViolation
 from tripsim.noise import CHANNELS
 from tripsim.teleport import PROTOCOL_NAMES
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+# The largest angle that the library and the command line accept: pi/2
+# (1.5707963267948966) rounded up at the tenth decimal.
+_HALF_PI_LIMIT = 1.5707963268
 
 
 def _run(argv, capsys):
@@ -517,12 +521,41 @@ class TestDeterminismAndConfig:
         flag = f"--{key.replace('_', '-')}"
         for argv in (["teleport", "--protocol", protocol], ["noise-sweep", "--protocol", protocol, "--target", "3"]):
             assert main([*argv, flag, "-0.5"]) == 2
-            assert capsys.readouterr().err == f"error: {message}\n"
+            assert capsys.readouterr().err == f"error: {flag} must lie in [0, 1.5707963268], got -0.5\n"
 
     def test_tables_angle_refusal_names_its_flag(self, capsys):
         # tables --theta is ghz-epr's bob_theta; the refusal names the flag.
         assert main(["tables", "--theta", "-0.5"]) == 2
-        assert capsys.readouterr().err == "error: theta must lie in [0, pi/2], got -0.5\n"
+        assert capsys.readouterr().err == "error: --theta must lie in [0, 1.5707963268], got -0.5\n"
+
+    # Every angle flag, as (command, parameter, the command's required flags).
+    _ANGLE_REQUESTS = [
+        (command, key, ["--protocol", name, *(["--target", "3"] if command == "noise-sweep" else [])])
+        for command in ("teleport", "noise-sweep")
+        for name, entry in teleport.PROTOCOLS.items()
+        for key, default in entry.params.items()
+        if isinstance(default, float)
+    ] + [("paradox", "theta", []), ("tables", "theta", [])]
+
+    @pytest.mark.parametrize("command, key, required", _ANGLE_REQUESTS)
+    def test_angle_flags_share_the_library_range(self, command, key, required, monkeypatch, capsys):
+        # pi/2 and the slack above it are accepted by the flag and by the
+        # library alike; the next float up is refused by both, by the flag
+        # before any work.
+        flag, above = cli._flag(key), math.nextafter(_HALF_PI_LIMIT, math.inf)
+        library = lambda v: teleport.protocol_bundle(required[1], **{key: v}) if required else ghz_basis(v, (0, 0, 0))
+        for value in (math.pi / 2, _HALF_PI_LIMIT):
+            assert main([command, *required, f"{flag}={value!r}"]) == 0
+            library(value)
+        capsys.readouterr()
+        with pytest.raises(ValueError) as refused:
+            library(above)
+        assert str(refused.value) == f"{key} must lie in [0, pi/2], got {above!r}"
+        calls = []
+        monkeypatch.setitem(cli._COMMANDS, command, lambda params, seed: calls.append(params) or {})
+        assert main([command, *required, f"{flag}={above!r}"]) == 2
+        assert calls == []
+        assert capsys.readouterr().err == f"error: {flag} must lie in [0, {_HALF_PI_LIMIT!r}], got {above!r}\n"
 
     def test_invariant_violation_exits_1(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -28,7 +28,7 @@ from tripsim.noise import (
     noisy_teleport_sweep,
     phase_flip,
 )
-from tripsim import teleport
+from tripsim import noise, teleport
 from tripsim.teleport import PROTOCOL_NAMES, average_fidelity, protocol_bundle
 
 MAX = math.pi / 4
@@ -288,6 +288,22 @@ class TestSweep:
         calls.clear()
         noisy_teleport_sweep("ghz-via-3epr", "depolarizing", range(3, 9), np.linspace(0, 1, 5))
         assert 0 < len(calls) <= single
+
+    @pytest.mark.parametrize(
+        "kind, grid, refusal",
+        [
+            ("bogus", [0.1], r"^unknown channel kind 'bogus'"),
+            ("depolarizing", [0.1, 0.5, 1.5], r"^p must lie in \[0, 1\], got 1\.5$"),
+        ],
+        ids=["kind", "grid-point"],
+    )
+    def test_channels_are_checked_before_the_response_is_built(self, kind, grid, refusal, monkeypatch):
+        # Every grid point's channel is built, and so checked, before W.
+        calls = []
+        monkeypatch.setattr(noise, "resource_response", lambda bundle: calls.append(bundle))
+        with pytest.raises(ValueError, match=refusal):
+            noisy_teleport_sweep("ghz-via-3epr", kind, 3, grid)
+        assert calls == []
 
     def test_fully_depolarized_channel_delivers_coin_flip(self):
         rows = noisy_teleport_sweep("ghz-meas", "depolarizing", [1, 2, 3], [1.0])

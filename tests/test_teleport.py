@@ -708,6 +708,26 @@ def test_shared_factors_are_built_once_read_only_and_exact(protocol, monkeypatch
         assert _bits_equal(corner, teleport._contract(teleport._branch_factors(bundle), bundle.resource))
 
 
+@pytest.mark.parametrize("order", [("corners", "fixes"), ("fixes", "corners")], ids=["corners-first", "fixes-first"])
+@pytest.mark.parametrize("protocol", PROTOCOL_NAMES)
+def test_corners_and_fixes_share_one_factor_pass(protocol, order, monkeypatch):
+    # One corner pass per entry: the branch factors are built once per
+    # corner in total, whichever of corners and fixes is read first, and
+    # fixes alone contracts nothing.
+    entry = _fresh_entry(protocol, monkeypatch)
+    built, contracted = _count_calls("_branch_factors", monkeypatch), _count_calls("_contract", monkeypatch)
+    getattr(entry, order[0])
+    assert len(built) == _CORNERS[protocol]
+    assert len(contracted) == (_CORNERS[protocol] if order[0] == "corners" else 0)
+    getattr(entry, order[1])
+    assert len(built) == len(contracted) == _CORNERS[protocol]
+    # The first call of a teleport_* function on a fresh entry builds no more.
+    entry = _fresh_entry(protocol, monkeypatch)
+    built.clear()
+    _PUBLIC_CALLS[protocol]((0.6, 0.8j), dict(entry.params))
+    assert len(built) == _CORNERS[protocol]
+
+
 @pytest.mark.parametrize("protocol", PROTOCOL_NAMES)
 def test_coverage_is_decided_once_per_entry(protocol, monkeypatch):
     # The first call reads the correction table through the entry; later
