@@ -36,6 +36,12 @@ def _check_angle(name: str, value: float) -> float:
     return value
 
 
+def _cos_sin(name: str, theta: float) -> tuple[float, float]:
+    """The coordinates (cos theta, sin theta) of the angle ``name`` in [0, pi/2]."""
+    theta = _check_angle(name, theta)
+    return math.cos(theta), math.sin(theta)
+
+
 @dataclass(frozen=True)
 class BellLabel:
     m: int
@@ -136,8 +142,7 @@ def general_bell(spec: GeneralBellSpec, label: BellLabel) -> np.ndarray:
 
 def bell2(theta: float, label: BellLabel | tuple[int, int]) -> StateVector:
     """The four two-qubit states of the theta-parametrized pair basis."""
-    _check_angle("theta", theta)
-    return _bell2_member((math.cos(theta), math.sin(theta)), label)
+    return _bell2_member(_cos_sin("theta", theta), label)
 
 
 def _bell2_member(b, label: BellLabel | tuple[int, int]) -> StateVector:
@@ -151,8 +156,7 @@ def _bell2_member(b, label: BellLabel | tuple[int, int]) -> StateVector:
 
 def ghz_basis(theta: float, label: GhzLabel | tuple[int, int, int]) -> StateVector:
     """Three-qubit basis member sum_j (-1)^{mu j} b_{mu+j} |j, j+lam, j+omega>."""
-    _check_angle("theta", theta)
-    return _ghz_member((math.cos(theta), math.sin(theta)), label)
+    return _ghz_member(_cos_sin("theta", theta), label)
 
 
 def _ghz_member(b, label: GhzLabel | tuple[int, int, int]) -> StateVector:
@@ -217,8 +221,7 @@ def w_basis(theta: float, phi: float, k: int) -> StateVector:
 def bob_x_basis(theta: float) -> tuple[StateVector, StateVector]:
     """Single-qubit pair (|x0>, |x1>) defined by |0> = sin t|x0> + cos t|x1>,
     |1> = cos t|x0> - sin t|x1>; the relation is its own inverse."""
-    _check_angle("theta", theta)
-    return _bob_x_member((math.cos(theta), math.sin(theta)))
+    return _bob_x_member(_cos_sin("theta", theta))
 
 
 def _bob_x_member(b) -> tuple[StateVector, StateVector]:

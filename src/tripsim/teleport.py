@@ -45,7 +45,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bases import WChannelSpec, _bell2_member, _bob_x_member, _check_angle, _ghz_member, bell2, ghz_basis
+from .bases import WChannelSpec, _bell2_member, _bob_x_member, _cos_sin, _ghz_member, bell2, ghz_basis
 from .core import DensityOp, InputQubit, InvariantViolation, StateVector, _string_matrix, clamp_unit, tensor
 
 _MAX = math.pi / 4
@@ -108,8 +108,6 @@ class FidelitySurface:
 def _jsonable(v):
     if isinstance(v, complex):
         return [v.real, v.imag]
-    if isinstance(v, (tuple, list)):
-        return [_jsonable(x) for x in v]
     return v
 
 
@@ -175,9 +173,9 @@ def _branch_factors(bundle: ProtocolBundle):
 
         K_l(R) c = C_l sum_m (B_l c)[m] R[m, u]
 
-    with u the unmeasured resource qubits, in ascending order. Returns B
-    as (outcomes, 2^|m|, 2), the resource qubit order (m, u), and the
-    correction stack C; outcomes without a correction keep the identity.
+    with u the unmeasured resource qubits, in ascending order, and C_l the
+    correction, which only the label decides (:func:`_correction_stack`).
+    Returns B as (outcomes, 2^|m|, 2) and the resource qubit order (m, u).
     """
     n_in, targets = bundle.protocol.n_input, bundle.protocol.meas_targets
     bras = np.array([bvec.amplitudes for _, bvec in bundle.outcomes]).conj()
@@ -189,19 +187,21 @@ def _branch_factors(bundle: ProtocolBundle):
     )
     measured = tuple(q - n_in for q in targets if q >= n_in)
     kept = tuple(q - n_in for q in range(n_in, bundle.n_total) if q not in targets)
-    fixes = map(bundle.protocol.corrections().get, (label for label, _ in bundle.outcomes))
-    dim = 1 << len(kept)
-    corrections = np.array([np.eye(dim, dtype=complex) if fix is None else fix.matrix for fix in fixes])
-    return factor.reshape(len(bras), -1, 2), measured + kept, corrections
+    return factor.reshape(len(bras), -1, 2), measured + kept
 
 
 def _contract(factors: tuple, resource: StateVector) -> np.ndarray:
-    """The Kraus stack of the branch factors ``factors`` (see
-    :func:`_branch_factors`) on the resource state ``resource``."""
-    factor, order, corrections = factors
+    """The uncorrected Kraus stack sum_m (B_l c)[m] R[m, u] of the branch
+    factors ``factors`` (see :func:`_branch_factors`) on the resource ``resource``."""
+    factor, order = factors
     amps = resource.amplitudes.reshape((2,) * len(order))
     amps = amps.transpose(order).reshape(factor.shape[1], -1)
-    return corrections @ np.einsum("lmc,mu->luc", factor, amps)
+    return np.einsum("lmc,mu->luc", factor, amps)
+
+
+def _correction_stack(fixes, n: int) -> np.ndarray:
+    """The stack C of the corrections ``fixes`` on n receiver qubits, the identity where one is ``None``."""
+    return np.array([np.eye(1 << n, dtype=complex) if fix is None else fix.matrix for fix in fixes])
 
 
 # --- bundle builders ---------------------------------------------------
@@ -218,12 +218,6 @@ GHZ_EPR_CORRECTIONS = {
     (1, 1, 0): "ZX",
     (1, 1, 1): "X",
 }
-
-
-def _cos_sin(name: str, theta: float) -> tuple[float, float]:
-    """The coordinates (cos theta, sin theta) of the angle ``name`` in [0, pi/2]."""
-    theta = _check_angle(name, theta)
-    return math.cos(theta), math.sin(theta)
 
 
 # Outcome bases that do not depend on a call's parameters are built once
@@ -335,11 +329,13 @@ class Protocol:
 
     @cached_property
     def corners(self) -> tuple[tuple, np.ndarray]:
-        """The outcome labels, and the Kraus stacks at the corners of :attr:`_corner_pass`,
-        each its factors on its resource, as one read-only (corners, outcomes, dim, 2) array."""
-        stacks = np.stack([_contract(factors, b.resource) for b, factors in self._corner_pass])
+        """The outcome labels, and the Kraus stacks at the corners of :attr:`_corner_pass`, one read-only
+        (corners, outcomes, dim, 2) array: C from the table on each corner's factors on its resource."""
+        labels = tuple(label for label, _ in self._corner_pass[0][0].outcomes)
+        corrections = _correction_stack(map(self.corrections().get, labels), self.n_input)
+        stacks = corrections @ np.stack([_contract(factors, b.resource) for b, factors in self._corner_pass])
         stacks.setflags(write=False)
-        return tuple(label for label, _ in self._corner_pass[0][0].outcomes), stacks
+        return labels, stacks
 
     @cached_property
     def fixes(self) -> tuple:
@@ -553,14 +549,14 @@ def resource_response(bundle: ProtocolBundle) -> np.ndarray:
 
     W = (1/6) sum_{n,l} a a^† over the octahedron inputs c_n and outcomes
     l, with a[r] = <t_n| K_l(|r>) c_n for the resource basis states |r>.
-    The bundle must measure all of its input qubits: then the factors B, C
-    of :func:`_branch_factors` give a[(m, u)] = (B_l c_n)[m] <t_n|C_l|u>.
-    Raises ``InvariantViolation("correction-coverage")`` as
-    :attr:`Protocol.fixes`, before any work.
+    The bundle must measure all of its input qubits: then the factors B of
+    :func:`_branch_factors` and the corrections C of :attr:`Protocol.fixes`, read
+    first, give a[(m, u)] = (B_l c_n)[m] <t_n|C_l|u>. Raises
+    ``InvariantViolation("correction-coverage")`` as :attr:`Protocol.fixes`, before any work.
     """
-    bundle.protocol.fixes  # the coverage check, on the entry's first use
+    corrections = _correction_stack(bundle.protocol.fixes, bundle.protocol.n_input)  # coverage first
     inputs = np.array(_OCTAHEDRON, dtype=complex)
-    factor, order, corrections = _branch_factors(bundle)
+    factor, order = _branch_factors(bundle)
     fed = np.einsum("lmc,nc->nlm", factor, inputs)
     targets = inputs @ _encoding(bundle.protocol.n_input).T
     delivered = np.einsum("nd,ldu->nlu", targets.conj(), corrections)

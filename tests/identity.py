@@ -14,7 +14,7 @@ The requests: seeded reports of all five protocols through the library
 and through ``tripsim teleport``, with edge angles, the inputs |0> and |1>
 and w-channel amplitudes with zeros mixed in; seeded reports of
 ``dataclasses.replace`` copies of bundles (``replaced-bundle/...``); the
-branch factors, the
+branch factors with the correction stack the engine applies, the
 resource response W and ``average_fidelity`` at default and other
 parameters; a fidelity surface; noise sweeps of every protocol and
 channel; ``tripsim noise-sweep`` of every protocol with its own flags;
@@ -279,7 +279,10 @@ def worker(src: str) -> dict:
         outputs[f"cli-teleport-params/{protocol}"] = [r[1] for r in runs]
         for which, params in (("default", {}), ("other", OTHER_PARAMS[protocol])):
             bundle = teleport.protocol_bundle(protocol, **params)
-            outputs[f"factors/{protocol}/{which}"] = teleport._branch_factors(bundle)
+            # C as W applies it, built here so that the request runs on any tree.
+            eye = np.eye(1 << bundle.protocol.n_input, dtype=complex)
+            stack = np.array([eye if fix is None else fix.matrix for fix in bundle.protocol.fixes])
+            outputs[f"factors/{protocol}/{which}"] = (teleport._branch_factors(bundle), stack)
             outputs[f"response/{protocol}/{which}"] = (
                 teleport.resource_response(bundle), teleport.average_fidelity(bundle)
             )

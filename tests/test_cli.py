@@ -849,7 +849,7 @@ class TestFlagDeclarations:
         with pytest.raises(KeyError):
             main(["paradox"])
 
-    def test_each_subparser_is_built_from_its_declaration(self):
+    def test_each_subparser_is_built_from_its_declaration(self, monkeypatch):
         def built(parser):
             actions = [a for a in parser._actions if a.dest not in ("help", "command")]
             return [(a.option_strings, a.default, a.required, a.choices, a.type) for a in actions]
@@ -860,6 +860,9 @@ class TestFlagDeclarations:
                 for key, spec in flags.items()
             ]
 
+        # argparse wraps help at the terminal width; at 40 columns the notes
+        # always wrap, so each is looked for with the whitespace collapsed.
+        monkeypatch.setenv("COLUMNS", "40")
         parser = cli._build_parser()
         subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
         assert list(subparsers) == list(cli._FLAGS) == list(cli._COMMANDS)
@@ -873,7 +876,7 @@ class TestFlagDeclarations:
             for p in (parser, sub):
                 helps = {a.dest: a.help for a in p._actions if a.dest in cli._GLOBAL_FLAGS}
                 assert helps == {k: spec.get("help") for k, spec in cli._GLOBAL_FLAGS.items()}, name
-            text = sub.format_help()
+            text = " ".join(sub.format_help().split())
             for key, spec in flags.items():
                 if "default" in spec:
                     assert f"default: {spec['default']}" in text, (name, key)

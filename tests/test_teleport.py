@@ -684,6 +684,12 @@ def _fresh_entry(protocol: str, monkeypatch, **changes) -> teleport.Protocol:
     return entry
 
 
+def _table_stack(bundle) -> np.ndarray:
+    """The correction stack C of the bundle's table entry, in its outcome order."""
+    entry = bundle.protocol
+    return teleport._correction_stack(map(entry.corrections().get, (label for label, _ in bundle.outcomes)), entry.n_input)
+
+
 def _count_calls(name: str, monkeypatch) -> list:
     """One entry per later call of ``teleport.<name>``."""
     calls, real = [], getattr(teleport, name)
@@ -700,12 +706,12 @@ def test_shared_factors_are_built_once_read_only_and_exact(protocol, monkeypatch
     assert len(built) == len(corners)
     assert not corners.flags.writeable
     # Each corner is the contraction of a bundle at that corner alone, with
-    # its own factors.
+    # its own factors, corrected by the table's stack C.
     vectors = entry.coordinates(entry.params)
     units = itertools.product(*(np.eye(len(v)).tolist() for v in vectors.values()))
     for corner, unit in zip(corners, units, strict=True):
         bundle = teleport.ProtocolBundle(entry, protocol, entry.params, dict(zip(vectors, unit)))
-        assert _bits_equal(corner, teleport._contract(teleport._branch_factors(bundle), bundle.resource))
+        assert _bits_equal(corner, _table_stack(bundle) @ teleport._contract(teleport._branch_factors(bundle), bundle.resource))
 
 
 @pytest.mark.parametrize("order", [("corners", "fixes"), ("fixes", "corners")], ids=["corners-first", "fixes-first"])
@@ -725,6 +731,37 @@ def test_corners_and_fixes_share_one_factor_pass(protocol, order, monkeypatch):
     entry = _fresh_entry(protocol, monkeypatch)
     built.clear()
     _PUBLIC_CALLS[protocol]((0.6, 0.8j), dict(entry.params))
+    assert len(built) == _CORNERS[protocol]
+
+
+def test_corner_passes_hold_only_the_branch_factors():
+    # The correction stack C depends on the labels alone, so no corner
+    # keeps one: each corner's factors are B and the resource qubit order.
+    held = {}
+    for protocol, entry in teleport.PROTOCOLS.items():
+        entry.corners, entry.fixes
+        for _, factors in entry._corner_pass:
+            factor, order = factors
+            assert isinstance(factor, np.ndarray) and factor.shape[::2] == (len(entry.fixes), 2)
+            assert isinstance(order, tuple) and all(type(q) is int for q in order)
+        held[protocol] = sum(factors[0].nbytes for _, factors in entry._corner_pass)
+    assert held["ghz-via-3epr"] == 8 * 16 * 1024
+    assert sum(held.values()) == 138 * 1024
+
+
+@pytest.mark.parametrize("protocol", PROTOCOL_NAMES)
+def test_response_checks_coverage_before_its_own_factors(protocol, monkeypatch):
+    # W reads the entry's corrections first: on a fresh entry whose table
+    # lacks a live outcome's, it raises after the corner pass builds its
+    # factors and before it builds the bundle's own.
+    table = dict(teleport.PROTOCOLS[protocol].corrections())
+    label = min(table)
+    del table[label]
+    _fresh_entry(protocol, monkeypatch, corrections=lambda: table)
+    built = _count_calls("_branch_factors", monkeypatch)
+    bundle = protocol_bundle(protocol)
+    with pytest.raises(InvariantViolation, match=rf"^correction-coverage: no correction for live outcome {re.escape(str(label))}$"):
+        teleport.resource_response(bundle)
     assert len(built) == _CORNERS[protocol]
 
 
@@ -752,15 +789,16 @@ def test_replaced_bundles_build_their_own_factors(protocol):
     reordered = with_entry(bundle, outcomes=lambda x: entry.outcomes(x)[::-1])
     moved = with_entry(bundle, meas_targets=entry.meas_targets[::-1])
     for replaced in (reordered, moved):
-        factor, _, stack = teleport._branch_factors(replaced)
+        factor, _ = teleport._branch_factors(replaced)
+        stack = _table_stack(replaced)
         assert factor.flags.writeable and stack.flags.writeable
     # The reversed outcomes give the reversed factors and Kraus stack.
     built, flipped = teleport._branch_factors(bundle), teleport._branch_factors(reordered)
-    assert _bits_equal(built[0][::-1], flipped[0]) and _bits_equal(built[2][::-1], flipped[2])
+    assert _bits_equal(built[0][::-1], flipped[0]) and _bits_equal(_table_stack(bundle)[::-1], _table_stack(reordered))
     kraus = entry.kraus(bundle.coords)
     assert np.abs(reordered.protocol.kraus(reordered.coords) - kraus[::-1]).max() <= 1e-15
     # A correction-free copy: C is the identity.
-    stack = teleport._branch_factors(with_entry(bundle, corrections=lambda: {}))[2]
+    stack = _table_stack(with_entry(bundle, corrections=lambda: {}))
     assert _bits_equal(stack, np.broadcast_to(np.eye(stack.shape[1], dtype=complex), stack.shape))
 
 
