@@ -370,16 +370,16 @@ def _cmd_noise_sweep(params: dict, seed: int) -> dict:
 )
 def _cmd_tables(params: dict, seed: int) -> dict:
     """Branch tables of the Bell-plus-rotated-basis protocol (ghz-epr) for a
-    supplied input and receiver angle, read off its Kraus stack K_l.
+    supplied input and receiver angle. Labels, corrections and fidelities are
+    the branch report's, so p < 1e-14 gives fidelity ``None`` as in ``teleport``.
 
-    Corrected states are K_l c and receiver states C_l† K_l c. The pair
-    state of Bell outcome (m, n) is sum_j |x_j> ⊗ C_l† K_l c, by
-    completeness of the receiver basis x. All are scaled by 1/sqrt(p_mn),
-    where p_mn = sum_j |K_(m,n,j) c|^2.
+    The states are read off the Kraus stack K_l: corrected states K_l c, receiver states
+    C_l† K_l c and, for Bell outcome (m, n), the pair state sum_j |x_j> ⊗ C_l† K_l c by
+    completeness of the receiver basis x; each is scaled by 1/sqrt(p_mn = sum_j |K_(m,n,j) c|^2).
     """
     c = np.array(_input_pair(params))
     bundle = teleport.protocol_bundle("ghz-epr", bob_theta=params["theta"])
-    labels = bundle.protocol.corners[0]
+    report = teleport.enumerate_branches(bundle, *c)
     fixed = bundle.protocol.kraus(bundle.coords) @ c
     chi = np.stack([fix.matrix.conj().T @ row for fix, row in zip(bundle.protocol.fixes, fixed)])
     # Outcomes run in (m, n, j) order, so p_mn sums consecutive pairs of rows.
@@ -388,17 +388,16 @@ def _cmd_tables(params: dict, seed: int) -> dict:
     fixed, chi = fixed * scale, chi * scale
     x_pair = [x.amplitudes for x in bases.bob_x_basis(params["theta"])]
     tables = {k: {} for k in ("pair_states", "receiver_states", "corrections", "corrected_states", "fidelities")}
-    for l, (m, n, j) in enumerate(labels):
+    for l, branch in enumerate(report.branches):
+        m, n, j = branch.outcome
         key = f"{m}{n}{j}"
         if j == 0:
             eta = np.kron(x_pair[0], chi[l]) + np.kron(x_pair[1], chi[l + 1])
             tables["pair_states"][f"{m}{n}"] = _cvec(eta)
         tables["receiver_states"][key] = _cvec(chi[l])
-        tables["corrections"][key] = bundle.protocol.fixes[l].desc
+        tables["corrections"][key] = branch.correction
         tables["corrected_states"][key] = _cvec(fixed[l])
-        norm2 = float(np.vdot(fixed[l], fixed[l]).real)
-        fid = abs(np.vdot(c, fixed[l])) ** 2 / norm2 if norm2 > 1e-14 else None
-        tables["fidelities"][key] = None if fid is None else clamp_unit(fid, "tables fidelity")
+        tables["fidelities"][key] = branch.fidelity
     return {"theta": params["theta"], "input": _cvec(c), **tables}
 
 

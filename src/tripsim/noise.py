@@ -133,10 +133,11 @@ def noisy_teleport_sweep(
     channels = [make_channel(channel_kind, p) for p in np.asarray(p_grid, dtype=float).tolist()]
     response = resource_response(bundle)
     n, amps = bundle.resource.num_qubits, bundle.resource.amplitudes
+    pure = np.outer(amps, amps.conj())
     rows: list[tuple[float, float]] = []
     for ch in channels:
-        rho = np.outer(amps, amps.conj())
+        rho = pure
         for q in local_targets:
             rho = _apply_kraus_1q(rho, n, ch.transfer, q)
-        rows.append((ch.parameter, float((response * rho).sum().real)))
+        rows.append((ch.parameter, float((response * rho).sum(axis=(-2, -1)).real)))
     return rows

@@ -141,7 +141,8 @@ class ProtocolBundle:
 
     @property
     def n_total(self) -> int:
-        return self.protocol.n_input + self.resource.num_qubits
+        """Read off the layout: the inputs, then the resource, whose unmeasured qubits are the n_input receivers."""
+        return self.protocol.n_input + len(self.protocol.meas_targets)
 
 
 @lru_cache(maxsize=None)
@@ -581,7 +582,7 @@ def average_fidelity(bundle: ProtocolBundle, rho=None) -> float:
         rho = (rho if isinstance(rho, DensityOp) else DensityOp(rho)).matrix
         if rho.shape != response.shape:
             raise ValueError(f"rho has dimension {rho.shape[0]}, the resource {response.shape[0]}")
-    return float((response * rho).sum().real)
+    return float((response * rho).sum(axis=(-2, -1)).real)
 
 
 def average_fidelity_ghz_meas(theta_channel: float, theta_meas: float) -> float:
@@ -598,18 +599,17 @@ def closed_form_avg_fidelity(theta_channel: float, theta_meas: float) -> float:
 def avg_fidelity_surface(theta_grid, phi_grid=None) -> FidelitySurface:
     """Input-averaged fidelity over a grid of (channel, measurement) angles.
 
-    One resource response W_phi per measurement angle, evaluated as
-    R_theta^T W_phi R_theta^* for every channel angle, with R_theta and W_phi
-    read from ghz-meas bundles, which check each angle; ``values[i, j]``
-    belongs to (theta_grid[i], phi_grid[j]); each grid is non-empty and 1-D.
+    Column j is sum(W_phi * rho_theta) over the stacked channel projectors rho_theta, as :func:`average_fidelity`
+    reads it, so ``values[i, j]`` is ``average_fidelity_ghz_meas(theta_grid[i], phi_grid[j])`` clamped onto
+    [0, 1]. Both come from ghz-meas bundles, which check every theta, then every phi; each grid is non-empty and 1-D.
     """
     theta_grid = np.asarray(theta_grid, dtype=float)
     phi_grid = theta_grid if phi_grid is None else np.asarray(phi_grid, dtype=float)
     for name, grid in (("theta_grid", theta_grid), ("phi_grid", phi_grid)):
         if grid.ndim != 1 or not grid.size:
             raise ValueError(f"{name} must be a non-empty 1-D array, got shape {grid.shape}")
-    channels = np.stack([protocol_bundle("ghz-meas", theta_channel=th).resource.amplitudes for th in theta_grid])
-    bundles = (protocol_bundle("ghz-meas", theta_meas=ph) for ph in phi_grid)
-    responses = np.stack([resource_response(bundle) for bundle in bundles])
-    values = np.einsum("ir,jrs,is->ij", channels, responses, channels.conj()).real
+    channels = [protocol_bundle("ghz-meas", theta_channel=th).resource.amplitudes for th in theta_grid]
+    rhos = np.stack([np.outer(amps, amps.conj()) for amps in channels])
+    bundles = [protocol_bundle("ghz-meas", theta_meas=ph) for ph in phi_grid]
+    values = np.stack([(resource_response(bundle) * rhos).sum(axis=(-2, -1)).real for bundle in bundles], axis=1)
     return FidelitySurface(theta_grid, phi_grid, clamp_unit(values, "surface fidelity"))

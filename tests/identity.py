@@ -16,7 +16,8 @@ and w-channel amplitudes with zeros mixed in; seeded reports of
 ``dataclasses.replace`` copies of bundles (``replaced-bundle/...``); the
 branch factors with the correction stack the engine applies, the
 resource response W and ``average_fidelity`` at default and other
-parameters; a fidelity surface; noise sweeps of every protocol and
+parameters; a square fidelity surface and a non-square one (7 channel by 5
+measurement angles, edge angles among them); noise sweeps of every protocol and
 channel; ``tripsim noise-sweep`` of every protocol with its own flags;
 ``tripsim paradox``, ``tables``, ``classify`` (of state files written for
 the run, malformed ones among them), ``twirl`` of both families and
@@ -297,6 +298,8 @@ def worker(src: str) -> dict:
         outputs[f"cli-noise-sweep/{protocol}"], outputs[f"cli-noise-sweep-params/{protocol}"] = _cli_run(main, argv)
     angles = np.linspace(0.0, math.pi / 2, 16)
     outputs["surface"] = teleport.avg_fidelity_surface(angles).values
+    phis = [0.0, math.pi / 12, math.pi / 4, 1.3, math.pi / 2]
+    outputs["surface/non-square"] = teleport.avg_fidelity_surface([*EDGES, 0.3, 1.1], phis).values
     outputs["average-fidelity-ghz-meas"] = [
         teleport.average_fidelity_ghz_meas(t, p) for t in angles for p in angles[::5]
     ]

@@ -3,6 +3,7 @@ import cmath
 import contextlib
 import dataclasses
 import io
+import itertools
 import json
 import math
 import os
@@ -222,6 +223,80 @@ class TestCommands:
         assert payload["family"] == "werner"
         assert len(payload["trace_distance_history"]) == 10
         assert all(0.0 <= d <= 1.0 for _, d in payload["trace_distance_history"])
+
+
+def _payload(argv, capsys) -> dict:
+    code, out = _run(argv, capsys)
+    assert code == 0
+    return json.loads(out)
+
+
+class TestOneFormulaPerQuantity:
+    """A quantity that two commands print comes from one formula, so both
+    print the same bits."""
+
+    def test_surface_points_are_the_noiseless_sweep_rows(self, capsys):
+        surface = _payload(["fidelity-surface", "--grid", "21"], capsys)
+        rng = np.random.default_rng(35)
+        points = [(0, 0), (10, 10), (20, 20), *rng.integers(0, 21, size=(40, 2)).tolist()]
+        for i, j in points:
+            theta, phi = surface["theta_grid"][i], surface["phi_grid"][j]
+            argv = ["noise-sweep", "--protocol", "ghz-meas", "--target", "3", "--grid", "0:0:1",
+                    f"--theta-channel={theta!r}", f"--theta-meas={phi!r}"]
+            assert _payload(argv, capsys)["rows"] == [[0.0, surface["values"][i][j]]], (theta, phi)
+
+    def test_library_surface_sweep_and_average_agree(self):
+        rng = np.random.default_rng(36)
+        thetas, phis = rng.uniform(0, math.pi / 2, 6), rng.uniform(0, math.pi / 2, 4)
+        values = teleport.avg_fidelity_surface(thetas, phis).values
+        for (i, theta), (j, phi) in itertools.product(enumerate(thetas), enumerate(phis)):
+            params = {"theta_channel": theta, "theta_meas": phi}
+            fbar = teleport.average_fidelity(teleport.protocol_bundle("ghz-meas", **params))
+            assert noise.noisy_teleport_sweep("ghz-meas", "depolarizing", 3, [0.0], params=params) == [(0.0, fbar)]
+            assert values[i, j] == fbar
+
+    @staticmethod
+    def _assert_tables_print_the_report(c0: str, c1: str, theta: str, capsys) -> dict:
+        tables = _payload(["tables", f"--c0={c0}", f"--c1={c1}", f"--theta={theta}"], capsys)
+        report = _payload(["teleport", "--protocol", "ghz-epr", f"--c0={c0}", f"--c1={c1}", f"--bob-theta={theta}"], capsys)
+        keys = ["".join(map(str, branch["label"])) for branch in report["branches"]]
+        assert list(tables["fidelities"]) == list(tables["corrections"]) == keys
+        assert list(tables["fidelities"].values()) == [branch["fidelity"] for branch in report["branches"]]
+        assert list(tables["corrections"].values()) == [branch["correction"] for branch in report["branches"]]
+        return tables
+
+    def test_tables_print_the_teleport_report(self, capsys):
+        rng = np.random.default_rng(37)
+        for _ in range(20):
+            c0, c1 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            theta = float(rng.uniform(0, math.pi / 2))
+            self._assert_tables_print_the_report(repr(complex(c0)), repr(complex(c1)), repr(theta), capsys)
+        tables = self._assert_tables_print_the_report("0.6", "0.8j", "0.3", capsys)
+        assert tables["fidelities"]["001"] == 0.7390932818839198
+
+    def test_tables_mark_dead_outcomes_as_the_report_does(self, capsys):
+        # At this angle four outcomes have p = 5.6e-15, below the report's cut of 1e-14.
+        tables = self._assert_tables_print_the_report("1", "0", "1.5e-7", capsys)
+        assert [key for key, fid in tables["fidelities"].items() if fid is None] == ["000", "011", "100", "111"]
+
+    @pytest.mark.parametrize(
+        "argv, protocol, builds",
+        [
+            (["noise-sweep", "--protocol", "ghz-via-3epr", "--target", "3,4", "--grid", "0:1:0.5"], "ghz-via-3epr", 1),
+            (["fidelity-surface", "--grid", "41"], "ghz-meas", 41),
+            (["teleport", "--protocol", "ghz-via-3epr"], "ghz-via-3epr", 8),
+        ],
+        ids=["noise-sweep", "fidelity-surface", "teleport"],
+    )
+    def test_commands_build_only_the_resources_they_read(self, argv, protocol, builds, monkeypatch, capsys):
+        # From a fresh table entry: the sweep reads its one resource, the surface
+        # one per channel angle, and a report the resource at each corner.
+        calls = []
+        entry = teleport.PROTOCOLS[protocol]
+        counted = dataclasses.replace(entry, resource=lambda x: calls.append(x) or entry.resource(x))
+        monkeypatch.setitem(teleport.PROTOCOLS, protocol, counted)
+        _payload(argv, capsys)
+        assert len(calls) == builds
 
 
 class TestDeterminismAndConfig:

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import PROBE_PAIRS, chi_row, dense_branches, eta_row, looped_corrections, random_input, repetition, with_entry
-from tripsim import teleport
+from tripsim import noise, teleport
 from tripsim.bases import bell2, bob_x_basis, ghz_basis
 from tripsim.core import PAULIS, DensityOp, InputQubit, InvariantViolation, StateVector, _string_matrix, partial_inner, project, tensor
 from tripsim.noise import noisy_teleport_sweep
@@ -263,7 +263,13 @@ class TestFidelitySurface:
         per_point = np.array(
             [[average_fidelity_ghz_meas(t, p) for p in phis] for t in thetas]
         )
-        assert np.abs(surface.values - per_point).max() < 1e-12
+        assert _bits_equal(surface.values, per_point)
+
+    def test_grid_41_is_average_fidelity_bit_for_bit(self):
+        # One contraction, sum(W * rho), for the surface and the per-point average.
+        grid = np.linspace(0.0, math.pi / 2, 41)
+        per_point = np.array([[average_fidelity_ghz_meas(t, p) for p in grid] for t in grid])
+        assert _bits_equal(avg_fidelity_surface(grid).values, per_point)
 
     @pytest.mark.parametrize(
         "thetas, phis, bad",
@@ -1009,6 +1015,20 @@ def test_bundles_averages_and_sweeps_build_no_corners(protocol, monkeypatch):
     assert len(built) == _CORNERS[protocol]
     copy = dataclasses.replace(bundle)
     assert _bits_equal(kraus, copy.protocol.kraus(copy.coords))
+
+
+@pytest.mark.parametrize("protocol", PROTOCOL_NAMES)
+def test_response_and_sweep_targets_build_no_resource(protocol, monkeypatch):
+    # A bundle's qubit count is its layout's, so W, the coverage pass behind it
+    # and the sweep's target check never build a resource state they do not read.
+    builds = []
+    real = teleport.PROTOCOLS[protocol].resource
+    _fresh_entry(protocol, monkeypatch, resource=lambda x: builds.append(x) or real(x))
+    bundle = protocol_bundle(protocol, **_BUNDLE_PARAMS[1][protocol])
+    teleport.resource_response(bundle)
+    noise._resource_targets(bundle, range(bundle.protocol.n_input, bundle.n_total))
+    assert not builds
+    assert bundle.n_total == bundle.protocol.n_input + bundle.resource.num_qubits
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
