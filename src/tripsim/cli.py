@@ -5,7 +5,7 @@ Each flag is declared once; ``run`` resolves a whole ``ExperimentConfig``
 through the declarations before any command runs. Each command builds only
 its own fields; ``run`` puts the envelope, ``"schema": "tripsim/1"`` and
 ``"command"`` naming the subcommand that ran, in front of them and checks
-the envelope and then the command's schema before anything is written.
+the command's schema before anything is written.
 
 Exit codes: 0 on success, 1 when a library invariant is violated (the
 violated invariant is named on stderr), 2 on configuration errors.
@@ -45,8 +45,7 @@ MAX_TWIRL_D = 8  # twirl --d: 64 x 64 two-qudit operators
 _UNIT = {"type": "number", "minimum": 0.0, "maximum": 1.0}
 _SIGNED_UNIT = {"type": "number", "minimum": -1.0, "maximum": 1.0}
 
-# Each command's own fields. ``run`` adds the envelope, ``schema`` and
-# ``command``, and checks it before the command's entry.
+# Each command's own fields; ``run`` adds the envelope keys ``schema`` and ``command``.
 _SCHEMAS = {
     "paradox": {
         "required": ["xyy", "yxy", "yyx", "xxx", "contradiction"],
@@ -113,17 +112,17 @@ _TYPES = {
     "boolean": lambda v: isinstance(v, bool),
     "null": lambda v: v is None,
 }
-_KEYWORDS = {"type", "required", "properties", "items", "const", "minimum", "maximum"}
+_KEYWORDS = {"type", "required", "properties", "items", "minimum", "maximum"}
 
 
 def _check(value, schema: dict, where: str = "$") -> None:
     """Check a payload against one of the schemas above.
 
-    Interprets exactly the seven keywords those schemas use: ``type``,
-    ``required``, ``properties``, ``items``, ``const``, ``minimum`` and
-    ``maximum``. ``type`` is one type name or a list of them, any of which
-    may match. A schema with any other keyword or type name raises, so no
-    rule is skipped silently. A ``number`` is a finite int or float, never
+    Interprets exactly the six keywords those schemas use: ``type``,
+    ``required``, ``properties``, ``items``, ``minimum`` and ``maximum``.
+    ``type`` is one type name or a list of them, any of which may match. A
+    schema with any other keyword or type name raises, so no rule is
+    skipped silently. A ``number`` is a finite int or float, never
     a bool; ``minimum`` and ``maximum`` apply to numbers only. Payloads are
     built by the library from range-checked inputs, so a mismatch is an
     ``InvariantViolation("payload-schema")``.
@@ -136,8 +135,6 @@ def _check(value, schema: dict, where: str = "$") -> None:
         raise fail(f"unknown schema keywords {unknown}")
     if types and not any(_TYPES[t](value) for t in types):
         raise fail(f"{reprlib.repr(value)} is not of type {' or '.join(types)}")
-    if "const" in schema and value != schema["const"]:
-        raise fail(f"{reprlib.repr(value)} is not {schema['const']!r}")
     if _is_number(value):
         if "minimum" in schema and not value >= schema["minimum"]:
             raise fail(f"{value!r} is below {schema['minimum']!r}")
@@ -181,11 +178,11 @@ def _normalized_tuple(values, what: str) -> tuple[complex, ...]:
 
 # --- command payloads ----------------------------------------------------
 
-# Each command's help line and flags, declared once next to the command.
-# A flag is the keywords of ``add_argument`` plus ``limits``, an inclusive
-# range. ``_build_parser`` builds the subparsers from them and
-# ``run`` resolves ``ExperimentConfig.params`` through them, so a call from
-# Python is refused where the command line is and takes the same defaults.
+# Each command's help line and flags, declared once next to the command. A flag
+# is the keywords of ``add_argument`` plus ``limits``, an inclusive range, and
+# ``parse``, which turns the checked value into what the command takes. From
+# them ``_build_parser`` builds the subparsers and ``run`` resolves the params,
+# so a call from Python is refused where the command line is, with its defaults.
 _COMMANDS: dict = {}
 _FLAGS: dict = {}
 
@@ -309,9 +306,9 @@ def _load_state(path: str) -> StateVector:
 
 
 @_command("classify", "classify a three-qubit pure state",
-          state=dict(required=True, help="JSON file with [re,im] amplitude pairs"))
+          state=dict(required=True, parse=_load_state, help="JSON file with [re,im] amplitude pairs"))
 def _cmd_classify(params: dict, seed: int) -> dict:
-    diag = diagnostics(_load_state(params["state"]))
+    diag = diagnostics(params["state"])
     return {**diag.verdict().to_dict(), "diagnostics": diag.to_dict()}
 
 
@@ -335,23 +332,30 @@ def _parse_grid(text: str) -> np.ndarray:
     return np.minimum(start + step * np.arange(math.floor(span) + 1), stop)
 
 
+def _parse_targets(text: str) -> list[int]:
+    try:
+        return [int(t) for t in text.split(",")]
+    except ValueError:
+        raise ValueError(f"--target must list qubit indices INDEX[,INDEX...], got {text!r}") from None
+
+
+def _sweep_grid(text: str) -> np.ndarray:
+    grid = _parse_grid(text)
+    if not 0 <= grid[0] <= grid[-1] <= 1:
+        raise ValueError(f"--grid points must lie in [0, 1], got {grid[0]} to {grid[-1]}")
+    return grid
+
+
 @_command(
     "noise-sweep", "fidelity versus channel parameter",
     **_PROTOCOL_FLAGS,
     channel=dict(choices=sorted(noise.CHANNELS), default="bitflip"),
-    target=dict(required=True, help="resource qubit index (comma list allowed)"),
-    grid=dict(default="0:1:0.05", help="start:stop:step"),
+    target=dict(required=True, parse=_parse_targets, help="resource qubit index (comma list allowed)"),
+    grid=dict(default="0:1:0.05", parse=_sweep_grid, help="start:stop:step"),
 )
 def _cmd_noise_sweep(params: dict, seed: int) -> dict:
     # Every flag but these four is a protocol parameter; protocol_bundle checks it.
-    protocol, channel, text = params.pop("protocol"), params.pop("channel"), params.pop("target")
-    try:
-        target = [int(t) for t in text.split(",")]
-    except ValueError:
-        raise ValueError(f"--target must list qubit indices INDEX[,INDEX...], got {text!r}") from None
-    grid = _parse_grid(params.pop("grid"))
-    if not 0 <= grid[0] <= grid[-1] <= 1:
-        raise ValueError(f"--grid points must lie in [0, 1], got {grid[0]} to {grid[-1]}")
+    protocol, channel, target, grid = map(params.pop, ("protocol", "channel", "target", "grid"))
     _normalize_channel(teleport.PROTOCOLS[protocol], params)
     rows = noise.noisy_teleport_sweep(protocol, channel, target, grid, params=params)
     resolved = teleport.protocol_bundle(protocol, **params).params
@@ -451,6 +455,10 @@ def _resolve(command: str, flags: dict, params: dict) -> dict:
             raise ValueError("{} must lie in [{}, {}], got {}".format(flag, *spec["limits"], value))
         if kind in (float, complex) and not np.isfinite(value):
             raise ValueError(f"{flag} must be finite, got {value!r}")
+    # After every check, in declaration order: of two bad flags the first declared is refused.
+    for key, spec in flags.items():
+        if "parse" in spec:
+            resolved[key] = spec["parse"](resolved[key])
     return resolved
 
 
@@ -476,15 +484,9 @@ def run(config: ExperimentConfig) -> int:
     if options["format"] == "csv" and config.command not in _CSV_ROWS:
         raise ValueError(f"command {config.command!r} has no CSV form; use json")
     body = _COMMANDS[config.command](_resolve(config.command, _FLAGS[config.command][1], config.params), seed)
-    # The envelope comes first, so a body that sets either key overrides
-    # it and fails the envelope check.
+    if body.keys() & {"schema", "command"}:
+        raise InvariantViolation("payload-schema", "$: a command body must not set schema or command")
     payload = {"schema": SCHEMA_TAG, "command": config.command, **body}
-    envelope = {
-        "type": "object",
-        "required": ["schema", "command"],
-        "properties": {"schema": {"const": SCHEMA_TAG}, "command": {"const": config.command}},
-    }
-    _check(payload, envelope)
     _check(payload, _SCHEMAS[config.command])
     if options["format"] == "csv":
         buf = io.StringIO()
@@ -524,7 +526,7 @@ def _build_parser() -> argparse.ArgumentParser:
             # Each flag's help line states its default and its range.
             notes = [spec.get("help"), "default: %(default)s" if "default" in spec else None]
             notes.append("from {} to {}".format(*spec["limits"]) if "limits" in spec else None)
-            keywords = {k: v for k, v in spec.items() if k != "limits"}
+            keywords = {k: v for k, v in spec.items() if k not in ("limits", "parse")}
             p.add_argument(_flag(key), **{**keywords, "help": "; ".join(filter(None, notes))})
     return parser
 

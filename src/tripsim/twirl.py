@@ -38,6 +38,8 @@ class IsotropicParams:
             raise ValueError(f"level count must be >= 2, got {self.d}")
         if not 0.0 <= self.f <= 1.0:
             raise ValueError(f"f must lie in [0, 1], got {self.f}")
+        if self.f < 1.0 / (self.d * self.d) - 1e-12:
+            raise ValueError(f"f must lie in [1/d^2, 1] = [{1.0 / (self.d * self.d)}, 1], got {self.f}")
 
 
 @dataclass(frozen=True)
@@ -83,16 +85,8 @@ def werner(params: WernerParams) -> DensityOp:
 
 
 def isotropic(params: IsotropicParams) -> DensityOp:
-    """(1-f)/(d^2-1) 1  +  (f d^2 - 1)/(d^2-1) P00.
-
-    f below 1/d^2 would make the projector weight negative, so the range
-    guard rejects it.
-    """
+    """(1-f)/(d^2-1) 1  +  (f d^2 - 1)/(d^2-1) P00; IsotropicParams refuses f < 1/d^2 (P00 weight < 0)."""
     d = params.d
-    if params.f < 1.0 / (d * d) - 1e-12:
-        raise ValueError(
-            f"f must lie in [1/d^2, 1] = [{1.0 / (d * d)}, 1], got {params.f}"
-        )
     eye = np.eye(d * d, dtype=complex)
     p00 = max_entangled_projector(d)
     mat = (1.0 - params.f) / (d * d - 1) * eye + (params.f * d * d - 1) / (d * d - 1) * p00

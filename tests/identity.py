@@ -24,7 +24,9 @@ the run, malformed ones among them), ``twirl`` of both families and
 ``fidelity-surface`` as JSON and CSV, with fixed seeds; and seeded library
 ``diagnostics`` and ``twirl_report`` results; and refusals
 (``refusal/...``): requests with a grid point outside [0, 1], an angle
-outside [0, pi/2] or a non-finite flag, library noise sweeps with an
+outside [0, pi/2] or a non-finite flag, ``cli.run`` requests with a bad
+``--target``, sweep ``--grid`` or ``--state`` file and with both
+``--target`` and ``--grid`` bad, library noise sweeps with an
 unknown channel kind or a grid point past 1, and ghz-meas copies whose
 table lacks the correction of a live outcome. A CSV payload is compared cell by cell.
 
@@ -224,10 +226,11 @@ def _other_commands(main, diagnostics, twirl_report, StateVector, np) -> dict:
     return outputs
 
 
-def _refusals(main, teleport, noise) -> dict:
-    """Refused CLI requests, library noise sweeps with an unknown channel
-    kind or a grid point past 1, and ghz-meas copies without the correction
-    of a live outcome through ``enumerate_branches`` and ``average_fidelity``."""
+def _refusals(main, run, ExperimentConfig, teleport, noise) -> dict:
+    """Refused CLI requests, through ``main`` and through ``run``, library
+    noise sweeps with an unknown channel kind or a grid point past 1, and
+    ghz-meas copies without the correction of a live outcome through
+    ``enumerate_branches`` and ``average_fidelity``."""
     outputs = {}
     for name, argv in (
         ("noise-grid-past-one", ["noise-sweep", "--protocol", "ghz-meas", "--target", "1", "--grid", "0:2:0.5"]),
@@ -241,6 +244,22 @@ def _refusals(main, teleport, noise) -> dict:
          ["noise-sweep", "--protocol", "ghz-via-3epr", "--target", "4", "--theta1", "1.6"]),
     ):
         outputs[f"refusal/{name}"] = _cli_run(main, argv)[0]
+    sweep = {"protocol": "ghz-meas", "target": "3"}
+    with tempfile.TemporaryDirectory() as tmp:
+        home = os.getcwd()
+        os.chdir(tmp)
+        try:
+            with open("no-amplitudes.json", "w", encoding="utf-8") as fh:
+                json.dump({"amps": [[1, 0]] * 8}, fh)
+            for name, command, params in (
+                ("target-empty-entry", "noise-sweep", {**sweep, "target": "3,"}),
+                ("grid-past-one", "noise-sweep", {**sweep, "grid": "0:2:0.5"}),
+                ("state-without-amplitudes", "classify", {"state": "no-amplitudes.json"}),
+                ("target-and-grid", "noise-sweep", {**sweep, "target": "3,", "grid": "0:2:1"}),
+            ):
+                outputs[f"refusal/run-{name}"] = _guarded(lambda: run(ExperimentConfig(command, params)))
+        finally:
+            os.chdir(home)
     for name, kind, grid in (("unknown-kind", "bogus", [0.1]),
                              ("point-past-one", "depolarizing", [0.1, 0.5, 1.5])):
         sweep = lambda: noise.noisy_teleport_sweep("ghz-via-3epr", kind, 3, grid)
@@ -263,7 +282,7 @@ def worker(src: str) -> dict:
 
     from tripsim import noise, teleport
     from tripsim.classify import diagnostics
-    from tripsim.cli import main
+    from tripsim.cli import ExperimentConfig, main, run
     from tripsim.core import InputQubit, StateVector
     from tripsim.twirl import twirl_report
 
@@ -304,7 +323,7 @@ def worker(src: str) -> dict:
         teleport.average_fidelity_ghz_meas(t, p) for t in angles for p in angles[::5]
     ]
     outputs.update(_other_commands(main, diagnostics, twirl_report, StateVector, np))
-    outputs.update(_refusals(main, teleport, noise))
+    outputs.update(_refusals(main, run, ExperimentConfig, teleport, noise))
     return outputs
 
 

@@ -1,6 +1,7 @@
 import argparse
 import cmath
 import contextlib
+import csv
 import dataclasses
 import io
 import itertools
@@ -19,7 +20,7 @@ from helpers import chi_row, eta_row, tables_oracle
 from tripsim import cli, noise, teleport
 from tripsim.bases import ghz_basis
 from tripsim.cli import ExperimentConfig, main, run
-from tripsim.core import InvariantViolation
+from tripsim.core import InvariantViolation, StateVector
 from tripsim.noise import CHANNELS
 from tripsim.teleport import PROTOCOL_NAMES
 
@@ -1145,3 +1146,128 @@ def test_every_request_ends_in_a_documented_way(data, state_dir):
     else:
         assert out.getvalue() == ""
         assert err.getvalue().startswith(("error:", "invariant violated [", "usage:"))
+
+
+def _csv_rows(argv, capsys) -> list[list[str]]:
+    code, out = _run(["--format", "csv", *argv], capsys)
+    assert code == 0
+    return list(csv.reader(io.StringIO(out)))
+
+
+class TestCsvForms:
+    """Each CSV form is the JSON payload of the same request, row for row."""
+
+    @pytest.mark.parametrize("protocol", ["ghz-meas", "w-channel"])
+    def test_teleport_rows_are_the_json_branches(self, protocol, capsys):
+        argv = ["teleport", "--protocol", protocol]
+        branches = _payload(argv, capsys)["branches"]
+        rows = _csv_rows(argv, capsys)
+        assert rows[0] == ["label", "p", "correction", "fidelity", "success"]
+        assert rows[1:] == [
+            ["".join(map(str, b["label"])), cli._fmt17(b["p"]), b["correction"],
+             "" if b["fidelity"] is None else cli._fmt17(b["fidelity"]), str(b["success"])]
+            for b in branches
+        ]
+        if protocol == "ghz-meas":
+            # Its four lam != omega outcomes are dead: an empty fidelity cell.
+            assert sum(row[3] == "" for row in rows[1:]) == 4
+        else:
+            # Readout 1 is the failed branch: no correction, no success.
+            failed = [row for row in rows[1:] if row[0].endswith("1")]
+            assert len(failed) == 4 and all(row[2:5:2] == ["none", "False"] for row in failed)
+
+    def test_twirl_rows_are_the_json_history(self, capsys):
+        argv = ["--seed", "3", "twirl", "--family", "isotropic", "--d", "3", "--samples", "40"]
+        history = _payload(argv, capsys)["trace_distance_history"]
+        rows = _csv_rows(argv, capsys)
+        assert rows[0] == ["samples", "trace_distance"]
+        assert rows[1:] == [[str(n), cli._fmt17(dist)] for n, dist in history]
+        assert len(rows) == 11
+
+
+def _refuse_call(params, seed):
+    raise AssertionError("the command ran on a request that run should have refused")
+
+
+class TestParsedFlags:
+    """``--target``, the sweep ``--grid`` and ``--state`` are parsed by their
+    declarations, so ``run`` refuses a bad one before any command is called."""
+
+    SWEEP = {"protocol": "ghz-meas", "target": "3"}
+
+    @pytest.mark.parametrize("grid", ["0:1", "a:b:c"])
+    def test_grid_without_three_fields_is_refused(self, grid, capsys):
+        assert main(["noise-sweep", "--protocol", "ghz-meas", "--target", "3", "--grid", grid]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --grid must be start:stop:step, got {grid!r}\n"
+
+    def test_vanishing_input_amplitudes_are_refused(self, capsys):
+        assert main(["teleport", "--protocol", "ghz-epr", "--c0", "0", "--c1", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: input amplitudes must not all vanish\n"
+
+    @pytest.mark.parametrize(
+        "command, params, refusal",
+        [
+            ("noise-sweep", {**SWEEP, "target": "3,"}, "--target must list qubit indices INDEX[,INDEX...], got '3,'"),
+            ("noise-sweep", {**SWEEP, "grid": "0:2:0.5"}, "--grid points must lie in [0, 1], got 0.0 to 2.0"),
+            ("noise-sweep", {**SWEEP, "grid": "0.5:0.2:0.1"},
+             "--grid 0.5:0.2:0.1 has no points; stop must not lie below start"),
+            ("classify", {"state": "no-key.json"}, "no-key.json: a state object needs an 'amplitudes' key"),
+        ],
+        ids=["target-empty-entry", "grid-past-one", "grid-without-points", "state-without-amplitudes"],
+    )
+    def test_refused_before_any_command(self, command, params, refusal, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "no-key.json").write_text(json.dumps({"amps": [[1, 0]] * 8}))
+        monkeypatch.setitem(cli._COMMANDS, command, _refuse_call)
+        with pytest.raises(ValueError) as refused:
+            run(ExperimentConfig(command, params))
+        assert str(refused.value) == refusal
+
+    def test_csv_classify_is_refused_before_the_state_file_is_read(self, tmp_path, monkeypatch):
+        monkeypatch.setitem(cli._COMMANDS, "classify", _refuse_call)
+        config = ExperimentConfig("classify", {"state": str(tmp_path / "missing.json")}, fmt="csv")
+        with pytest.raises(ValueError, match="^command 'classify' has no CSV form; use json$"):
+            run(config)
+
+    @pytest.mark.parametrize("given", [("target", "grid"), ("grid", "target")])
+    def test_of_two_bad_flags_target_is_refused(self, given, monkeypatch, capsys):
+        # --target is declared before --grid, whatever the order they are given in.
+        monkeypatch.setitem(cli._COMMANDS, "noise-sweep", _refuse_call)
+        bad = {"target": "3,", "grid": "0:2:1"}
+        with pytest.raises(ValueError, match=r"^--target must list qubit indices"):
+            run(ExperimentConfig("noise-sweep", {"protocol": "ghz-meas", **{k: bad[k] for k in given}}))
+        argv = ["noise-sweep", "--protocol", "ghz-meas", *(arg for k in given for arg in (f"--{k}", bad[k]))]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: --target must list qubit indices")
+
+    def test_commands_receive_parsed_values(self, tmp_path, monkeypatch):
+        received = {}
+        for command in ("noise-sweep", "classify"):
+            real = cli._COMMANDS[command]
+            monkeypatch.setitem(
+                cli._COMMANDS, command, lambda params, seed, real=real: received.update(params) or real(params, seed)
+            )
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run(ExperimentConfig("noise-sweep", {**self.SWEEP, "target": "3,1"})) == 0
+            assert received["target"] == [3, 1]
+            np.testing.assert_array_equal(received["grid"], cli._parse_grid("0:1:0.05"))
+            assert run(ExperimentConfig("classify", {"state": _ghz_state_file(tmp_path / "s.json")})) == 0
+            assert isinstance(received["state"], StateVector)
+
+    @pytest.mark.parametrize(
+        "envelope",
+        [{"schema": cli.SCHEMA_TAG}, {"command": "paradox"}, {"schema": "tripsim/0"}, {"command": "tables"}],
+        ids=["own-schema", "own-command", "other-schema", "other-command"],
+    )
+    def test_body_that_sets_an_envelope_key_is_refused(self, envelope, monkeypatch, capsys):
+        # Even the values run itself writes: the envelope is run's alone.
+        real = cli._COMMANDS["paradox"]
+        monkeypatch.setitem(cli._COMMANDS, "paradox", lambda params, seed: {**real(params, seed), **envelope})
+        with pytest.raises(InvariantViolation) as refused:
+            run(ExperimentConfig("paradox"))
+        assert refused.value.invariant == "payload-schema"
+        assert capsys.readouterr().out == ""

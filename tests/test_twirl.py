@@ -81,6 +81,16 @@ class TestIsotropic:
         with pytest.raises(ValueError, match="1/d"):
             isotropic(IsotropicParams(2, 0.1))
 
+    @pytest.mark.parametrize("d, f, bound", [(2, 0.1, 0.25), (3, 0.1, 1 / 9), (4, 0.0, 0.0625)])
+    def test_params_below_projector_weight_bound_refused_at_construction(self, d, f, bound):
+        with pytest.raises(ValueError) as refused:
+            IsotropicParams(d, f)
+        assert str(refused.value) == f"f must lie in [1/d^2, 1] = [{bound}, 1], got {f}"
+
+    def test_params_at_the_bound_within_rounding_are_accepted(self):
+        for d in (2, 3, 5):
+            IsotropicParams(d, 1.0 / (d * d) - 5e-13)
+
 
 class TestGenWerner3Q:
     def test_fully_mixed_limit(self):
