@@ -374,20 +374,21 @@ def _cmd_noise_sweep(params: dict, seed: int) -> dict:
 )
 def _cmd_tables(params: dict, seed: int) -> dict:
     """Branch tables of the Bell-plus-rotated-basis protocol (ghz-epr) for a
-    supplied input and receiver angle. Labels, corrections and fidelities are
-    the branch report's, so p < 1e-14 gives fidelity ``None`` as in ``teleport``.
+    supplied input and receiver angle. Labels, corrections, probabilities p_l and fidelities
+    are the branch report's, so p < 1e-14 gives fidelity ``None`` as in ``teleport``.
 
-    The states are read off the Kraus stack K_l: corrected states K_l c, receiver states
-    C_l† K_l c and, for Bell outcome (m, n), the pair state sum_j |x_j> ⊗ C_l† K_l c by
-    completeness of the receiver basis x; each is scaled by 1/sqrt(p_mn = sum_j |K_(m,n,j) c|^2).
+    The states are read off the Kraus stack K_l and the correction stack C: corrected states K_l c,
+    receiver states C_l† K_l c and, for Bell outcome (m, n), the pair state sum_j |x_j> ⊗ C_l† K_l c
+    by completeness of the receiver basis x; each is scaled by 1/sqrt(p_mn = sum_j p_(m,n,j)).
     """
     c = np.array(_input_pair(params))
     bundle = teleport.protocol_bundle("ghz-epr", bob_theta=params["theta"])
     report = teleport.enumerate_branches(bundle, *c)
     fixed = bundle.protocol.kraus(bundle.coords) @ c
-    chi = np.stack([fix.matrix.conj().T @ row for fix, row in zip(bundle.protocol.fixes, fixed)])
-    # Outcomes run in (m, n, j) order, so p_mn sums consecutive pairs of rows.
-    p_mn = (fixed.real**2 + fixed.imag**2).sum(axis=1).reshape(4, 2).sum(axis=1)
+    corrections = teleport._correction_stack(bundle.protocol.fixes, bundle.protocol.n_input)
+    chi = np.stack([matrix.conj().T @ row for matrix, row in zip(corrections, fixed)])
+    # Outcomes run in (m, n, j) order, so p_mn sums consecutive pairs of outcomes.
+    p_mn = np.array([branch.probability for branch in report.branches]).reshape(4, 2).sum(axis=1)
     scale = 1 / np.sqrt(p_mn.repeat(2))[:, None]
     fixed, chi = fixed * scale, chi * scale
     x_pair = [x.amplitudes for x in bases.bob_x_basis(params["theta"])]
@@ -417,7 +418,8 @@ _CSV_ROWS = {
     "fidelity-surface": lambda payload: [["theta", "phi", "avg_fidelity"]] + [
         [_fmt17(th), _fmt17(ph), _fmt17(v)]
         for th, row in zip(payload["theta_grid"], payload["values"]) for ph, v in zip(payload["phi_grid"], row)],
-    "noise-sweep": lambda payload: [["p", "avg_fidelity"]] + [[_fmt17(p), _fmt17(f)] for p, f in payload["rows"]],
+    "noise-sweep": lambda payload: [[noise.CHANNELS[payload["channel"]][0], "avg_fidelity"]] + [
+        [_fmt17(p), _fmt17(f)] for p, f in payload["rows"]],
     "teleport": lambda payload: [["label", "p", "correction", "fidelity", "success"]] + [
         ["".join(map(str, b["label"])), _fmt17(b["p"]), b["correction"],
          "" if b["fidelity"] is None else _fmt17(b["fidelity"]), b["success"]] for b in payload["branches"]],

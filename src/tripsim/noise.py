@@ -126,11 +126,14 @@ def noisy_teleport_sweep(
     params: dict | None = None,
 ) -> list[tuple[float, float]]:
     """Exact input-averaged protocol fidelity after noising the designated
-    resource qubit(s), one row (p, fidelity) per channel parameter. Every
+    resource qubit(s), one row (p, fidelity) per point of the 1-D ``p_grid``. Every
     point's channel is built, and so checked, before W (:func:`resource_response`)."""
     bundle = protocol_bundle(protocol, **(params or {}))
     local_targets = _resource_targets(bundle, target)
-    channels = [make_channel(channel_kind, p) for p in np.asarray(p_grid, dtype=float).tolist()]
+    p_grid = np.asarray(p_grid, dtype=float)
+    if p_grid.ndim != 1:
+        raise ValueError(f"p_grid must be a 1-D array, got shape {p_grid.shape}")
+    channels = [make_channel(channel_kind, p) for p in p_grid.tolist()]
     response = resource_response(bundle)
     n, amps = bundle.resource.num_qubits, bundle.resource.amplitudes
     pure = np.outer(amps, amps.conj())

@@ -22,7 +22,7 @@ outcome states only when they are read, and its Kraus stack is one product
 of the corner weights with the corners. A ``teleport_*`` call is
 ``enumerate_branches(protocol_bundle(...))`` and builds no resource or
 outcome state. W and the noise sweeps never read a stack.
-Each correction table is a stated rule over descriptions (:func:`_corrections`).
+Each correction is the description its entry's rule prints (:func:`_correction_stack`).
 Branches are enumerated in lexicographic label order, with two fidelity
 accountings side by side that must coincide: the sum of ``tr(rho_in rho~_f)``
 over unnormalized corrected branches, and the probability-weighted sum of
@@ -40,7 +40,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial, reduce
+from functools import cached_property, lru_cache, reduce
 from typing import Callable
 
 import numpy as np
@@ -109,13 +109,6 @@ def _jsonable(v):
     if isinstance(v, complex):
         return [v.real, v.imag]
     return v
-
-
-@dataclass(frozen=True)
-class _Correction:
-    desc: str
-    matrix: np.ndarray
-    success: bool = True
 
 
 @dataclass(frozen=True)
@@ -201,8 +194,10 @@ def _contract(factors: tuple, resource: StateVector) -> np.ndarray:
 
 
 def _correction_stack(fixes, n: int) -> np.ndarray:
-    """The stack C of the corrections ``fixes`` on n receiver qubits, the identity where one is ``None``."""
-    return np.array([np.eye(1 << n, dtype=complex) if fix is None else fix.matrix for fix in fixes])
+    """The stack C of the corrections described by ``fixes`` on n receiver qubits: the Kronecker product of each
+    one's ``⊗``-separated Pauli products (:func:`core._string_matrix`), the identity for ``None`` and ``"none"``."""
+    identity = ("",) * n
+    return np.array([_string_matrix(*(identity if fix in (None, "none") else fix.split("⊗"))) for fix in fixes])
 
 
 # --- bundle builders ---------------------------------------------------
@@ -280,30 +275,13 @@ def _pauli_fix(xs, z: int) -> str:
     return "⊗".join(letters)
 
 
-@lru_cache(maxsize=None)
-def _correction(desc: str) -> _Correction:
-    """The Kronecker product of the description's ``⊗``-separated same-qubit
-    Pauli products (:func:`core._string_matrix`), read-only; ``"none"`` is
-    the identity and a failure."""
-    factors = desc.split("⊗") if desc != "none" else [""]
-    return _Correction(desc, _string_matrix(*factors), success=desc != "none")
-
-
-@lru_cache(maxsize=None)
-def _corrections(rule: Callable, width: int) -> dict:
-    """The correction of each ``width``-bit outcome label, as ``rule(*label)``
-    describes it; a label the rule maps to ``None`` gets no entry."""
-    labels = itertools.product((0, 1), repeat=width)
-    return {label: _correction(desc) for label in labels if (desc := rule(*label)) is not None}
-
-
 @dataclass(frozen=True)
 class Protocol:
     """What one protocol is made of: its parameters, each mapped to its
     default, whose type is the parameter's type; its layout, the input qubits
     (which carry the repetition code :func:`_encoding`) and the measured
     ones; its coordinate map; builders of the resource and the outcomes from
-    the coordinates; and its correction table.
+    the coordinates; and its correction rule, from label bits to a description or ``None``.
 
     The coordinate map checks the resolved parameters and maps them to
     coordinate vectors: (cos theta, sin theta) per angle, or the channel
@@ -318,7 +296,7 @@ class Protocol:
     coordinates: Callable[[dict], dict]
     resource: Callable[[dict], StateVector]
     outcomes: Callable[[dict], tuple]
-    corrections: Callable[[], dict]
+    corrections: Callable[..., str | None]
 
     @cached_property
     def _corner_pass(self) -> tuple[tuple[ProtocolBundle, tuple], ...]:
@@ -331,33 +309,34 @@ class Protocol:
     @cached_property
     def corners(self) -> tuple[tuple, np.ndarray]:
         """The outcome labels, and the Kraus stacks at the corners of :attr:`_corner_pass`, one read-only
-        (corners, outcomes, dim, 2) array: C from the table on each corner's factors on its resource."""
+        (corners, outcomes, dim, 2) array: C from :attr:`fixes`, read first, on each corner's factors and resource."""
         labels = tuple(label for label, _ in self._corner_pass[0][0].outcomes)
-        corrections = _correction_stack(map(self.corrections().get, labels), self.n_input)
+        corrections = _correction_stack(self.fixes, self.n_input)
         stacks = corrections @ np.stack([_contract(factors, b.resource) for b, factors in self._corner_pass])
         stacks.setflags(write=False)
         return labels, stacks
 
     @cached_property
     def fixes(self) -> tuple:
-        """Each outcome's correction, or ``None`` where the table has none.
+        """Each outcome's correction description in outcome order, or ``None`` where the rule gives none.
         Built once per protocol; raises ``InvariantViolation("correction-coverage")``
         if an outcome without one has a nonzero branch factor B_l at some corner,
         read off :attr:`_corner_pass` with no contraction. B is linear in each
         coordinate vector, so no other outcome is ever live, even under noise."""
-        table = self.corrections()
+        labels = [label for label, _ in self._corner_pass[0][0].outcomes]
+        fixes = tuple(self.corrections(*label) for label in labels)
         live = np.any([factors[0].any(axis=(1, 2)) for _, factors in self._corner_pass], axis=0)
-        for (label, _), is_live in zip(self._corner_pass[0][0].outcomes, live):
-            if is_live and label not in table:
+        for label, fix, is_live in zip(labels, fixes, live):
+            if is_live and fix is None:
                 raise InvariantViolation("correction-coverage", f"no correction for live outcome {label}")
-        return tuple(table.get(label) for label, _ in self._corner_pass[0][0].outcomes)
+        return fixes
 
     def kraus(self, coords: dict) -> np.ndarray:
         """Logical Kraus operators K[l] = C_l (<b_l| ⊗ 1)(E ⊗ |R>) of the resource
         R at ``coords``, shape (outcomes, 2^(n - k), 2): outcome l's corrected
         residual for input c is ``K[l] @ c``; C_l = 1 for an outcome without a
-        correction (:attr:`fixes` rejects a live one). One product of the
-        corner weights with the corner stacks."""
+        correction (:attr:`fixes`, read by :attr:`corners`, rejects a live one).
+        One product of the corner weights with the corner stacks."""
         weights = np.array([math.prod(w) for w in itertools.product(*coords.values())])
         corners = self.corners[1]
         return (weights @ corners.reshape(len(weights), -1)).reshape(corners.shape[1:])
@@ -377,22 +356,22 @@ PROTOCOLS: dict[str, Protocol] = {
         {"bob_theta": _MAX}, 1, (0, 1, 2), _angles,
         lambda x: ghz_basis(_MAX, (0, 0, 0)),
         lambda x: _ghz_epr_outcomes(x["bob_theta"]),
-        partial(_corrections, lambda *label: GHZ_EPR_CORRECTIONS.get(label), 3),
+        lambda *label: GHZ_EPR_CORRECTIONS.get(label),
     ),
     "ghz-meas": Protocol(
         {"theta_channel": _MAX, "theta_meas": _MAX}, 1, (0, 1, 2), _angles,
         lambda x: _ghz_member(x["theta_channel"], (0, 0, 0)),
         lambda x: _ghz_outcomes(x["theta_meas"]),
         # Z^mu X^lam for outcome (mu, lam, omega).
-        partial(_corrections, lambda mu, lam, om: "Z" * mu + "X" * lam or "I", 3),
+        lambda mu, lam, om: "Z" * mu + "X" * lam or "I",
     ),
     "epr-via-ghz": Protocol(
         {"theta_channel": _MAX}, 2, (0, 1, 2), _angles,
         lambda x: _ghz_member(x["theta_channel"], (0, 0, 0)),
         lambda x: _maximal_ghz_outcomes(),
         # X⊗X for omega = 1 and one Z for mu = 1 on outcome (mu, lam, omega);
-        # the outcomes with lam = 1 are dead and have no entry.
-        partial(_corrections, lambda mu, lam, om: None if lam else _pauli_fix((om, om), mu), 3),
+        # the outcomes with lam = 1 are dead and have none.
+        lambda mu, lam, om: None if lam else _pauli_fix((om, om), mu),
     ),
     "ghz-via-3epr": Protocol(
         {"theta1": _MAX, "theta2": _MAX, "theta3": _MAX}, 3, (0, 3, 1, 5, 2, 7),
@@ -400,7 +379,7 @@ PROTOCOLS: dict[str, Protocol] = {
         lambda x: _three_bell_outcomes(),
         # X on receiver i for n_i = 1 and one Z for odd m1 + m2 + m3 on
         # outcome (m1, n1, m2, n2, m3, n3).
-        partial(_corrections, lambda m1, n1, m2, n2, m3, n3: _pauli_fix((n1, n2, n3), m1 ^ m2 ^ m3), 6),
+        lambda m1, n1, m2, n2, m3, n3: _pauli_fix((n1, n2, n3), m1 ^ m2 ^ m3),
     ),
     "w-channel": Protocol(
         dict.fromkeys("abc", complex(1 / math.sqrt(3))), 1, (0, 1, 3),
@@ -408,7 +387,7 @@ PROTOCOLS: dict[str, Protocol] = {
         lambda x: _w_channel_outcomes(),
         # X^(1-n) Z^m, up to phase, on outcome (m, n, 0). Readout q = 1
         # delivers nothing, so it gets no correction attempt and fails.
-        partial(_corrections, lambda m, n, q: "none" if q else _pauli_fix((1 - n,), m), 3),
+        lambda m, n, q: "none" if q else _pauli_fix((1 - n,), m),
     ),
 }
 PROTOCOL_NAMES = tuple(PROTOCOLS)
@@ -470,8 +449,7 @@ def enumerate_branches(bundle: ProtocolBundle, c0: complex, c1: complex) -> Tele
     records = []
     for label, fix, p, is_live in zip(labels, fixes, probs.tolist(), live.tolist()):
         post, fid = next(delivered) if is_live else (None, None)
-        desc, success = (fix.desc, fix.success) if fix else ("n/a", True)
-        records.append(BranchRecord(label, p, desc, post, fid, success))
+        records.append(BranchRecord(label, p, "n/a" if fix is None else fix, post, fid, fix != "none"))
     kept = [b for b in records if b.fidelity is not None]
     overlaps = rows @ target.conj()
     return TeleportReport(

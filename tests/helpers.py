@@ -2,10 +2,12 @@
 oracle built by basis-index enumeration, a density-matrix protocol oracle,
 a looped correction search, a one-draw-at-a-time twirl and a projection
 oracle for the branch tables and per-reduction classification diagnostics
-(all deliberately not the library path)."""
+(all deliberately not the library path). Correction descriptions are parsed
+into matrices here, with this file's own Pauli matrices."""
 
 import cmath
 import dataclasses
+import functools
 import itertools
 import math
 
@@ -13,19 +15,35 @@ import numpy as np
 
 from tripsim.bases import bell2, bob_x_basis, ghz_basis
 from tripsim.classify import ReducedDiagnostics, concurrence, three_tangle
-from tripsim.core import DensityOp, InputQubit, StateVector, _string_matrix, partial_inner, partial_trace, project, tensor
-from tripsim.teleport import (
-    GHZ_EPR_CORRECTIONS,
-    _DEGENERATE_CUT,
-    _Correction,
-)
+from tripsim.core import DensityOp, InputQubit, StateVector, partial_inner, partial_trace, project, tensor
+from tripsim.teleport import GHZ_EPR_CORRECTIONS, _DEGENERATE_CUT, _branch_factors, _contract
+
+# The tests' own Pauli matrices, so that a wrong constant in core shows.
+PAULI_MATRICES = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
 
 
 def with_entry(bundle, **changes):
     """A copy of ``bundle`` whose table entry has the fields ``changes``, as
-    ``dataclasses.replace`` takes them: the builders ``outcomes`` and
-    ``corrections`` are functions. The new entry builds its own corners."""
+    ``dataclasses.replace`` takes them: ``outcomes`` is a builder and
+    ``corrections`` a rule from label bits to a description or ``None``.
+    The new entry builds its own corners."""
     return dataclasses.replace(bundle, protocol=dataclasses.replace(bundle.protocol, **changes))
+
+
+def described_matrix(desc: str, n: int = 1) -> np.ndarray:
+    """The matrix a printed correction description names on n qubits:
+    ``"none"`` is the identity; otherwise each ``⊗``-separated factor is the
+    product of its Pauli letters, applied right to left, and the factors are
+    Kronecker multiplied in order."""
+    if desc == "none":
+        return np.eye(1 << n, dtype=complex)
+    factors = [functools.reduce(np.matmul, (PAULI_MATRICES[ch] for ch in factor)) for factor in desc.split("⊗")]
+    return functools.reduce(np.kron, factors)
 
 
 def repetition(n: int, c0: complex, c1: complex) -> np.ndarray:
@@ -90,7 +108,7 @@ def tables_oracle(theta, c0, c1) -> dict:
                 key = f"{m}{n}{j}"
                 chi = partial_inner(eta, x_pair[j], (0,)).amplitudes
                 desc = GHZ_EPR_CORRECTIONS[(m, n, j)]
-                fixed = _string_matrix(desc) @ chi
+                fixed = described_matrix(desc) @ chi
                 norm2 = float(np.vdot(fixed, fixed).real)
                 tables["receiver_states"][key] = chi
                 tables["corrections"][key] = desc
@@ -163,10 +181,11 @@ def _dense_layout(protocol: str, params: dict):
     raise ValueError(protocol)
 
 
-def dense_branches(protocol: str, params: dict, corrections: dict, a0, a1) -> dict:
+def dense_branches(protocol: str, params: dict, corrections, a0, a1) -> dict:
     """Probability and fidelity of every outcome of a protocol for the input
     a0|0...0> + a1|1...1>, on the full register: each measured bra's
-    projector, each correction and the target projector are lifted with
+    projector, each correction that the rule ``corrections`` describes
+    (:func:`described_matrix`) and the target projector are lifted with
     :func:`lift_operator`. Outcomes without a correction keep the identity."""
     n_in, resource, kept, outcomes = _dense_layout(protocol, params)
     psi = np.kron(repetition(n_in, a0, a1), resource)
@@ -186,9 +205,9 @@ def dense_branches(protocol: str, params: dict, corrections: dict, a0, a1) -> di
         phi = psi
         for bra, qubits in factors:
             phi = lift(np.outer(bra, bra.conj()), qubits) @ phi
-        fix = corrections.get(label)
+        fix = corrections(*label)
         if fix is not None:
-            phi = lift(fix.matrix, kept) @ phi
+            phi = lift(described_matrix(fix, len(kept)), kept) @ phi
         p = float(np.vdot(phi, phi).real)
         branches[label] = (p, float(np.vdot(phi, on_target @ phi).real) / p if p > 0 else None)
     return branches
@@ -225,16 +244,17 @@ def average_fidelity_density(bundle, resource_rho: np.ndarray, c0, c1) -> float:
     t = rho.reshape([2] * (2 * n))
     total = 0.0
     for label, bvec in bundle.outcomes:
-        corr = bundle.protocol.corrections().get(label)
+        corr = bundle.protocol.corrections(*label)
         if corr is None:
             continue
+        matrix = described_matrix(corr, entry.n_input)
         b = bvec.amplitudes.reshape([2] * k)
         rows_removed = np.tensordot(b.conj(), t, axes=(tuple(range(k)), entry.meas_targets))
         col_positions = tuple((n - k) + q for q in entry.meas_targets)
         reduced = np.tensordot(rows_removed, b, axes=(col_positions, tuple(range(k))))
         dim = 1 << (n - k)
         branch_op = reduced.reshape(dim, dim)
-        corrected = corr.matrix @ branch_op @ corr.matrix.conj().T
+        corrected = matrix @ branch_op @ matrix.conj().T
         total += float(np.vdot(target, corrected @ target).real)
     return total
 
@@ -258,9 +278,9 @@ PROBE_PAIRS = (
 )
 
 
-def search_pauli_correction(samples, width: int) -> _Correction:
-    """Exhaustive search over Pauli strings of the given width, one
-    candidate at a time.
+def search_pauli_correction(samples, width: int) -> str:
+    """The description of the Pauli string of the given width found by an
+    exhaustive search, one candidate at a time.
 
     Picks the candidate maximizing the worst-case fidelity across the
     probe samples; ties resolve to the fewest non-identity factors, then
@@ -270,28 +290,28 @@ def search_pauli_correction(samples, width: int) -> _Correction:
         itertools.product("IXYZ", repeat=width),
         key=lambda ls: (sum(ch != "I" for ch in ls), ls),
     )
-    best: _Correction | None = None
+    best: str | None = None
     best_score = -1.0
     for letters in candidates:
-        mat = _string_matrix(*letters)
+        desc = "⊗".join(letters)
+        mat = described_matrix(desc)
         score = min(
             abs(np.vdot(target, mat @ residual)) ** 2 / np.vdot(residual, residual).real
             for residual, target in samples
         )
         if score > best_score + 1e-12:
-            best_score = score
-            desc = letters[0] if width == 1 else "⊗".join(letters)
-            best = _Correction(desc, mat)
+            best_score, best = score, desc
     assert best is not None
     return best
 
 
 def looped_corrections(bundle) -> dict:
-    """Per-outcome lookup of a correction-free bundle, searched outcome by
-    outcome over the probe inputs for which the outcome is live."""
+    """Per-outcome lookup of correction descriptions for a bundle, searched
+    outcome by outcome over the probe inputs for which the outcome is live,
+    on the uncorrected stack of its branch factors and resource."""
     width = bundle.n_total - len(bundle.protocol.meas_targets)
     probes = np.array(PROBE_PAIRS, dtype=complex)
-    residuals, probs = _residuals(bundle.protocol.kraus(bundle.coords), probes)
+    residuals, probs = _residuals(_contract(_branch_factors(bundle), bundle.resource), probes)
     targets = [repetition(bundle.protocol.n_input, c0, c1) for c0, c1 in probes]
     per_label: dict[tuple, list] = {}
     for n, target in enumerate(targets):

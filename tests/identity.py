@@ -28,7 +28,9 @@ outside [0, pi/2] or a non-finite flag, ``cli.run`` requests with a bad
 ``--target``, sweep ``--grid`` or ``--state`` file and with both
 ``--target`` and ``--grid`` bad, library noise sweeps with an
 unknown channel kind or a grid point past 1, and ghz-meas copies whose
-table lacks the correction of a live outcome. A CSV payload is compared cell by cell.
+correction rule lacks the correction of a live outcome (a ``{label:
+correction}`` table without it, on a tree whose entries hold such tables).
+A CSV payload is compared cell by cell.
 
 ``python tests/identity.py src src`` checks that reruns in fresh processes
 print the same bytes: every line must read ``identical``.
@@ -265,11 +267,16 @@ def _refusals(main, run, ExperimentConfig, teleport, noise) -> dict:
         sweep = lambda: noise.noisy_teleport_sweep("ghz-via-3epr", kind, 3, grid)
         outputs[f"refusal/library-sweep-{name}"] = _guarded(sweep)
     bundle = teleport.protocol_bundle("ghz-meas")
+    rule = bundle.protocol.corrections
     for label in ((0, 0, 0), (0, 1, 0)):
-        table = {k: v for k, v in bundle.protocol.corrections().items() if k != label}
+        if hasattr(teleport, "_Correction"):
+            table = {k: v for k, v in rule().items() if k != label}
+            corrections = lambda: table
+        else:
+            corrections = lambda *bits: None if bits == label else rule(*bits)
         for path, call in (("enumerate", lambda b: _report_parts(teleport.enumerate_branches(b, 0.6, 0.8))[0]),
                            ("average", teleport.average_fidelity)):
-            entry = dataclasses.replace(bundle.protocol, corrections=lambda: table)
+            entry = dataclasses.replace(bundle.protocol, corrections=corrections)
             broken = dataclasses.replace(bundle, protocol=entry)
             outputs[f"refusal/no-correction-{''.join(map(str, label))}/{path}"] = _guarded(lambda: call(broken))
     return outputs
@@ -299,9 +306,8 @@ def worker(src: str) -> dict:
         outputs[f"cli-teleport-params/{protocol}"] = [r[1] for r in runs]
         for which, params in (("default", {}), ("other", OTHER_PARAMS[protocol])):
             bundle = teleport.protocol_bundle(protocol, **params)
-            # C as W applies it, built here so that the request runs on any tree.
-            eye = np.eye(1 << bundle.protocol.n_input, dtype=complex)
-            stack = np.array([eye if fix is None else fix.matrix for fix in bundle.protocol.fixes])
+            # C as W applies it.
+            stack = teleport._correction_stack(bundle.protocol.fixes, bundle.protocol.n_input)
             outputs[f"factors/{protocol}/{which}"] = (teleport._branch_factors(bundle), stack)
             outputs[f"response/{protocol}/{which}"] = (
                 teleport.resource_response(bundle), teleport.average_fidelity(bundle)

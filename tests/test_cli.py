@@ -669,16 +669,12 @@ class TestNoSilentClamp:
     )
     def test_scaled_correction_exits_1(self, argv, monkeypatch, capsys):
         # Scaling every ghz-meas correction by 1.1 scales the maximal
-        # fidelity to 1.21; it must not be clamped to 1. The table is built
-        # once per process, so the protocol entry gets the scaled copy.
-        entry = teleport.PROTOCOLS["ghz-meas"]
-        scaled = {
-            label: dataclasses.replace(fix, matrix=1.1 * fix.matrix)
-            for label, fix in entry.corrections().items()
-        }
-        monkeypatch.setitem(
-            teleport.PROTOCOLS, "ghz-meas", dataclasses.replace(entry, corrections=lambda: scaled)
-        )
+        # fidelity to 1.21; it must not be clamped to 1. The corners are
+        # built once per process, so a fresh entry builds them with the
+        # scaled correction stack.
+        real = teleport._correction_stack
+        monkeypatch.setattr(teleport, "_correction_stack", lambda fixes, n: 1.1 * real(fixes, n))
+        monkeypatch.setitem(teleport.PROTOCOLS, "ghz-meas", dataclasses.replace(teleport.PROTOCOLS["ghz-meas"]))
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -1175,6 +1171,16 @@ class TestCsvForms:
             # Readout 1 is the failed branch: no correction, no success.
             failed = [row for row in rows[1:] if row[0].endswith("1")]
             assert len(failed) == 4 and all(row[2:5:2] == ["none", "False"] for row in failed)
+
+    @pytest.mark.parametrize("channel", sorted(CHANNELS))
+    def test_noise_sweep_header_names_the_channel_parameter(self, channel, capsys):
+        # Amplitude damping's column holds gamma; the Pauli channels' holds p.
+        argv = ["noise-sweep", "--protocol", "ghz-meas", "--target", "3", "--channel", channel, "--grid", "0:1:0.5"]
+        rows = _payload(argv, capsys)["rows"]
+        table = _csv_rows(argv, capsys)
+        assert table[0] == [CHANNELS[channel][0], "avg_fidelity"]
+        assert table[0][0] == ("gamma" if channel == "amplitude-damping" else "p")
+        assert table[1:] == [[cli._fmt17(p), cli._fmt17(f)] for p, f in rows]
 
     def test_twirl_rows_are_the_json_history(self, capsys):
         argv = ["--seed", "3", "twirl", "--family", "isotropic", "--d", "3", "--samples", "40"]

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from helpers import lift_operator, random_state
+from helpers import PAULI_MATRICES, lift_operator, random_state
 from tripsim.core import (
     PAULI_X,
     PAULI_Y,
@@ -296,6 +296,18 @@ class TestApplyLocal:
             out = apply_local(LocalOperator(u, (target,)), s)
             assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-12
 
+    def test_unbound_operator_acts_on_the_whole_register(self):
+        rng = np.random.default_rng(5)
+        u, s = haar_unitary(4, rng), random_state(rng, 2)
+        assert u.targets is None
+        out = apply_local(u, s)
+        assert out.amplitudes.tobytes() == (u.matrix @ s.amplitudes).tobytes()
+
+    def test_unbound_operator_of_another_dimension_is_refused(self):
+        u = haar_unitary(4, np.random.default_rng(5))
+        with pytest.raises(InvariantViolation, match="^operator-dimension: unbound operator dimension does not match state$"):
+            apply_local(u, StateVector([1, 0]))
+
 
 class TestProject:
     def test_bell_projection_of_input_times_ghz(self):
@@ -488,19 +500,10 @@ def test_haar_apply_preserves_norm(seed):
     assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-12
 
 
-# The test's own Pauli matrices, so that a wrong constant in core shows.
-_PAULI = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
-
 def _dense_string(*factors: str) -> np.ndarray:
     """One same-qubit product per qubit ("ZX" = Z·X, "" = I), then their
     Kronecker product written out entry by entry."""
-    mats = [functools.reduce(np.matmul, (_PAULI[ch] for ch in f or "I")) for f in factors]
+    mats = [functools.reduce(np.matmul, (PAULI_MATRICES[ch] for ch in f or "I")) for f in factors]
     out = np.empty((1 << len(mats),) * 2, dtype=complex)
     for row in itertools.product((0, 1), repeat=len(mats)):
         for col in itertools.product((0, 1), repeat=len(mats)):
@@ -533,7 +536,7 @@ class TestStringMatrix:
             "from tripsim.nonlocality import PauliString\n"
             "read = lambda: [core.PAULIS[ch].flags.writeable for ch in 'IXYZ']\n"
             "before = read()\n"
-            "PauliString('X').matrix(); teleport._correction('X')\n"
+            "PauliString('X').matrix(); teleport._correction_stack(['X'], 1)\n"
             "print(before, read())\n"
         )
         src = Path(__file__).resolve().parents[1] / "src"

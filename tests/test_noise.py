@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from helpers import (
     OCTAHEDRON,
     average_fidelity_density,
+    described_matrix,
     lift_operator,
     random_state,
     repetition,
@@ -171,10 +172,10 @@ def _full_space_oracle(bundle, resource_rho, c0, c1):
     out_qubits = [q for q in range(n) if q not in entry.meas_targets]
     total = 0.0
     for label, bvec in bundle.outcomes:
-        corr = bundle.protocol.corrections().get(label)
+        corr = bundle.protocol.corrections(*label)
         if corr is None:
             continue
-        u_full = lift_operator(corr.matrix, out_qubits, n)
+        u_full = lift_operator(described_matrix(corr, len(out_qubits)), out_qubits, n)
         rho_corr = u_full @ rho @ u_full.conj().T
         proj = lift_operator(np.outer(bvec.amplitudes, bvec.amplitudes.conj()),
                              entry.meas_targets, n)
@@ -294,16 +295,22 @@ class TestSweep:
         [
             ("bogus", [0.1], r"^unknown channel kind 'bogus'"),
             ("depolarizing", [0.1, 0.5, 1.5], r"^p must lie in \[0, 1\], got 1\.5$"),
+            ("depolarizing", 0.5, r"^p_grid must be a 1-D array, got shape \(\)$"),
+            ("depolarizing", [[0.1, 0.2]], r"^p_grid must be a 1-D array, got shape \(1, 2\)$"),
         ],
-        ids=["kind", "grid-point"],
+        ids=["kind", "grid-point", "scalar-grid", "nested-grid"],
     )
     def test_channels_are_checked_before_the_response_is_built(self, kind, grid, refusal, monkeypatch):
-        # Every grid point's channel is built, and so checked, before W.
+        # Every grid point's channel is built, and so checked, before W, and
+        # so is the grid's shape.
         calls = []
         monkeypatch.setattr(noise, "resource_response", lambda bundle: calls.append(bundle))
         with pytest.raises(ValueError, match=refusal):
             noisy_teleport_sweep("ghz-via-3epr", kind, 3, grid)
         assert calls == []
+
+    def test_empty_grid_gives_no_rows(self):
+        assert noisy_teleport_sweep("ghz-meas", "depolarizing", 3, []) == []
 
     def test_fully_depolarized_channel_delivers_coin_flip(self):
         rows = noisy_teleport_sweep("ghz-meas", "depolarizing", [1, 2, 3], [1.0])

@@ -1,5 +1,4 @@
 import dataclasses
-import functools
 import itertools
 import json
 import math
@@ -13,10 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import PROBE_PAIRS, chi_row, dense_branches, eta_row, looped_corrections, random_input, repetition, with_entry
+from helpers import (
+    PROBE_PAIRS, chi_row, dense_branches, described_matrix, eta_row, looped_corrections, random_input, repetition, with_entry,
+)
 from tripsim import noise, teleport
 from tripsim.bases import bell2, bob_x_basis, ghz_basis
-from tripsim.core import PAULIS, DensityOp, InputQubit, InvariantViolation, StateVector, _string_matrix, partial_inner, project, tensor
+from tripsim.core import DensityOp, InputQubit, InvariantViolation, StateVector, _string_matrix, partial_inner, project, tensor
 from tripsim.noise import noisy_teleport_sweep
 from tripsim.teleport import (
     GHZ_EPR_CORRECTIONS,
@@ -476,11 +477,14 @@ def test_unknown_protocol_and_params_rejected():
         protocol_bundle("ghz-meas", bogus=1.0)
 
 
+def _without(rule, label: tuple):
+    """The correction rule ``rule`` with no correction for ``label``."""
+    return lambda *bits: None if bits == label else rule(*bits)
+
+
 def test_live_outcome_without_correction_is_an_invariant_violation():
     bundle = protocol_bundle("ghz-meas")
-    corrections = dict(bundle.protocol.corrections())
-    del corrections[(0, 0, 0)]
-    broken = with_entry(bundle, corrections=lambda: corrections)
+    broken = with_entry(bundle, corrections=_without(bundle.protocol.corrections, (0, 0, 0)))
     with pytest.raises(InvariantViolation, match="correction-coverage"):
         enumerate_branches(broken, 0.6, 0.8)
     with pytest.raises(InvariantViolation, match="correction-coverage"):
@@ -492,10 +496,8 @@ def test_outcome_live_only_under_noise_needs_a_correction():
     # nonzero branch factor B, so a noisy resource makes it live. A table
     # without its correction fails on first use, through either path.
     bundle = protocol_bundle("ghz-meas")
-    corrections = dict(bundle.protocol.corrections())
-    del corrections[(0, 1, 0)]
     for call in (lambda b: enumerate_branches(b, 0.6, 0.8), average_fidelity):
-        broken = with_entry(bundle, corrections=lambda: corrections)
+        broken = with_entry(bundle, corrections=_without(bundle.protocol.corrections, (0, 1, 0)))
         with pytest.raises(InvariantViolation, match=r"^correction-coverage: no correction for live outcome \(0, 1, 0\)$"):
             call(broken)
 
@@ -515,14 +517,29 @@ def test_epr_via_ghz_lacks_corrections_exactly_where_b_vanishes():
             assert (row.tobytes() == bytes(row.nbytes)) == (label[1] == 1), label
 
 
-def test_nan_branch_weight_is_an_invariant_violation():
+def test_corners_of_an_entry_lacking_a_live_correction_raise():
+    # The corner stacks apply C from the entry's fixes, so reading them (or
+    # a Kraus stack) on a rule without a live outcome's correction raises.
+    bundle = protocol_bundle("ghz-meas")
+    for read in (lambda entry: entry.corners, lambda entry: entry.kraus(bundle.coords)):
+        entry = with_entry(bundle, corrections=_without(bundle.protocol.corrections, (0, 1, 0))).protocol
+        with pytest.raises(InvariantViolation, match=r"^correction-coverage: no correction for live outcome \(0, 1, 0\)$"):
+            read(entry)
+
+
+def test_nan_branch_weight_is_an_invariant_violation(monkeypatch):
     # A NaN weight fails every comparison; the branch cut must send it to
     # the normalization check rather than record the branch as dead.
-    bundle = protocol_bundle("ghz-meas")
-    corrections = dict(bundle.protocol.corrections())
-    corr = corrections[(0, 0, 0)]
-    corrections[(0, 0, 0)] = dataclasses.replace(corr, matrix=np.full_like(corr.matrix, np.nan))
-    broken = with_entry(bundle, corrections=lambda: corrections)
+    real = teleport._correction_stack
+
+    def nan_first(fixes, n):
+        stack = real(fixes, n)
+        stack[0] = np.nan
+        return stack
+
+    monkeypatch.setattr(teleport, "_correction_stack", nan_first)
+    # A copy of the entry builds its own corners, with the patched stack.
+    broken = with_entry(protocol_bundle("ghz-meas"))
     with np.errstate(invalid="ignore"), pytest.raises(InvariantViolation, match="state-normalization"):
         enumerate_branches(broken, 0.6, 0.8)
 
@@ -530,45 +547,35 @@ def test_nan_branch_weight_is_an_invariant_violation():
 @pytest.mark.parametrize("protocol", ["epr-via-ghz", "ghz-via-3epr", "w-channel"])
 def test_correction_rules_match_exhaustive_search(protocol):
     # The stated rules (_pauli_fix) must give what an exhaustive search over
-    # Pauli strings picks on a correction-free copy of the bundle.
-    bundle = with_entry(protocol_bundle(protocol), corrections=lambda: {})
+    # Pauli strings picks on the bundle's uncorrected branches.
+    bundle = protocol_bundle(protocol)
     if protocol == "w-channel":
         # Readout q = 1 delivers nothing, so no Pauli string corrects it.
         entry = bundle.protocol
         bundle = with_entry(bundle, outcomes=lambda x: tuple(o for o in entry.outcomes(x) if o[0][2] == 0))
     searched = looped_corrections(bundle)
-    shipped = {label: c for label, c in protocol_bundle(protocol).protocol.corrections().items() if c.success}
-    assert shipped.keys() == searched.keys()
-    for label, corr in searched.items():
-        assert shipped[label].desc == corr.desc
-        assert shipped[label].matrix.tobytes() == corr.matrix.tobytes()
-
-
-def _described_matrix(desc: str) -> np.ndarray:
-    # The matrix a printed description names, parsed here: "none" is the
-    # identity; otherwise each ⊗-separated factor is the product of its
-    # Pauli letters, and the factors are Kronecker multiplied in order.
-    if desc == "none":
-        return np.eye(2, dtype=complex)
-    factors = [functools.reduce(np.matmul, (PAULIS[ch] for ch in factor)) for factor in desc.split("⊗")]
-    return functools.reduce(np.kron, factors)
+    rule = teleport.PROTOCOLS[protocol].corrections
+    shipped = {label: desc for label, _ in protocol_bundle(protocol).outcomes if (desc := rule(*label)) not in (None, "none")}
+    assert shipped == searched
 
 
 @pytest.mark.parametrize("protocol", PROTOCOL_NAMES)
 def test_every_correction_is_its_printed_description(protocol):
-    # Every entry of every table, w-channel's failed readout included: the
+    # Every outcome of every table, w-channel's failed readout included: the
     # applied matrix is the one its description names, bit for bit, and a
-    # report prints that description for the outcome ("n/a" for none).
-    table = protocol_bundle(protocol).protocol.corrections()
-    assert table
-    for label, corr in table.items():
-        assert corr.success == (corr.desc != "none"), label
-        assert not corr.matrix.flags.writeable, label
-        assert corr.matrix.tobytes() == _described_matrix(corr.desc).tobytes(), (label, corr.desc)
+    # report prints that description for the outcome ("n/a" for none) and
+    # counts it a success unless it is "none".
+    entry = teleport.PROTOCOLS[protocol]
+    fixes = entry.fixes
+    assert [entry.corrections(*label) for label in entry.corners[0]] == list(fixes)
+    stack = teleport._correction_stack(fixes, entry.n_input)
+    for fix, matrix in zip(fixes, stack, strict=True):
+        expected = np.eye(1 << entry.n_input, dtype=complex) if fix is None else described_matrix(fix, entry.n_input)
+        assert matrix.tobytes() == expected.tobytes(), fix
     report = enumerate_branches(protocol_bundle(protocol), 0.6, 0.8)
-    for branch in report.to_dict()["branches"]:
-        label = tuple(branch["label"])
-        assert branch["correction"] == (table[label].desc if label in table else "n/a")
+    for fix, branch in zip(fixes, report.to_dict()["branches"], strict=True):
+        assert branch["correction"] == ("n/a" if fix is None else fix)
+        assert branch["success"] == (fix != "none")
 
 
 @pytest.mark.parametrize("protocol", PROTOCOL_NAMES)
@@ -602,9 +609,8 @@ def test_cached_outcome_bras_are_read_only():
                 bra.amplitudes[0] = 0.0
 
 
-# Correction tables are parameter-free too: one per protocol and process,
-# shared by every bundle whatever its angles.
-_CACHED_TABLES = {name: teleport.PROTOCOLS[name].corrections for name in PROTOCOL_NAMES}
+# Corrections are parameter-free too: one tuple of descriptions per protocol
+# and process, shared by every bundle whatever its angles.
 _BUNDLE_PARAMS = (
     {},
     {"ghz-epr": {"bob_theta": 0.3}, "ghz-meas": {"theta_channel": 0.2, "theta_meas": 1.1},
@@ -614,11 +620,11 @@ _BUNDLE_PARAMS = (
 
 
 def test_correction_tables_are_shared_across_calls_and_angles():
-    for protocol, cached in _CACHED_TABLES.items():
-        table = cached()
-        assert cached() is table
+    for protocol, entry in teleport.PROTOCOLS.items():
+        fixes = entry.fixes
+        assert entry.fixes is fixes
         for params in _BUNDLE_PARAMS:
-            assert protocol_bundle(protocol, **params.get(protocol, {})).protocol.corrections() is table
+            assert protocol_bundle(protocol, **params.get(protocol, {})).protocol.fixes is fixes
 
 
 _ANGLE_SETS = (
@@ -691,9 +697,9 @@ def _fresh_entry(protocol: str, monkeypatch, **changes) -> teleport.Protocol:
 
 
 def _table_stack(bundle) -> np.ndarray:
-    """The correction stack C of the bundle's table entry, in its outcome order."""
+    """The correction stack C of the bundle's correction rule, in its outcome order."""
     entry = bundle.protocol
-    return teleport._correction_stack(map(entry.corrections().get, (label for label, _ in bundle.outcomes)), entry.n_input)
+    return teleport._correction_stack([entry.corrections(*label) for label, _ in bundle.outcomes], entry.n_input)
 
 
 def _count_calls(name: str, monkeypatch) -> list:
@@ -757,13 +763,12 @@ def test_corner_passes_hold_only_the_branch_factors():
 
 @pytest.mark.parametrize("protocol", PROTOCOL_NAMES)
 def test_response_checks_coverage_before_its_own_factors(protocol, monkeypatch):
-    # W reads the entry's corrections first: on a fresh entry whose table
+    # W reads the entry's corrections first: on a fresh entry whose rule
     # lacks a live outcome's, it raises after the corner pass builds its
     # factors and before it builds the bundle's own.
-    table = dict(teleport.PROTOCOLS[protocol].corrections())
-    label = min(table)
-    del table[label]
-    _fresh_entry(protocol, monkeypatch, corrections=lambda: table)
+    rule = teleport.PROTOCOLS[protocol].corrections
+    label = min(label for label, _ in protocol_bundle(protocol).outcomes if rule(*label) is not None)
+    _fresh_entry(protocol, monkeypatch, corrections=_without(rule, label))
     built = _count_calls("_branch_factors", monkeypatch)
     bundle = protocol_bundle(protocol)
     with pytest.raises(InvariantViolation, match=rf"^correction-coverage: no correction for live outcome {re.escape(str(label))}$"):
@@ -773,10 +778,10 @@ def test_response_checks_coverage_before_its_own_factors(protocol, monkeypatch):
 
 @pytest.mark.parametrize("protocol", PROTOCOL_NAMES)
 def test_coverage_is_decided_once_per_entry(protocol, monkeypatch):
-    # The first call reads the correction table through the entry; later
+    # The first call reads the correction rule through the entry; later
     # calls zip the entry's fixes with the labels and never read it again.
     calls, real = [], teleport.PROTOCOLS[protocol].corrections
-    _fresh_entry(protocol, monkeypatch, corrections=lambda: calls.append(1) or real())
+    _fresh_entry(protocol, monkeypatch, corrections=lambda *label: calls.append(1) or real(*label))
     bundle = protocol_bundle(protocol)
     enumerate_branches(bundle, 0.6, 0.8)
     assert calls
@@ -804,7 +809,7 @@ def test_replaced_bundles_build_their_own_factors(protocol):
     kraus = entry.kraus(bundle.coords)
     assert np.abs(reordered.protocol.kraus(reordered.coords) - kraus[::-1]).max() <= 1e-15
     # A correction-free copy: C is the identity.
-    stack = _table_stack(with_entry(bundle, corrections=lambda: {}))
+    stack = _table_stack(with_entry(bundle, corrections=lambda *label: None))
     assert _bits_equal(stack, np.broadcast_to(np.eye(stack.shape[1], dtype=complex), stack.shape))
 
 
@@ -904,8 +909,8 @@ def _nielsen_average(bundle) -> float:
         bra = bra.amplitudes.conj().reshape((2,) * k)
         axes = (list(range(k)), list(entry.meas_targets))
         residual = np.stack([np.tensordot(bra, psi, axes=axes).reshape(-1) for psi in registers], axis=1)
-        corr = bundle.protocol.corrections().get(label)
-        a = encoding.conj().T @ (residual if corr is None else corr.matrix @ residual)
+        corr = bundle.protocol.corrections(*label)
+        a = encoding.conj().T @ (residual if corr is None else described_matrix(corr, entry.n_input) @ residual)
         total += (abs(np.trace(a)) ** 2 + np.vdot(a, a).real) / 6
     return total
 
@@ -952,7 +957,7 @@ def test_branches_match_dense_full_register_lifting(request, pair):
     # touches the corner stacks.
     protocol, params = request
     report = _PUBLIC_CALLS[protocol](pair, params)
-    dense = dense_branches(protocol, params, teleport.PROTOCOLS[protocol].corrections(), *pair)
+    dense = dense_branches(protocol, params, teleport.PROTOCOLS[protocol].corrections, *pair)
     assert [b.outcome for b in report.branches] == list(dense)
     for b in report.branches:
         p, fidelity = dense[b.outcome]
