@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InvariantViolation, NORM_ATOL, StateVector, within
+from .core import InvariantViolation, NORM_ATOL, StateVector, _check_norms, within
 
 
 ANGLE_LIMITS = (0, 1.5707963268)  # [0, pi/2], rounded up at the 10th decimal; the CLI angle flags' range too
@@ -107,10 +107,7 @@ class WChannelSpec:
 
     def __post_init__(self):
         norm2 = abs(self.a) ** 2 + abs(self.b) ** 2 + abs(self.c) ** 2
-        if not abs(norm2 - 1.0) <= NORM_ATOL:
-            raise InvariantViolation(
-                "w-channel-normalization", f"|a|^2+|b|^2+|c|^2 = {norm2!r} differs from 1"
-            )
+        _check_norms((norm2,), "w-channel-normalization", "|a|^2+|b|^2+|c|^2 =")
 
     def state(self) -> StateVector:
         amps = np.zeros(8, dtype=complex)

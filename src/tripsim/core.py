@@ -7,8 +7,8 @@ Conventions used by the whole package:
 * All values are immutable after construction, the Pauli constants
   ``PAULI_I/X/Y/Z`` read-only from import; every operation here is a pure
   function, safe to share across threads.
-* Normalization is checked to 1e-9 at construction; internal algebra is
-  expected to hold 1e-12.
+* Normalization is checked to 1e-9 at construction (``_check_norms``), as is
+  the unitarity of a ``LocalOperator``; internal algebra is expected to hold 1e-12.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from functools import lru_cache, reduce
 import numpy as np
 
 REGISTER_CAP = 12
-# Norm checks read ``not abs(x - 1) <= NORM_ATOL`` so that NaN fails them.
 NORM_ATOL = 1e-9
 HERM_ATOL = 1e-9
 PSD_ATOL = 1e-9
@@ -114,6 +113,14 @@ class RegisterCapacityError(InvariantViolation):
         )
 
 
+def _check_norms(norms2, invariant: str, what: str) -> None:
+    """The one normalization rule: ``InvariantViolation(invariant, "{what} {norm2!r}
+    differs from 1")`` for the first squared norm not within ``NORM_ATOL`` of 1; NaN fails."""
+    for norm2 in norms2:
+        if not abs(norm2 - 1.0) <= NORM_ATOL:
+            raise InvariantViolation(invariant, f"{what} {norm2!r} differs from 1")
+
+
 def _num_qubits_for(size: int) -> int:
     n = size.bit_length() - 1
     if size <= 0 or (1 << n) != size:
@@ -136,10 +143,7 @@ class StateVector:
         amps = np.array(amplitudes, dtype=complex).reshape(-1)
         self.num_qubits = _num_qubits_for(amps.size)
         norm2 = float(np.vdot(amps, amps).real)
-        if not abs(norm2 - 1.0) <= NORM_ATOL:
-            raise InvariantViolation(
-                "state-normalization", f"squared norm {norm2!r} differs from 1"
-            )
+        _check_norms((norm2,), "state-normalization", "squared norm")
         self.amplitudes = _frozen(amps)
 
     @property
@@ -159,11 +163,7 @@ class StateVector:
         parts = rows.view(np.float64)
         with np.errstate(over="ignore"):
             norms2 = (parts * parts).sum(axis=1).tolist()
-        for norm2 in norms2:
-            if not abs(norm2 - 1.0) <= NORM_ATOL:
-                raise InvariantViolation(
-                    "state-normalization", f"squared norm {norm2!r} differs from 1"
-                )
+        _check_norms(norms2, "state-normalization", "squared norm")
         states = []
         for row in _frozen(rows):
             state = cls.__new__(cls)
@@ -183,15 +183,13 @@ class StateVector:
 
 
 class UnnormalizedState:
-    """Raw projection residual; may be (numerically) zero."""
+    """Raw projection residual on log2(amplitude count) qubits; may be (numerically) zero."""
 
     __slots__ = ("num_qubits", "amplitudes")
 
-    def __init__(self, amplitudes, num_qubits: int | None = None):
+    def __init__(self, amplitudes):
         amps = np.array(amplitudes, dtype=complex).reshape(-1)
-        self.num_qubits = (
-            _num_qubits_for(amps.size) if num_qubits is None else num_qubits
-        )
+        self.num_qubits = _num_qubits_for(amps.size)
         self.amplitudes = _frozen(amps)
 
     @property
@@ -220,10 +218,7 @@ class InputQubit:
 
     def __post_init__(self):
         norm2 = abs(self.c0) ** 2 + abs(self.c1) ** 2
-        if not abs(norm2 - 1.0) <= NORM_ATOL:
-            raise InvariantViolation(
-                "input-normalization", f"|c0|^2+|c1|^2 = {norm2!r} differs from 1"
-            )
+        _check_norms((norm2,), "input-normalization", "|c0|^2+|c1|^2 =")
 
     def state(self) -> StateVector:
         return StateVector([self.c0, self.c1])
@@ -263,7 +258,7 @@ class DensityOp:
 
 @dataclass(frozen=True)
 class LocalOperator:
-    """Operator acting on the listed target qubits (or unbound if None).
+    """Unitary (U†U = 1 to 1e-9) on the listed target qubits (or unbound if None).
 
     ``targets=None`` leaves the operator unbound to a register, which is
     how non-power-of-two dimensions (qudit twirls) are carried.
@@ -271,7 +266,6 @@ class LocalOperator:
 
     matrix: np.ndarray
     targets: tuple[int, ...] | None = None
-    unitary: bool = True
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=complex)
@@ -288,12 +282,11 @@ class LocalOperator:
                     "operator-dimension",
                     f"matrix dim {m.shape[0]} does not match 2^{len(targets)} targets",
                 )
-        if self.unitary:
-            gram = m.conj().T @ m
-            if not within(gram, np.eye(m.shape[0]), HERM_ATOL):
-                raise InvariantViolation(
-                    "operator-unitarity", "unitary flag set but U†U != 1 to 1e-9"
-                )
+        gram = m.conj().T @ m
+        if not within(gram, np.eye(m.shape[0]), HERM_ATOL):
+            raise InvariantViolation(
+                "operator-unitarity", "operator is not unitary: U†U != 1 to 1e-9"
+            )
 
 
 @dataclass(frozen=True)
@@ -330,11 +323,7 @@ def _check_targets(n: int, targets) -> tuple[int, ...]:
 
 
 def apply_local(op: LocalOperator, s: StateVector) -> StateVector:
-    """Apply ``1 ⊗ … ⊗ U ⊗ … ⊗ 1`` to a state; norm is preserved."""
-    if not op.unitary:
-        raise InvariantViolation(
-            "operator-unitarity", "apply_local requires a unitary operator"
-        )
+    """Apply ``1 ⊗ … ⊗ U ⊗ … ⊗ 1`` to a state; U is unitary by construction, so norm is preserved."""
     n = s.num_qubits
     if op.targets is None:
         if op.matrix.shape[0] != s.dim:
@@ -366,7 +355,7 @@ def partial_inner(s: StateVector, basis_state: StateVector, targets) -> Unnormal
     psi = np.moveaxis(s.amplitudes.reshape([2] * n), targets, range(k))
     bra = basis_state.amplitudes.conj().reshape([2] * k)
     residual = np.tensordot(bra, psi, axes=(tuple(range(k)), tuple(range(k))))
-    return UnnormalizedState(residual.reshape(-1), n - k)
+    return UnnormalizedState(residual.reshape(-1))
 
 
 def project(
@@ -463,4 +452,4 @@ def haar_unitaries(d: int, count: int, rng: np.random.Generator) -> np.ndarray:
 
 def haar_unitary(d: int, rng: np.random.Generator) -> LocalOperator:
     """One Haar-distributed d×d unitary; see :func:`haar_unitaries`."""
-    return LocalOperator(haar_unitaries(d, 1, rng)[0], targets=None, unitary=True)
+    return LocalOperator(haar_unitaries(d, 1, rng)[0])

@@ -103,9 +103,11 @@ def apply_channel(rho: DensityOp, ch: KrausChannel, target: int) -> DensityOp:
 
 
 def _resource_targets(bundle: ProtocolBundle, target) -> tuple[int, ...]:
-    """Validate full-register indices and map them to resource-local ones;
-    a non-integer index is a TypeError."""
+    """Validate full-register indices, at least one, and map them to
+    resource-local ones; a non-integer index is a TypeError."""
     targets = tuple(operator.index(t) for t in np.atleast_1d(target))
+    if not targets:
+        raise ValueError(f"{bundle.name} needs at least one noise target")
     lo, hi = bundle.protocol.n_input, bundle.n_total
     for t in targets:
         if not lo <= t < hi:
@@ -125,15 +127,17 @@ def noisy_teleport_sweep(
     p_grid,
     params: dict | None = None,
 ) -> list[tuple[float, float]]:
-    """Exact input-averaged protocol fidelity after noising the designated
-    resource qubit(s), one row (p, fidelity) per point of the 1-D ``p_grid``. Every
-    point's channel is built, and so checked, before W (:func:`resource_response`)."""
+    """Exact input-averaged protocol fidelity after noising the designated resource
+    qubit(s), one row (p, fidelity) per point of the 1-D ``p_grid``. Every point's channel
+    is built, and so checked, before W (:func:`resource_response`); an empty grid builds no W."""
     bundle = protocol_bundle(protocol, **(params or {}))
     local_targets = _resource_targets(bundle, target)
     p_grid = np.asarray(p_grid, dtype=float)
     if p_grid.ndim != 1:
         raise ValueError(f"p_grid must be a 1-D array, got shape {p_grid.shape}")
     channels = [make_channel(channel_kind, p) for p in p_grid.tolist()]
+    if not channels:
+        return []
     response = resource_response(bundle)
     n, amps = bundle.resource.num_qubits, bundle.resource.amplitudes
     pure = np.outer(amps, amps.conj())

@@ -28,8 +28,7 @@ outside [0, pi/2] or a non-finite flag, ``cli.run`` requests with a bad
 ``--target``, sweep ``--grid`` or ``--state`` file and with both
 ``--target`` and ``--grid`` bad, library noise sweeps with an
 unknown channel kind or a grid point past 1, and ghz-meas copies whose
-correction rule lacks the correction of a live outcome (a ``{label:
-correction}`` table without it, on a tree whose entries hold such tables).
+correction rule lacks the correction of a live outcome.
 A CSV payload is compared cell by cell.
 
 ``python tests/identity.py src src`` checks that reruns in fresh processes
@@ -269,11 +268,7 @@ def _refusals(main, run, ExperimentConfig, teleport, noise) -> dict:
     bundle = teleport.protocol_bundle("ghz-meas")
     rule = bundle.protocol.corrections
     for label in ((0, 0, 0), (0, 1, 0)):
-        if hasattr(teleport, "_Correction"):
-            table = {k: v for k, v in rule().items() if k != label}
-            corrections = lambda: table
-        else:
-            corrections = lambda *bits: None if bits == label else rule(*bits)
+        corrections = lambda *bits: None if bits == label else rule(*bits)
         for path, call in (("enumerate", lambda b: _report_parts(teleport.enumerate_branches(b, 0.6, 0.8))[0]),
                            ("average", teleport.average_fidelity)):
             entry = dataclasses.replace(bundle.protocol, corrections=corrections)

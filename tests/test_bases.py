@@ -290,6 +290,24 @@ def test_w_family_builds_its_rows_once(monkeypatch):
         np.testing.assert_array_equal(member.amplitudes, w_basis(0.8, 0.2, k).amplitudes)
 
 
+@pytest.mark.parametrize(
+    "build, refusal",
+    [
+        (lambda: BellLabel(-1, 0), "labels must be nonnegative, got BellLabel(m=-1, n=0)"),
+        (lambda: GeneralBellSpec(1, np.ones((1, 1))), "level count must be >= 2, got 1"),
+        (lambda: GeneralBellSpec(2, np.eye(3)), "beta must be 2x2, got (3, 3)"),
+        (lambda: general_bell(GeneralBellSpec.maximal(3), BellLabel(3, 0)), "label BellLabel(m=3, n=0) out of range for d=3"),
+        (lambda: general_bell(GeneralBellSpec.maximal(2), BellLabel(0, 2)), "label BellLabel(m=0, n=2) out of range for d=2"),
+        (lambda: bell2(0.3, (2, 0)), "two-qubit labels must be bits, got BellLabel(m=2, n=0)"),
+    ],
+    ids=["negative-label", "one-level", "beta-shape", "label-m-range", "label-n-range", "bell2-label"],
+)
+def test_bell_refusals(build, refusal):
+    with pytest.raises(ValueError) as refused:
+        build()
+    assert str(refused.value) == refusal
+
+
 def test_angle_range_rejected():
     with pytest.raises(ValueError):
         bell2(2.0, (0, 0))

@@ -160,6 +160,11 @@ def test_concurrence_of_a_stack_is_bit_equal_to_per_operator_calls():
     assert grid.shape == (4, len(stack) // 4) and grid.tobytes() == values.tobytes()
 
 
+def test_diagnostics_requires_three_qubits():
+    with pytest.raises(ValueError, match="^diagnostics needs a 3-qubit state, got 2$"):
+        diagnostics(bell2(0.3, (0, 0)))
+
+
 def test_three_tangle_requires_three_qubits():
     with pytest.raises(ValueError):
         three_tangle(StateVector([1, 0]))

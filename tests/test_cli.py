@@ -753,14 +753,16 @@ class TestPayloadCheck:
             ("teleport", lambda p: p["branches"][0].update(fidelity="0.5")),
             ("teleport", lambda p: p.update(command="tables")),
             ("noise-sweep", lambda p: p["rows"][1].append(2.0)),
+            ("teleport", lambda p: p["branches"][0].update(p=-0.5)),
+            ("noise-sweep", lambda p: p["rows"].__setitem__(1, [0.5, -0.25])),
         ],
         ids=[
             "missing-key", "schema-tag", "p-1.5", "nan-avg-fidelity", "nan-surface-value",
             "bool-number", "noise-row", "branch-fidelity-1.25", "branch-fidelity-string",
-            "teleport-wrong-command", "noise-row-third-item",
+            "teleport-wrong-command", "noise-row-third-item", "p-below-0", "noise-row-below-0",
         ],
     )
-    def test_mutated_payload_exits_1(self, command, mutate, monkeypatch, capsys):
+    def test_mutated_payload_exits_1(self, command, mutate, monkeypatch, capsys, request):
         real = cli._COMMANDS[command]
 
         def mutated(params, seed):
@@ -773,6 +775,8 @@ class TestPayloadCheck:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("invariant violated [payload-schema]: payload-schema: $")
+        if request.node.callspec.id.endswith("below-0"):
+            assert "is below 0" in captured.err
 
     @pytest.mark.parametrize("value", [True, math.nan, math.inf, -math.inf, "1", None])
     def test_number_is_a_finite_int_or_float(self, value):

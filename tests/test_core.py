@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import math
@@ -24,6 +25,7 @@ from tripsim.core import (
     LocalOperator,
     RegisterCapacityError,
     StateVector,
+    UnnormalizedState,
     _string_matrix,
     apply_local,
     check_density,
@@ -37,7 +39,7 @@ from tripsim.core import (
     tensor,
     within,
 )
-from tripsim.bases import bell2, ghz_basis
+from tripsim.bases import WChannelSpec, bell2, ghz_basis
 
 
 GHZ = ghz_basis(math.pi / 4, (0, 0, 0))
@@ -109,6 +111,51 @@ class TestStateVector:
         np.testing.assert_allclose(iq.density().trace(), 1.0)
 
 
+_NORMALIZED_TYPES = {
+    "state": (lambda x: StateVector([x, 1.0]), "state-normalization: squared norm {} differs from 1"),
+    "stack": (lambda x: StateVector.stack([[1.0, 0.0], [x, 1.0]]), "state-normalization: squared norm {} differs from 1"),
+    "input": (lambda x: InputQubit(x, 1.0), "input-normalization: |c0|^2+|c1|^2 = {} differs from 1"),
+    "w-channel": (lambda x: WChannelSpec(x, 1.0, 0.0), "w-channel-normalization: |a|^2+|b|^2+|c|^2 = {} differs from 1"),
+}
+
+
+class TestOneNormalizationRule:
+    @pytest.mark.parametrize("kind", sorted(_NORMALIZED_TYPES))
+    @pytest.mark.parametrize("x, shown", [(1.0, "2.0"), (math.nan, "nan")], ids=["norm2-two", "nan"])
+    def test_refusal_text(self, kind, x, shown):
+        build, text = _NORMALIZED_TYPES[kind]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvariantViolation, match="^" + re.escape(text.format(shown)) + "$"):
+                build(x)
+
+    def test_rule_is_written_once(self):
+        package = Path(__file__).resolve().parent.parent / "src" / "tripsim"
+        rule = re.compile(r"abs\(\w+ - 1\.0\) <= NORM_ATOL")
+        found = [
+            f"{path.name}:{n}"
+            for path in sorted(package.glob("*.py"))
+            for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+            if rule.search(line)
+        ]
+        assert len(found) == 1 and found[0].startswith("core.py:")
+
+
+class TestUnnormalizedState:
+    def test_qubit_count_is_derived(self):
+        assert UnnormalizedState([0.5, 0, 0, 0]).num_qubits == 2
+        with pytest.raises(InvariantViolation, match="^state-dimension: amplitude length 3 is not a power of two$"):
+            UnnormalizedState([1, 0, 0])
+        with pytest.raises(TypeError):
+            UnnormalizedState([1, 0], 1)
+
+    def test_zero_residual_is_not_normalized(self):
+        residual = UnnormalizedState([0.0, 0.0])
+        assert residual.is_zero
+        with pytest.raises(InvariantViolation, match="^state-normalization: cannot normalize a zero residual$"):
+            residual.normalized()
+
+
 class TestDensityOp:
     def test_rejects_non_hermitian(self):
         with pytest.raises(InvariantViolation, match="density-hermitian"):
@@ -147,6 +194,11 @@ class TestDensityOp:
     def test_rejects_a_stack(self):
         with pytest.raises(InvariantViolation, match="density-shape"):
             DensityOp(np.stack([np.eye(2) / 2] * 2))
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 2, 4), (4,)], ids=["non-square", "stacked-non-square", "vector"])
+    def test_check_density_refuses_a_non_square_shape(self, shape):
+        with pytest.raises(InvariantViolation, match=re.escape(f"density-shape: matrix shape {shape} not square")):
+            check_density(np.zeros(shape, dtype=complex))
 
     def test_stack_check_names_the_failing_invariant(self):
         good = np.stack([np.eye(2) / 2, np.diag([0.3, 0.7])]).astype(complex)
@@ -274,8 +326,28 @@ class TestApplyLocal:
             LocalOperator(PAULI_X, (0.0,))
 
     def test_non_unitary_rejected_at_construction(self):
-        with pytest.raises(InvariantViolation, match="operator-unitarity"):
-            LocalOperator(np.array([[1, 0], [0, 2]]), (0,))
+        text = "^operator-unitarity: operator is not unitary: U†U != 1 to 1e-9$"
+        for matrix, targets in (([[1, 0], [0, 2]], (0,)), ([[1, 0], [0, math.nan]], (0,)), (np.ones((3, 3)), None)):
+            with pytest.raises(InvariantViolation, match=text):
+                LocalOperator(np.array(matrix), targets)
+
+    def test_an_operator_is_a_matrix_and_its_targets(self):
+        assert [f.name for f in dataclasses.fields(LocalOperator)] == ["matrix", "targets"]
+        with pytest.raises(TypeError):
+            LocalOperator(PAULI_X, (0,), False)
+
+    @pytest.mark.parametrize(
+        "matrix, targets, text",
+        [
+            (np.ones((2, 4)), (0,), "operator-shape: matrix shape (2, 4) not square"),
+            (np.eye(4), (1, 1), "operator-targets: duplicate targets (1, 1)"),
+            (np.eye(4), (0,), "operator-dimension: matrix dim 4 does not match 2^1 targets"),
+        ],
+        ids=["non-square", "duplicate-targets", "dimension"],
+    )
+    def test_malformed_operator_rejected_at_construction(self, matrix, targets, text):
+        with pytest.raises(InvariantViolation, match="^" + re.escape(text) + "$"):
+            LocalOperator(matrix, targets)
 
     def test_matches_dense_lift_oracle(self):
         rng = np.random.default_rng(11)
@@ -340,6 +412,13 @@ class TestProject:
             partial_inner(s, StateVector([1, 0, 0, 0]), (1, 1))
         with pytest.raises(IndexError):
             partial_inner(s, StateVector([1, 0]), (5,))
+        with pytest.raises(IndexError, match="^basis state has 2 qubits but 1 targets were given$"):
+            partial_inner(s, StateVector([1, 0, 0, 0]), (0,))
+
+    def test_residual_has_the_untouched_qubits(self):
+        s = random_state(np.random.default_rng(2), 4)
+        assert partial_inner(s, StateVector([1, 0]), (2,)).num_qubits == 3
+        assert partial_inner(s, StateVector.computational(4, 5), (0, 1, 2, 3)).num_qubits == 0
 
 
 class TestPartialTrace:
@@ -442,6 +521,11 @@ class TestSchmidt:
     def test_maximal_pair(self):
         data = schmidt_decompose(bell2(math.pi / 4, (0, 0)), (0,))
         np.testing.assert_allclose(data.coefficients, [0.5, 0.5], atol=1e-12)
+
+    @pytest.mark.parametrize("left", [(), (0, 1, 2)], ids=["empty", "full"])
+    def test_one_sided_bipartition_rejected(self, left):
+        with pytest.raises(ValueError, match="^bipartition must leave qubits on both sides$"):
+            schmidt_decompose(GHZ, left)
 
     def test_reconstruction_and_rank(self):
         rng = np.random.default_rng(17)

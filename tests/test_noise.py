@@ -312,6 +312,32 @@ class TestSweep:
     def test_empty_grid_gives_no_rows(self):
         assert noisy_teleport_sweep("ghz-meas", "depolarizing", 3, []) == []
 
+    def test_empty_grid_builds_no_response_and_no_resource(self, monkeypatch):
+        calls, bundles = [], []
+        monkeypatch.setattr(noise, "resource_response", lambda bundle: calls.append(bundle))
+        build = noise.protocol_bundle
+        monkeypatch.setattr(noise, "protocol_bundle", lambda *a, **k: bundles.append(build(*a, **k)) or bundles[-1])
+        assert noisy_teleport_sweep("ghz-via-3epr", "depolarizing", 3, []) == []
+        assert calls == [] and len(bundles) == 1
+        assert "resource" not in vars(bundles[0])
+        # The targets and the grid's shape are still checked first.
+        with pytest.raises(ValueError, match="is not a resource qubit"):
+            noisy_teleport_sweep("ghz-via-3epr", "depolarizing", 0, [])
+        with pytest.raises(ValueError, match="must be a 1-D array"):
+            noisy_teleport_sweep("ghz-via-3epr", "depolarizing", 3, [[]])
+
+    @pytest.mark.parametrize("protocol", PROTOCOL_NAMES)
+    @pytest.mark.parametrize("target", [[], (), np.array([], dtype=int)], ids=["list", "tuple", "array"])
+    def test_empty_target_list_is_refused_before_any_channel(self, protocol, target, monkeypatch):
+        # Noising no qubit would return the noiseless fidelity as if a
+        # channel had been applied.
+        calls = []
+        monkeypatch.setattr(noise, "resource_response", lambda bundle: calls.append(bundle))
+        monkeypatch.setattr(noise, "make_channel", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match=f"^{protocol} needs at least one noise target$"):
+            noisy_teleport_sweep(protocol, "bitflip", target, [0.0, 0.5])
+        assert calls == []
+
     def test_fully_depolarized_channel_delivers_coin_flip(self):
         rows = noisy_teleport_sweep("ghz-meas", "depolarizing", [1, 2, 3], [1.0])
         assert abs(rows[0][1] - 0.5) < 1e-12

@@ -27,6 +27,30 @@ from tripsim.twirl import (
 )
 
 
+@pytest.mark.parametrize(
+    "build, refusal",
+    [
+        (lambda: WernerParams(2, -0.1), "p must lie in [0, 1], got -0.1"),
+        (lambda: WernerParams(2, 1.5), "p must lie in [0, 1], got 1.5"),
+        (lambda: WernerParams(2, math.nan), "p must lie in [0, 1], got nan"),
+        (lambda: WernerParams(1, 0.5), "level count must be >= 2, got 1"),
+        (lambda: IsotropicParams(2, 1.5), "f must lie in [0, 1], got 1.5"),
+        (lambda: IsotropicParams(2, -0.5), "f must lie in [0, 1], got -0.5"),
+        (lambda: IsotropicParams(1, 1.0), "level count must be >= 2, got 1"),
+        (lambda: GenWerner3Q(-0.1, 0.3), "p must lie in [0, 1], got -0.1"),
+        (lambda: GenWerner3Q(1.5, 0.3), "p must lie in [0, 1], got 1.5"),
+    ],
+    ids=[
+        "werner-p-below", "werner-p-above", "werner-p-nan", "werner-d-one", "isotropic-f-above",
+        "isotropic-f-below", "isotropic-d-one", "gen-werner-p-below", "gen-werner-p-above",
+    ],
+)
+def test_params_refused_at_construction(build, refusal):
+    with pytest.raises(ValueError) as refused:
+        build()
+    assert str(refused.value) == refusal
+
+
 class TestWerner:
     def test_equal_weights_give_maximally_mixed(self):
         rho = werner(WernerParams(2, 0.25))
@@ -114,6 +138,15 @@ class TestGenWerner3Q:
 
 
 class TestTwirl:
+    @pytest.mark.parametrize("twirl_fn", [twirl_uu, twirl_uustar])
+    def test_zero_samples_refused(self, twirl_fn):
+        with pytest.raises(ValueError, match="^samples must be >= 1, got 0$"):
+            twirl_fn(werner(WernerParams(2, 0.5)), 0, np.random.default_rng(0))
+
+    def test_trace_distance_needs_one_dimension(self):
+        with pytest.raises(ValueError, match="^dimension mismatch$"):
+            trace_distance(werner(WernerParams(2, 0.5)), werner(WernerParams(3, 0.5)))
+
     def test_werner_is_exact_fixed_point_per_sample(self):
         rho = werner(WernerParams(2, 0.7))
         out = twirl_uu(rho, 2000, np.random.default_rng(0))
